@@ -2,9 +2,10 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use chronus_core::{decrement, Att, MechanismKind, MisraGries};
-use chronus_ctrl::AddressMapping;
-use chronus_dram::{BankId, Command, DramConfig, DramDevice, Geometry};
+use chronus_core::hydra::HydraConfig;
+use chronus_core::{decrement, Att, Hydra, MechanismKind, MisraGries};
+use chronus_ctrl::{AddressMapping, CtrlMitigation};
+use chronus_dram::{BankId, Command, DramAddr, DramConfig, DramDevice, Geometry};
 use chronus_security::wave::{prac_wave_max_acts, PracBackOff, WaveTiming};
 use chronus_sim::{SimConfig, System};
 use chronus_workloads::synthetic_app;
@@ -61,6 +62,51 @@ fn bench_misra_gries(c: &mut Criterion) {
         b.iter(|| {
             i = i.wrapping_add(7);
             mg.observe(i % 4096)
+        })
+    });
+    // Graphene's per-bank table at N_RH = 32 (W/T + 1 counters) under a
+    // benign workload: a few hundred live rows, half the activations to a
+    // row not tracked yet this epoch (the insert path), one clear per 600.
+    c.bench_function("core/misra_gries_observe_42k_capacity_300_live", |b| {
+        let mut mg = MisraGries::new(42_501);
+        let mut i = 0u32;
+        b.iter(|| {
+            i += 1;
+            if i == 600 {
+                mg.clear();
+                i = 0;
+            }
+            mg.observe(i % 300)
+        })
+    });
+}
+
+fn bench_hydra(c: &mut Criterion) {
+    // Every activation in the per-row phase, over exactly as many rows as
+    // the RCT cache holds: a full 4096-line cache, all hits, a trigger
+    // every 16th visit of a row.
+    c.bench_function("core/hydra_on_activate_tracked", |b| {
+        let geo = Geometry::ddr5();
+        let cfg = HydraConfig {
+            group_threshold: 0,
+            ..HydraConfig::for_nrh(32, u64::MAX)
+        };
+        let mut hydra = Hydra::new(geo, cfg);
+        let mut actions = Vec::new();
+        let addr_of = |i: usize| {
+            let key = i % cfg.cache_entries;
+            let bank = BankId::from_flat(key % geo.total_banks(), &geo);
+            DramAddr::new(bank, (key / geo.total_banks()) as u32, 0)
+        };
+        for i in 0..cfg.cache_entries {
+            hydra.on_activate(addr_of(i), 0, &mut actions);
+        }
+        let mut i = 0usize;
+        b.iter(|| {
+            i = i.wrapping_add(7);
+            actions.clear();
+            hydra.on_activate(addr_of(i), 0, &mut actions);
+            actions.len()
         })
     });
 }
@@ -121,6 +167,7 @@ criterion_group!(
     bench_mapping_decode,
     bench_att_observe,
     bench_misra_gries,
+    bench_hydra,
     bench_decrementer,
     bench_wave_model,
     bench_trace_generation,

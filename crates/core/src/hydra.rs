@@ -66,8 +66,13 @@ pub struct Hydra {
     /// RCT backing store (models DRAM-resident counters; traffic costs are
     /// injected separately).
     rct: HashMap<(usize, RowId), u32>,
+    /// `(flat_bank, group)` of every non-zero GCT entry, so the epoch
+    /// reset touches only those.
+    gct_touched: Vec<(usize, usize)>,
     /// FIFO RCT cache.
     cache: Vec<CacheLine>,
+    /// Cached key → slot in `cache`; only ever probed by key.
+    cache_index: HashMap<(usize, RowId), usize>,
     cache_next: usize,
     epoch_end: Cycle,
     stats: CtrlMitigationStats,
@@ -76,13 +81,17 @@ pub struct Hydra {
 impl Hydra {
     /// A Hydra instance for the given geometry and configuration.
     pub fn new(geo: Geometry, cfg: HydraConfig) -> Self {
+        assert!(cfg.rows_per_group >= 1, "need at least one row per group");
+        assert!(cfg.cache_entries >= 1, "need at least one RCT cache entry");
         let groups = geo.rows.div_ceil(cfg.rows_per_group);
         Self {
             geo,
             cfg,
             gct: (0..geo.total_banks()).map(|_| vec![0u32; groups]).collect(),
             rct: HashMap::new(),
-            cache: Vec::with_capacity(cfg.cache_entries),
+            gct_touched: Vec::new(),
+            cache: Vec::new(),
+            cache_index: HashMap::new(),
             cache_next: 0,
             epoch_end: cfg.epoch_cycles,
             stats: CtrlMitigationStats::default(),
@@ -104,32 +113,33 @@ impl Hydra {
         DramAddr::new(bank, rct_row, col)
     }
 
-    fn cache_lookup(&mut self, key: (usize, RowId)) -> Option<usize> {
-        self.cache.iter().position(|l| l.key == key)
-    }
-
-    /// Inserts into the RCT cache, returning the evicted dirty line if any.
-    fn cache_insert(&mut self, line: CacheLine) -> Option<CacheLine> {
+    /// Inserts into the RCT cache; returns the line's slot and the evicted
+    /// dirty line, if any.
+    fn cache_insert(&mut self, line: CacheLine) -> (usize, Option<CacheLine>) {
         if self.cache.len() < self.cfg.cache_entries {
+            let slot = self.cache.len();
             self.cache.push(line);
-            return None;
+            self.cache_index.insert(line.key, slot);
+            return (slot, None);
         }
         let slot = self.cache_next;
         self.cache_next = (self.cache_next + 1) % self.cfg.cache_entries;
-        let evicted = self.cache[slot];
-        self.cache[slot] = line;
-        evicted.dirty.then_some(evicted)
+        let evicted = std::mem::replace(&mut self.cache[slot], line);
+        self.cache_index.remove(&evicted.key);
+        self.cache_index.insert(line.key, slot);
+        (slot, evicted.dirty.then_some(evicted))
     }
 }
 
 impl CtrlMitigation for Hydra {
     fn on_activate(&mut self, addr: DramAddr, now: Cycle, actions: &mut Vec<MitigationAction>) {
         if now >= self.epoch_end {
-            for g in &mut self.gct {
-                g.iter_mut().for_each(|c| *c = 0);
+            for (flat, group) in self.gct_touched.drain(..) {
+                self.gct[flat][group] = 0;
             }
             self.rct.clear();
             self.cache.clear();
+            self.cache_index.clear();
             self.cache_next = 0;
             self.epoch_end = now - now % self.cfg.epoch_cycles + self.cfg.epoch_cycles;
         }
@@ -137,17 +147,21 @@ impl CtrlMitigation for Hydra {
         let group = addr.row as usize / self.cfg.rows_per_group;
         let gcount = &mut self.gct[flat][group];
         if *gcount < self.cfg.group_threshold {
+            if *gcount == 0 {
+                self.gct_touched.push((flat, group));
+            }
             *gcount += 1;
             return;
         }
         // Per-row tracking phase. Rows start at the group threshold
         // (conservative initialisation, as in Hydra).
         let key = (flat, addr.row);
-        let count = match self.cache_lookup(key) {
-            Some(i) => {
-                self.cache[i].count += 1;
-                self.cache[i].dirty = true;
-                self.cache[i].count
+        let (slot, count) = match self.cache_index.get(&key) {
+            Some(&slot) => {
+                let line = &mut self.cache[slot];
+                line.count += 1;
+                line.dirty = true;
+                (slot, line.count)
             }
             None => {
                 // Miss: fetch the counter from DRAM (read traffic), then
@@ -158,11 +172,12 @@ impl CtrlMitigation for Hydra {
                 });
                 let stored = *self.rct.get(&key).unwrap_or(&self.cfg.group_threshold);
                 let count = stored + 1;
-                if let Some(evicted) = self.cache_insert(CacheLine {
+                let (slot, evicted) = self.cache_insert(CacheLine {
                     key,
                     count,
                     dirty: true,
-                }) {
+                });
+                if let Some(evicted) = evicted {
                     self.stats.aux_writes += 1;
                     self.rct.insert(evicted.key, evicted.count);
                     let (eflat, erow) = evicted.key;
@@ -171,15 +186,13 @@ impl CtrlMitigation for Hydra {
                         addr: self.rct_addr(ebank, erow),
                     });
                 }
-                count
+                (slot, count)
             }
         };
         if count >= self.cfg.row_threshold {
             // Reset and preventively refresh.
-            if let Some(i) = self.cache_lookup(key) {
-                self.cache[i].count = 0;
-                self.cache[i].dirty = true;
-            }
+            self.cache[slot].count = 0;
+            self.cache[slot].dirty = true;
             self.rct.insert(key, 0);
             self.stats.triggers += 1;
             self.stats.victim_refreshes += 1;
@@ -283,6 +296,30 @@ mod tests {
             h.on_activate(addr, 0, &mut actions); // tracked
         }
         assert!(h.stats().aux_writes > 0, "evictions must write back");
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one RCT cache entry")]
+    fn zero_cache_entries_are_rejected() {
+        Hydra::new(
+            Geometry::tiny(),
+            HydraConfig {
+                cache_entries: 0,
+                ..HydraConfig::for_nrh(32, 51_200_000)
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one row per group")]
+    fn zero_rows_per_group_are_rejected() {
+        Hydra::new(
+            Geometry::tiny(),
+            HydraConfig {
+                rows_per_group: 0,
+                ..HydraConfig::for_nrh(32, 51_200_000)
+            },
+        );
     }
 
     #[test]

@@ -5,13 +5,49 @@
 //! within an epoch has an estimated count of at least `n − spillover`, so
 //! a mechanism that triggers at estimated count `T` can never let a true
 //! count exceed `T + spillover_max` undetected.
+//!
+//! # Contract
+//!
+//! Simulation reports depend on *which* counter a full table hands to a
+//! new row, so the victim rule is fixed:
+//!
+//! * slots fill in index order (slot 0 first) and are never freed before
+//!   [`MisraGries::clear`];
+//! * a full table replaces the **lowest-index slot whose count equals the
+//!   spillover**; when there is none, the spillover is incremented and no
+//!   slot changes.
+//!
+//! Every count is ≥ the spillover (insertion is at `spillover + 1`,
+//! [`MisraGries::reset_row`] re-arms at `spillover`, and the spillover only
+//! grows while no count equals it), so that slot is the minimum of the
+//! `(count, slot)` order iff the minimum's count equals the spillover.
+//!
+//! # Complexity
+//!
+//! `observe` and `reset_row` are O(log n) in the live slots, `estimate` is
+//! O(1), and `clear` and memory are proportional to the slots in use —
+//! never to `capacity`, which only bounds them (Graphene sizes ≈42 500
+//! counters per bank at `N_RH` = 32 and a workload touches a few hundred).
+//! The hash index is only ever probed by key: its iteration order reaches
+//! no result.
+
+use std::collections::{BTreeSet, HashMap};
 
 use chronus_dram::RowId;
 
 /// One Misra–Gries summary.
 #[derive(Debug, Clone)]
 pub struct MisraGries {
-    entries: Vec<Option<(RowId, u32)>>,
+    capacity: usize,
+    /// Slot → tracked row; grows on demand up to `capacity`.
+    rows: Vec<RowId>,
+    /// Slot → estimated count.
+    counts: Vec<u32>,
+    /// Tracked row → slot.
+    index: HashMap<RowId, u32>,
+    /// `(count, slot)` of every live slot; the minimum is the eviction
+    /// candidate.
+    order: BTreeSet<(u32, u32)>,
     spillover: u32,
 }
 
@@ -19,61 +55,80 @@ impl MisraGries {
     /// A summary with `capacity` counters.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "need at least one counter");
+        assert!(
+            u32::try_from(capacity).is_ok(),
+            "slot indices are 32-bit: {capacity} counters is too many"
+        );
         Self {
-            entries: vec![None; capacity],
+            capacity,
+            rows: Vec::new(),
+            counts: Vec::new(),
+            index: HashMap::new(),
+            order: BTreeSet::new(),
             spillover: 0,
         }
+    }
+
+    fn set_count(&mut self, slot: u32, count: u32) {
+        let old = std::mem::replace(&mut self.counts[slot as usize], count);
+        self.order.remove(&(old, slot));
+        self.order.insert((count, slot));
     }
 
     /// Observes one activation of `row`; returns the row's new estimated
     /// count.
     pub fn observe(&mut self, row: RowId) -> u32 {
-        for e in self.entries.iter_mut().flatten() {
-            if e.0 == row {
-                e.1 += 1;
-                return e.1;
-            }
+        if let Some(&slot) = self.index.get(&row) {
+            let est = self.counts[slot as usize] + 1;
+            self.set_count(slot, est);
+            return est;
         }
-        if let Some(slot) = self.entries.iter_mut().find(|e| e.is_none()) {
+        if self.rows.len() < self.capacity {
+            let slot = self.rows.len() as u32;
             let est = self.spillover + 1;
-            *slot = Some((row, est));
+            self.rows.push(row);
+            self.counts.push(est);
+            self.index.insert(row, slot);
+            self.order.insert((est, slot));
             return est;
         }
         // Table full: if some entry equals the spillover count, replace it;
         // otherwise increment the spillover.
         let spill = self.spillover;
-        if let Some(e) = self.entries.iter_mut().flatten().find(|e| e.1 == spill) {
-            *e = (row, spill + 1);
-            return spill + 1;
+        match self.order.first() {
+            Some(&(count, slot)) if count == spill => {
+                let evicted = std::mem::replace(&mut self.rows[slot as usize], row);
+                self.index.remove(&evicted);
+                self.index.insert(row, slot);
+                self.set_count(slot, spill + 1);
+                spill + 1
+            }
+            _ => {
+                self.spillover += 1;
+                self.spillover
+            }
         }
-        self.spillover += 1;
-        self.spillover
     }
 
     /// The row's estimated count, if tracked.
     pub fn estimate(&self, row: RowId) -> Option<u32> {
-        self.entries
-            .iter()
-            .flatten()
-            .find(|e| e.0 == row)
-            .map(|e| e.1)
+        self.index.get(&row).map(|&slot| self.counts[slot as usize])
     }
 
     /// Resets `row`'s counter to the current spillover level (post-refresh
     /// re-arm, as Graphene does).
     pub fn reset_row(&mut self, row: RowId) {
-        let spill = self.spillover;
-        for e in self.entries.iter_mut().flatten() {
-            if e.0 == row {
-                e.1 = spill;
-                return;
-            }
+        if let Some(&slot) = self.index.get(&row) {
+            self.set_count(slot, self.spillover);
         }
     }
 
     /// Clears the whole summary (epoch reset every `tREFW`).
     pub fn clear(&mut self) {
-        self.entries.iter_mut().for_each(|e| *e = None);
+        self.rows.clear();
+        self.counts.clear();
+        self.index.clear();
+        self.order.clear();
         self.spillover = 0;
     }
 
@@ -82,9 +137,10 @@ impl MisraGries {
         self.spillover
     }
 
-    /// Number of counters.
+    /// Number of counters the modelled table has (its storage cost), not
+    /// the number in use.
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.capacity
     }
 }
 
@@ -132,6 +188,24 @@ mod tests {
             "est {est} + spill {} < true {true_count}",
             mg.spillover()
         );
+    }
+
+    #[test]
+    fn full_table_replaces_the_lowest_slot_at_spillover() {
+        let mut mg = MisraGries::new(3);
+        for row in [10, 11, 12, 10, 11, 12] {
+            mg.observe(row); // every slot at 2
+        }
+        assert_eq!(mg.observe(13), 1, "no slot at spillover 0: it grows");
+        assert_eq!(mg.observe(14), 2, "still none at 1: it grows again");
+        // Slots 0..3 all sit at the spillover now; slot 0 goes first.
+        assert_eq!(mg.observe(15), 3);
+        assert_eq!(mg.estimate(10), None);
+        assert_eq!(mg.estimate(11), Some(2));
+        mg.reset_row(12); // slot 2 re-armed at 2, but slot 1 is lower
+        assert_eq!(mg.observe(16), 3);
+        assert_eq!(mg.estimate(11), None);
+        assert_eq!(mg.estimate(12), Some(2));
     }
 
     #[test]

@@ -868,13 +868,15 @@ impl MemoryController {
         for a in self.actions_buf.drain(..) {
             match a {
                 MitigationAction::RefreshVictims { bank, aggressor } => {
-                    let victims = chronus_dram::geometry::victims_of(aggressor, blast, rows);
-                    let last = victims.len().saturating_sub(1);
-                    for (vi, v) in victims.into_iter().enumerate() {
+                    let mut victims =
+                        chronus_dram::geometry::victims_of(aggressor, blast, rows).peekable();
+                    while let Some(row) = victims.next() {
+                        // The last victim's VRR completes the service.
+                        let last = victims.peek().is_none();
                         self.vrrq.push_back(Some(PendingVrr {
                             bank,
-                            row: v,
-                            completes_service_of: (vi == last).then_some(aggressor),
+                            row,
+                            completes_service_of: last.then_some(aggressor),
                         }));
                     }
                     debug_assert!(self.vrrq.len() < 1 << 20, "runaway VRR queue");

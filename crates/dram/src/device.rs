@@ -673,7 +673,7 @@ impl DramDevice {
             let outcome = self.mitigation.on_rfm(id, now);
             if let Some(aggressor) = outcome.refreshed_aggressor {
                 self.stats.rfm_victim_rows +=
-                    victims_of(aggressor, self.cfg.blast_radius, g.rows).len() as u64;
+                    victims_of(aggressor, self.cfg.blast_radius, g.rows).count() as u64;
                 if let Some(o) = &mut self.oracle {
                     o.on_victims_refreshed(id, aggressor);
                 }

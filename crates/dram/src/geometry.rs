@@ -149,19 +149,15 @@ impl DramAddr {
 }
 
 /// Victim rows of `aggressor` under the given blast radius, clamped to the
-/// bank (paper §5 assumes a blast radius of 2, i.e. four victims).
-pub fn victims_of(aggressor: RowId, blast_radius: u32, rows: usize) -> Vec<RowId> {
-    let mut v = Vec::with_capacity(2 * blast_radius as usize);
-    for d in 1..=blast_radius {
-        if aggressor >= d {
-            v.push(aggressor - d);
-        }
-        let up = aggressor + d;
-        if (up as usize) < rows {
-            v.push(up);
-        }
-    }
-    v
+/// bank (paper §5 assumes a blast radius of 2, i.e. four victims), in the
+/// order `−d`, `+d` for `d = 1..=blast_radius`. Allocation-free: this runs
+/// once per activation under the oracle.
+pub fn victims_of(aggressor: RowId, blast_radius: u32, rows: usize) -> impl Iterator<Item = RowId> {
+    (1..=blast_radius).flat_map(move |d| {
+        let down = aggressor.checked_sub(d);
+        let up = Some(aggressor + d).filter(|&up| (up as usize) < rows);
+        [down, up].into_iter().flatten()
+    })
 }
 
 #[cfg(test)]
@@ -199,16 +195,17 @@ mod tests {
 
     #[test]
     fn victims_blast_radius_two_interior() {
-        let v = victims_of(100, 2, 65_536);
+        let v: Vec<RowId> = victims_of(100, 2, 65_536).collect();
         assert_eq!(v, vec![99, 101, 98, 102]);
     }
 
     #[test]
     fn victims_clamped_at_edges() {
-        assert_eq!(victims_of(0, 2, 65_536), vec![1, 2]);
-        assert_eq!(victims_of(1, 2, 65_536), vec![0, 2, 3]);
+        let victims = |row| victims_of(row, 2, 65_536).collect::<Vec<RowId>>();
+        assert_eq!(victims(0), vec![1, 2]);
+        assert_eq!(victims(1), vec![0, 2, 3]);
         let last = 65_535;
-        assert_eq!(victims_of(last, 2, 65_536), vec![last - 1, last - 2]);
+        assert_eq!(victims(last), vec![last - 1, last - 2]);
     }
 
     #[test]

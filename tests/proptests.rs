@@ -1,12 +1,190 @@
 //! Cross-crate property tests.
 
-use chronus::core::{decrement, Att, MisraGries};
-use chronus::ctrl::AddressMapping;
-use chronus::dram::{geometry::victims_of, Geometry};
+use std::collections::HashMap;
+
+use chronus::core::hydra::HydraConfig;
+use chronus::core::{decrement, Att, Hydra, MisraGries};
+use chronus::ctrl::{AddressMapping, CtrlMitigation, CtrlMitigationStats, MitigationAction};
+use chronus::dram::{geometry::victims_of, BankId, DramAddr, Geometry, RowId};
 use chronus::security::wave::{discrete, prfm_wave_max_acts, WaveTiming};
 use chronus::workloads::generator::synthetic_from_profile;
 use chronus::workloads::AppProfile;
 use proptest::prelude::*;
+
+/// Reference Misra–Gries table: a linear scan over `capacity` slots that
+/// states the victim rule directly — slots fill in index order and a full
+/// table replaces the lowest-index slot whose count equals the spillover.
+struct LinearMisraGries {
+    entries: Vec<Option<(RowId, u32)>>,
+    spillover: u32,
+}
+
+impl LinearMisraGries {
+    fn new(capacity: usize) -> Self {
+        Self {
+            entries: vec![None; capacity],
+            spillover: 0,
+        }
+    }
+
+    fn observe(&mut self, row: RowId) -> u32 {
+        for e in self.entries.iter_mut().flatten() {
+            if e.0 == row {
+                e.1 += 1;
+                return e.1;
+            }
+        }
+        if let Some(slot) = self.entries.iter_mut().find(|e| e.is_none()) {
+            let est = self.spillover + 1;
+            *slot = Some((row, est));
+            return est;
+        }
+        let spill = self.spillover;
+        if let Some(e) = self.entries.iter_mut().flatten().find(|e| e.1 == spill) {
+            *e = (row, spill + 1);
+            return spill + 1;
+        }
+        self.spillover += 1;
+        self.spillover
+    }
+
+    fn estimate(&self, row: RowId) -> Option<u32> {
+        self.entries
+            .iter()
+            .flatten()
+            .find(|e| e.0 == row)
+            .map(|e| e.1)
+    }
+
+    fn reset_row(&mut self, row: RowId) {
+        let spill = self.spillover;
+        if let Some(e) = self.entries.iter_mut().flatten().find(|e| e.0 == row) {
+            e.1 = spill;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.entries.iter_mut().for_each(|e| *e = None);
+        self.spillover = 0;
+    }
+}
+
+#[derive(Clone, Copy)]
+struct LinearCacheLine {
+    key: (usize, RowId),
+    count: u32,
+    dirty: bool,
+}
+
+/// Reference Hydra: the same GCT/RCT/FIFO model as `chronus::core::Hydra`
+/// with every cache lookup a linear scan and a full-table GCT reset.
+struct LinearHydra {
+    geo: Geometry,
+    cfg: HydraConfig,
+    gct: Vec<Vec<u32>>,
+    rct: HashMap<(usize, RowId), u32>,
+    cache: Vec<LinearCacheLine>,
+    cache_next: usize,
+    epoch_end: u64,
+    stats: CtrlMitigationStats,
+}
+
+impl LinearHydra {
+    fn new(geo: Geometry, cfg: HydraConfig) -> Self {
+        let groups = geo.rows.div_ceil(cfg.rows_per_group);
+        Self {
+            geo,
+            cfg,
+            gct: vec![vec![0; groups]; geo.total_banks()],
+            rct: HashMap::new(),
+            cache: Vec::new(),
+            cache_next: 0,
+            epoch_end: cfg.epoch_cycles,
+            stats: CtrlMitigationStats::default(),
+        }
+    }
+
+    fn rct_addr(&self, bank: BankId, row: RowId) -> DramAddr {
+        let per_row = self.geo.cols as u32;
+        let rct_row = (self.geo.rows as u32 - 1).saturating_sub(row / per_row);
+        DramAddr::new(bank, rct_row, row % per_row)
+    }
+
+    fn cache_lookup(&self, key: (usize, RowId)) -> Option<usize> {
+        self.cache.iter().position(|l| l.key == key)
+    }
+
+    fn cache_insert(&mut self, line: LinearCacheLine) -> Option<LinearCacheLine> {
+        if self.cache.len() < self.cfg.cache_entries {
+            self.cache.push(line);
+            return None;
+        }
+        let slot = self.cache_next;
+        self.cache_next = (self.cache_next + 1) % self.cfg.cache_entries;
+        let evicted = std::mem::replace(&mut self.cache[slot], line);
+        evicted.dirty.then_some(evicted)
+    }
+
+    fn on_activate(&mut self, addr: DramAddr, now: u64, actions: &mut Vec<MitigationAction>) {
+        if now >= self.epoch_end {
+            for g in &mut self.gct {
+                g.iter_mut().for_each(|c| *c = 0);
+            }
+            self.rct.clear();
+            self.cache.clear();
+            self.cache_next = 0;
+            self.epoch_end = now - now % self.cfg.epoch_cycles + self.cfg.epoch_cycles;
+        }
+        let flat = addr.bank.flat(&self.geo);
+        let gcount = &mut self.gct[flat][addr.row as usize / self.cfg.rows_per_group];
+        if *gcount < self.cfg.group_threshold {
+            *gcount += 1;
+            return;
+        }
+        let key = (flat, addr.row);
+        let count = match self.cache_lookup(key) {
+            Some(i) => {
+                self.cache[i].count += 1;
+                self.cache[i].dirty = true;
+                self.cache[i].count
+            }
+            None => {
+                self.stats.aux_reads += 1;
+                actions.push(MitigationAction::AuxRead {
+                    addr: self.rct_addr(addr.bank, addr.row),
+                });
+                let count = *self.rct.get(&key).unwrap_or(&self.cfg.group_threshold) + 1;
+                let line = LinearCacheLine {
+                    key,
+                    count,
+                    dirty: true,
+                };
+                if let Some(evicted) = self.cache_insert(line) {
+                    self.stats.aux_writes += 1;
+                    self.rct.insert(evicted.key, evicted.count);
+                    let (eflat, erow) = evicted.key;
+                    actions.push(MitigationAction::AuxWrite {
+                        addr: self.rct_addr(BankId::from_flat(eflat, &self.geo), erow),
+                    });
+                }
+                count
+            }
+        };
+        if count >= self.cfg.row_threshold {
+            if let Some(i) = self.cache_lookup(key) {
+                self.cache[i].count = 0;
+                self.cache[i].dirty = true;
+            }
+            self.rct.insert(key, 0);
+            self.stats.triggers += 1;
+            self.stats.victim_refreshes += 1;
+            actions.push(MitigationAction::RefreshVictims {
+                bank: addr.bank,
+                aggressor: addr.row,
+            });
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -29,7 +207,7 @@ proptest! {
 
     #[test]
     fn victims_are_symmetric_and_within_blast(row in 0u32..65_536, blast in 1u32..4) {
-        let v = victims_of(row, blast, 65_536);
+        let v: Vec<RowId> = victims_of(row, blast, 65_536).collect();
         prop_assert!(v.len() <= 2 * blast as usize);
         for x in &v {
             let d = x.abs_diff(row);
@@ -48,7 +226,7 @@ proptest! {
         // Feed (row, count) observations where counts only grow per row;
         // the ATT max must match the true running maximum.
         let mut att = Att::new(4);
-        let mut true_counts = std::collections::HashMap::new();
+        let mut true_counts = HashMap::new();
         for (row, inc) in ops {
             let c = true_counts.entry(row).or_insert(0u32);
             *c += inc;
@@ -70,7 +248,7 @@ proptest! {
         rows in prop::collection::vec(0u32..64, 1..2000)
     ) {
         let mut mg = MisraGries::new(8);
-        let mut true_counts = std::collections::HashMap::new();
+        let mut true_counts = HashMap::new();
         for &r in &rows {
             mg.observe(r);
             *true_counts.entry(r).or_insert(0u32) += 1;
@@ -82,6 +260,67 @@ proptest! {
                 "row {} est {} spill {} true {}",
                 row, est, mg.spillover(), true_count
             );
+        }
+    }
+
+    #[test]
+    fn indexed_misra_gries_matches_the_linear_scan_table(
+        capacity in 1usize..=8,
+        ops in prop::collection::vec((0u32..64, 0u32..12), 1..600)
+    ) {
+        // Twelve rows over at most eight counters: tables fill, rows
+        // re-armed at the spillover get replaced, and the spillover grows
+        // when none is. Every observable must agree after every step.
+        let mut indexed = MisraGries::new(capacity);
+        let mut linear = LinearMisraGries::new(capacity);
+        for (op, row) in ops {
+            match op {
+                0 => {
+                    indexed.clear();
+                    linear.clear();
+                }
+                1..=8 => {
+                    indexed.reset_row(row);
+                    linear.reset_row(row);
+                }
+                _ => prop_assert_eq!(indexed.observe(row), linear.observe(row)),
+            }
+            prop_assert_eq!(indexed.spillover(), linear.spillover);
+            for r in 0..12 {
+                prop_assert_eq!(indexed.estimate(r), linear.estimate(r), "row {}", r);
+            }
+        }
+        prop_assert_eq!(indexed.capacity(), capacity);
+    }
+
+    #[test]
+    fn indexed_hydra_matches_the_linear_scan_cache(
+        cache_log2 in 0u32..3,
+        row_threshold in 2u32..6,
+        ops in prop::collection::vec((0u8..2, 0u32..8, 0u64..40), 1..400)
+    ) {
+        // Sixteen (bank, row) keys over a 1/2/4-line cache, and ~8 000
+        // cycles over a 2 000-cycle epoch: hits, FIFO evictions with
+        // writeback, triggers on both paths and several epoch resets.
+        let geo = Geometry::tiny();
+        let cfg = HydraConfig {
+            rows_per_group: 128,
+            group_threshold: 1,
+            row_threshold,
+            cache_entries: 1 << cache_log2,
+            epoch_cycles: 2_000,
+        };
+        let mut indexed = Hydra::new(geo, cfg);
+        let mut linear = LinearHydra::new(geo, cfg);
+        let mut now = 0;
+        for (bank, row, dt) in ops {
+            now += dt;
+            let addr = DramAddr::new(BankId::new(0, 0, bank), row * 100, 0);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            indexed.on_activate(addr, now, &mut got);
+            linear.on_activate(addr, now, &mut want);
+            prop_assert_eq!(got, want, "cycle {}", now);
+            prop_assert_eq!(indexed.stats(), linear.stats);
         }
     }
 
