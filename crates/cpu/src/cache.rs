@@ -70,7 +70,9 @@ pub enum LoadResult {
     Hit,
     /// Miss; the waiter token will be released by a future fill.
     Miss,
-    /// No MSHR available: retry next cycle.
+    /// No MSHR available. The access changed nothing, and retrying it is
+    /// pointless until the next [`SharedLlc::on_fill`]: occupancy only
+    /// falls there, and a full file admits no new line in the meantime.
     Rejected,
 }
 
@@ -182,14 +184,16 @@ impl SharedLlc {
         &mut self.lines[base..base + self.cfg.ways]
     }
 
+    /// Looks `line_addr` up and, on a hit, stamps it most recently used.
+    /// A miss leaves the LRU clock alone — stamps only need to be ordered,
+    /// and a miss the MSHR file then rejects must not change anything.
     fn probe(&mut self, line_addr: u64) -> Option<&mut Line> {
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let line = self
-            .set_ways(line_addr)
+        let base = self.set_of(line_addr) * self.cfg.ways;
+        let line = self.lines[base..base + self.cfg.ways]
             .iter_mut()
             .find(|l| l.valid && l.tag == line_addr)?;
-        line.lru = clock;
+        self.lru_clock += 1;
+        line.lru = self.lru_clock;
         Some(line)
     }
 
@@ -372,6 +376,18 @@ impl SharedLlc {
     pub fn inflight(&self) -> usize {
         self.mshr.len() + self.uncached_outstanding
     }
+
+    /// Everything an access can change, short of the line array itself
+    /// (whose every write also moves `lru_clock` or a counter).
+    #[cfg(test)]
+    pub(crate) fn fingerprint(&self) -> impl PartialEq + std::fmt::Debug {
+        (
+            self.inflight(),
+            self.outbox.len(),
+            self.hit_miss(),
+            self.lru_clock,
+        )
+    }
 }
 
 #[cfg(test)]
@@ -516,6 +532,83 @@ mod tests {
         // A fill with no MSHR leaves the buffer empty, not stale.
         c.on_fill(0x9000, false, &mut waiters);
         assert!(waiters.is_empty());
+    }
+
+    #[test]
+    fn rejection_is_side_effect_free_and_holds_until_a_fill() {
+        // What lets a core sleep through an MSHR stall: once an access is
+        // rejected, no interleaving of other accesses (from any core) can
+        // turn it into an accepted one — only `on_fill` can — and the
+        // retries themselves leave the cache untouched.
+        #[derive(Clone, Copy, Debug)]
+        enum Kind {
+            Load,
+            Store,
+            LoadNc,
+        }
+        fn access(c: &mut SharedLlc, kind: Kind, addr: u64, token: u64) -> bool {
+            match kind {
+                Kind::Load => c.load(addr, token) != LoadResult::Rejected,
+                Kind::Store => c.store(addr, (token >> 48) as u8),
+                Kind::LoadNc => c.load_uncached(addr, token) != LoadResult::Rejected,
+            }
+        }
+        let mut rng = crate::TestRng(0x11c);
+        let mut rejections = 0;
+        for case in 0..200u64 {
+            let mut c = SharedLlc::new(CacheConfig {
+                capacity: 4096,
+                ways: 2,
+                line_bytes: 64,
+                hit_latency: 10,
+                mshrs: [1, 2, 4][(case % 3) as usize],
+            });
+            let mut token = 0u64;
+            let mut draw = |rng: &mut crate::TestRng| {
+                token += 1;
+                let kind = [Kind::Load, Kind::Store, Kind::LoadNc][rng.below(3) as usize];
+                // 64 lines over 32 sets × 2 ways: hits, merges, evictions.
+                let addr = rng.below(64) * 64 + rng.below(64);
+                (kind, addr, (rng.below(4) << 48) | token)
+            };
+            let mut outstanding: Vec<UncoreRequest> = Vec::new();
+            let mut waiters = Vec::new();
+            for _ in 0..40 {
+                let (kind, addr, tok) = draw(&mut rng);
+                if access(&mut c, kind, addr, tok) {
+                    while let Some(req) = c.pop_request() {
+                        outstanding.push(req);
+                    }
+                    // Sometimes answer a request so lines get installed.
+                    if !outstanding.is_empty() && rng.below(3) == 0 {
+                        let req =
+                            outstanding.swap_remove(rng.below(outstanding.len() as u64) as usize);
+                        c.on_fill(req.line_addr, req.uncached, &mut waiters);
+                    }
+                    continue;
+                }
+                rejections += 1;
+                for _ in 0..30 {
+                    let (k2, a2, t2) = draw(&mut rng);
+                    access(&mut c, k2, a2, t2);
+                    let state = c.fingerprint();
+                    assert!(
+                        !access(&mut c, kind, addr, tok),
+                        "case {case}: rejected {kind:?} {addr:#x} accepted after {k2:?} {a2:#x} with no fill"
+                    );
+                    assert_eq!(
+                        c.fingerprint(),
+                        state,
+                        "case {case}: a rejected retry changed the cache"
+                    );
+                }
+                break;
+            }
+        }
+        assert!(
+            rejections > 100,
+            "only {rejections} cases reached a rejection"
+        );
     }
 
     #[test]

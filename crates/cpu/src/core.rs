@@ -43,22 +43,31 @@ pub enum CoreState {
 }
 
 /// When the core next makes progress — the contract behind the simulator's
-/// event-driven fast-forward. Whenever the core reports anything other
-/// than [`CoreWake::Busy`], calling [`SimpleO3Core::tick`] before the
-/// reported cycle is guaranteed to be a no-op, so those ticks may be
-/// skipped wholesale.
+/// event-driven fast-forward. It is two-sided:
+///
+/// - anything other than [`CoreWake::Busy`] ⇒ every
+///   [`SimpleO3Core::tick`] before the reported cycle is a no-op (it
+///   changes neither the core nor the LLC), so those ticks may be skipped
+///   wholesale — for as long as no LLC fill is delivered
+///   ([`SharedLlc::on_fill`] / [`SimpleO3Core::on_mem_complete`]); a fill
+///   voids the report and the core must be ticked and asked again;
+/// - [`CoreWake::Busy`] ⇒ the very next tick changes core or LLC state,
+///   so a core never asks to be polled through cycles in which nothing
+///   can happen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreWake {
-    /// May retire or dispatch on the very next cycle: tick every cycle.
+    /// Retires or dispatches on the very next cycle: tick every cycle.
     Busy,
     /// Nothing happens before this CPU cycle (head of window becomes
     /// ready, or a bubble sprint ends).
     At(u64),
-    /// Stalled until a memory completion arrives; no timed event pending.
+    /// Stalled until an LLC fill arrives — a memory-blocked window head,
+    /// or a dispatch the LLC rejected for want of an MSHR with nothing
+    /// left to retire; no timed event pending.
     Blocked,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
     /// Completes at the given CPU cycle (bubbles, LLC hits).
     ReadyAt(u64),
@@ -81,6 +90,13 @@ pub struct SimpleO3Core {
     finished_at: Option<u64>,
     llc_hit_latency: u32,
     stalled_op: Option<TraceOp>,
+    /// The last dispatch attempt ended with the LLC rejecting
+    /// `stalled_op` (no MSHR); cleared by the next accepted dispatch.
+    /// Rejection is monotone between fills — MSHR occupancy only falls in
+    /// [`SharedLlc::on_fill`], and a full file stops every core from
+    /// allocating — so until a fill the retry is a no-op and dispatch is
+    /// as stuck as behind a full window.
+    rejected: bool,
     /// Bubble-sprint horizon: ticks before this cycle are no-ops because a
     /// closed-form sprint already accounted for them.
     ff_until: u64,
@@ -118,6 +134,7 @@ impl SimpleO3Core {
             finished_at: None,
             llc_hit_latency,
             stalled_op: None,
+            rejected: false,
             ff_until: 0,
             sprint_start: 0,
             sprint_first_retire: 0,
@@ -200,10 +217,11 @@ impl SimpleO3Core {
         (token >> 48) as u8
     }
 
-    fn fresh_token(&mut self) -> u64 {
-        let t = ((self.id as u64) << 48) | (self.next_token & 0xFFFF_FFFF_FFFF);
-        self.next_token += 1;
-        t
+    /// The token the next load miss will wait on. `next_token` advances
+    /// only when a miss is accepted, so a rejected load leaves no trace in
+    /// the core.
+    fn next_load_token(&self) -> u64 {
+        ((self.id as u64) << 48) | (self.next_token & 0xFFFF_FFFF_FFFF)
     }
 
     /// Delivers a memory completion for `token`.
@@ -242,16 +260,34 @@ impl SimpleO3Core {
             // Mid-sprint: every tick before `ff_until` returns immediately.
             return CoreWake::At(self.ff_until);
         }
-        if self.window.len() < self.cfg.window {
-            // Dispatch can make progress (bubbles, a stalled-op retry that
-            // touches LLC state, or a fresh trace entry).
+        if !self.rejected && self.window.len() < self.cfg.window {
+            // Dispatch makes progress: bubbles, a fresh trace entry, or the
+            // first LLC attempt of the stalled op.
             return CoreWake::Busy;
         }
+        // Dispatch is stuck (window full, or the LLC rejected the stalled
+        // op and only a fill can change its answer): the next event is
+        // whatever the window head allows retirement to do.
         match self.window.front() {
-            Some(Slot::WaitingMem(_)) => CoreWake::Blocked,
             Some(Slot::ReadyAt(at)) if *at > now => CoreWake::At(*at),
-            _ => CoreWake::Busy,
+            Some(Slot::ReadyAt(_)) => CoreWake::Busy,
+            // An empty window here means every MSHR is owned elsewhere
+            // (another core, or this core's posted stores).
+            Some(Slot::WaitingMem(_)) | None => CoreWake::Blocked,
         }
+    }
+
+    /// Every field a tick can change that later behaviour depends on.
+    #[cfg(test)]
+    fn fingerprint(&self) -> impl PartialEq {
+        (
+            self.retired,
+            self.window.clone(),
+            self.pos,
+            self.bubbles_left,
+            self.next_token,
+            self.rejected,
+        )
     }
 
     /// Attempts to replace upcoming pure-bubble cycles with a closed-form
@@ -419,7 +455,7 @@ impl SimpleO3Core {
             };
             let accepted = match op {
                 TraceOp::Load(addr) => {
-                    let token = self.fresh_token();
+                    let token = self.next_load_token();
                     match llc.load(addr, token) {
                         LoadResult::Hit => {
                             self.window
@@ -428,16 +464,18 @@ impl SimpleO3Core {
                         }
                         LoadResult::Miss => {
                             self.window.push_back(Slot::WaitingMem(token));
+                            self.next_token += 1;
                             true
                         }
                         LoadResult::Rejected => false,
                     }
                 }
                 TraceOp::LoadNc(addr) => {
-                    let token = self.fresh_token();
+                    let token = self.next_load_token();
                     match llc.load_uncached(addr, token) {
                         LoadResult::Miss => {
                             self.window.push_back(Slot::WaitingMem(token));
+                            self.next_token += 1;
                             true
                         }
                         LoadResult::Hit => unreachable!("uncached loads never hit"),
@@ -454,6 +492,7 @@ impl SimpleO3Core {
                     }
                 }
             };
+            self.rejected = !accepted;
             if !accepted {
                 self.stalled_op = Some(op);
                 break;
@@ -559,8 +598,8 @@ mod tests {
 
     #[test]
     fn token_routing_embeds_core_id() {
-        let mut core = SimpleO3Core::new(3, CoreConfig::default(), bubble_trace(1), 10, 24);
-        let t = core.fresh_token();
+        let core = SimpleO3Core::new(3, CoreConfig::default(), bubble_trace(1), 10, 24);
+        let t = core.next_load_token();
         assert_eq!(SimpleO3Core::token_core(t), 3);
     }
 
@@ -631,6 +670,118 @@ mod tests {
         fast.settle_retired(3999);
         assert_eq!(fast.retired(), naive.retired());
         assert_eq!(fast.finished_at(), naive.finished_at());
+    }
+
+    #[test]
+    fn wake_reports_keep_both_halves_of_the_contract() {
+        // Random Load/LoadNc/Store/bubble traces on two cores sharing a
+        // tiny LLC, fills answered after random delays. After every tick
+        // the core's `next_event_cycle` is recorded; the next tick must
+        // then change (core, LLC) state if it said `Busy`, and must change
+        // nothing if it said `At(c)` with `c` still ahead or `Blocked` —
+        // unless a fill was delivered in between, which voids the report.
+        let mut rng = crate::TestRng(13);
+        let (mut saw_rejected_blocked, mut saw_rejected_empty, mut saw_rejected_at) =
+            (false, false, false);
+        for case in 0..96u64 {
+            let mshrs = [1, 2, 4, 64][(case % 4) as usize];
+            let cfg = CoreConfig {
+                // A short window makes "window full" reachable at 64 MSHRs.
+                window: if case % 8 < 4 { 128 } else { 12 },
+                width: 4,
+            };
+            let mut llc = SharedLlc::new(CacheConfig {
+                capacity: 4096,
+                ways: 2,
+                line_bytes: 64,
+                hit_latency: 6,
+                mshrs,
+            });
+            let mut cores: Vec<SimpleO3Core> = (0..2u8)
+                .map(|id| {
+                    let entries = (0..200)
+                        .map(|_| {
+                            let addr = rng.below(96) * 64;
+                            TraceEntry {
+                                // Mostly back-to-back accesses, now and
+                                // then a stretch long enough to sprint.
+                                bubbles: match rng.below(8) {
+                                    0 => 40 + rng.below(300) as u32,
+                                    1..=3 => rng.below(6) as u32,
+                                    _ => 0,
+                                },
+                                op: match rng.below(3) {
+                                    0 => TraceOp::Load(addr),
+                                    1 => TraceOp::LoadNc(addr),
+                                    _ => TraceOp::Store(addr),
+                                },
+                            }
+                        })
+                        .collect();
+                    let trace = Trace {
+                        name: "random".into(),
+                        entries,
+                    };
+                    SimpleO3Core::new(id, cfg, trace, 5_000, 6)
+                })
+                .collect();
+            let mut last_wake = [CoreWake::Busy; 2];
+            let mut fill_since = [true; 2];
+            let mut pending: Vec<(u64, u64, bool)> = Vec::new();
+            let mut waiters = Vec::new();
+            for now in 0..4_000u64 {
+                let mut i = 0;
+                while i < pending.len() {
+                    let (at, line, uncached) = pending[i];
+                    if at > now {
+                        i += 1;
+                        continue;
+                    }
+                    pending.swap_remove(i);
+                    llc.on_fill(line, uncached, &mut waiters);
+                    for t in waiters.drain(..) {
+                        cores[SimpleO3Core::token_core(t) as usize].on_mem_complete(t, now);
+                    }
+                    fill_since = [true; 2];
+                }
+                for (c, core) in cores.iter_mut().enumerate() {
+                    let before = (core.fingerprint(), llc.fingerprint());
+                    core.tick(now, &mut llc);
+                    let changed = before != (core.fingerprint(), llc.fingerprint());
+                    let what =
+                        format!("case {case} core {c} cycle {now}: after {:?}", last_wake[c]);
+                    match last_wake[c] {
+                        // Cycle 0 has no report behind it.
+                        CoreWake::Busy => assert!(changed || now == 0, "{what} the tick was inert"),
+                        CoreWake::At(at) if now >= at => {}
+                        CoreWake::At(_) | CoreWake::Blocked => {
+                            assert!(fill_since[c] || !changed, "{what} the tick changed state")
+                        }
+                    }
+                    last_wake[c] = core.next_event_cycle(now);
+                    fill_since[c] = false;
+                    if core.rejected {
+                        match last_wake[c] {
+                            CoreWake::Blocked if core.window.is_empty() => {
+                                saw_rejected_empty = true
+                            }
+                            CoreWake::Blocked => saw_rejected_blocked = true,
+                            CoreWake::At(_) => saw_rejected_at = true,
+                            CoreWake::Busy => {}
+                        }
+                    }
+                }
+                while let Some(req) = llc.pop_request() {
+                    pending.push((now + 1 + rng.below(60), req.line_addr, req.uncached));
+                }
+            }
+        }
+        assert!(
+            saw_rejected_blocked,
+            "no rejected core behind a waiting head"
+        );
+        assert!(saw_rejected_empty, "no rejected core with an empty window");
+        assert!(saw_rejected_at, "no rejected core behind a timed head");
     }
 
     #[test]

@@ -20,6 +20,27 @@ pub mod core;
 pub mod metrics;
 pub mod trace;
 
+/// A seeded generator for this crate's randomized tests (splitmix64): the
+/// same seed replays the same case on every machine.
+#[cfg(test)]
+pub(crate) struct TestRng(pub u64);
+
+#[cfg(test)]
+impl TestRng {
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n`.
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
 pub use cache::{CacheConfig, LoadResult, SharedLlc, UncoreRequest};
 pub use core::{CoreConfig, CoreState, CoreWake, SimpleO3Core};
 pub use metrics::{max_slowdown, weighted_speedup};

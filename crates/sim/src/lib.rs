@@ -33,4 +33,4 @@ pub use config::{SimConfig, VrdSpec};
 pub use parallel::{run_parallel, try_run_parallel};
 pub use report::SimReport;
 pub use slab::InflightSlab;
-pub use system::System;
+pub use system::{LoopStats, System};

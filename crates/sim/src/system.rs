@@ -26,6 +26,21 @@ const CLOCK_MEM: u64 = 8;
 /// (writebacks); demand reads use dense slab indices instead.
 const UNROUTED_ID: u64 = u64::MAX;
 
+/// What [`System::run`]'s event-driven loop did to produce a report: host
+/// bookkeeping carried *beside* the [`SimReport`], never inside it, so it
+/// stays out of the cell hash and of every byte-identity net.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoopStats {
+    /// Loop iterations executed (memory cycles visited, not jumped over).
+    pub iterations: u64,
+    /// Fast-forward jumps taken.
+    pub jumps: u64,
+    /// Controller ticks executed.
+    pub ctrl_ticks: u64,
+    /// Core ticks executed, summed over cores.
+    pub core_ticks: u64,
+}
+
 /// A fully wired simulation instance.
 pub struct System {
     cfg: SimConfig,
@@ -102,16 +117,27 @@ impl System {
     /// # Panics
     ///
     /// Panics if the number of traces does not match `num_cores`.
-    pub fn run(mut self, traces: Vec<Trace>) -> SimReport {
+    pub fn run(self, traces: Vec<Trace>) -> SimReport {
+        self.run_with_stats(traces).0
+    }
+
+    /// [`System::run`], also returning the loop's [`LoopStats`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the number of traces does not match `num_cores`.
+    pub fn run_with_stats(mut self, traces: Vec<Trace>) -> (SimReport, LoopStats) {
         let mut cores = self.build_cores(traces);
-        let (mem_cycle, cpu_cycle, truncated) = self.run_loop(&mut cores);
-        self.finish(cores, mem_cycle, cpu_cycle, truncated)
+        let mut stats = LoopStats::default();
+        let (mem_cycle, cpu_cycle, truncated) = self.run_loop(&mut cores, &mut stats);
+        (self.finish(cores, mem_cycle, cpu_cycle, truncated), stats)
     }
 
     /// The event-driven loop body shared by [`System::run`] and
-    /// [`System::run_batch`]: drives `cores` to completion and returns
-    /// `(mem_cycle, cpu_cycle, truncated)` for [`System::finish`].
-    fn run_loop(&mut self, cores: &mut [SimpleO3Core]) -> (u64, u64, bool) {
+    /// [`System::run_batch`]: drives `cores` to completion, counting what
+    /// it does into `stats`, and returns `(mem_cycle, cpu_cycle,
+    /// truncated)` for [`System::finish`].
+    fn run_loop(&mut self, cores: &mut [SimpleO3Core], stats: &mut LoopStats) -> (u64, u64, bool) {
         let mapping = self.ctrl.config().mapping;
         let geo = *self.dram.geometry();
 
@@ -127,9 +153,11 @@ impl System {
         let mut ctrl_wake: u64 = 0;
 
         loop {
+            stats.iterations += 1;
             // --- memory domain ---
             let mut pushed = false;
             if mem_cycle >= ctrl_wake {
+                stats.ctrl_ticks += 1;
                 self.ctrl.tick(&mut self.dram, mem_cycle);
                 ctrl_wake = self.ctrl.next_wake(&self.dram, mem_cycle);
             }
@@ -174,6 +202,7 @@ impl System {
                 for core in cores.iter_mut() {
                     core.tick(cpu_cycle, &mut self.llc);
                 }
+                stats.core_ticks += cores.len() as u64;
                 cpu_cycle += 1;
             }
 
@@ -191,7 +220,7 @@ impl System {
             // state: the controller sleeps until `ctrl_wake`, no data is
             // due before the earliest pending completion, the LLC outbox
             // is empty or its head is unacceptable, and every core is
-            // memory-blocked or sleeping until a known CPU cycle.
+            // fill-gated or sleeping until a known CPU cycle.
             if let Some(req) = self.llc.peek_request() {
                 let kind = if req.write {
                     ReqKind::Write
@@ -242,6 +271,7 @@ impl System {
             }
             // Advance both clock domains over the inert stretch exactly as
             // the per-cycle loop would have.
+            stats.jumps += 1;
             let skipped = target - mem_cycle;
             mem_cycle = target;
             cpu_credit += CLOCK_CPU * skipped;
@@ -403,7 +433,8 @@ impl System {
                 )));
             }
             let mut cores = sys.build_cores(traces.to_vec());
-            let (mem_cycle, cpu_cycle, truncated) = sys.run_loop(&mut cores);
+            let (mem_cycle, cpu_cycle, truncated) =
+                sys.run_loop(&mut cores, &mut LoopStats::default());
             let lane_flips: Option<Vec<u64>> = sys
                 .dram
                 .oracle()
@@ -682,6 +713,37 @@ mod tests {
         let mut stripped = on.clone();
         stripped.obs = None;
         assert_eq!(stripped, off, "obs flag must not perturb the simulation");
+    }
+
+    #[test]
+    fn attack_traces_are_not_polled() {
+        // The §11 attacker's core is fill-gated almost always (its 64
+        // uncached loads own the MSHR file), so the loop should visit
+        // little more than the cycles where the controller acts or data
+        // returns. Measured 1.30 iterations per such event (84 171 for
+        // 411 028 memory cycles); when a rejected core re-polled the LLC
+        // every cycle it was 6.33 (409 769: every cycle visited).
+        let mut cfg = quick_cfg(MechanismKind::Prac4, 32);
+        cfg.mapping = Some(chronus_ctrl::AddressMapping::Mop);
+        cfg.oracle = true;
+        let trace = chronus_workloads::perf_attack_trace(
+            chronus_ctrl::AddressMapping::Mop,
+            &cfg.geometry,
+            4,
+            8,
+            20_000,
+        );
+        let (r, stats) = System::build(&cfg).run_with_stats(vec![trace]);
+        assert!(!r.truncated);
+        let events = stats.ctrl_ticks + r.ctrl.reads_served;
+        assert!(
+            stats.iterations <= 2 * events,
+            "{} iterations for {events} controller ticks + reads served: \
+             something polls again ({stats:?})",
+            stats.iterations
+        );
+        // 21 CPU cycles per 8 memory cycles: 2 or 3 core ticks an iteration.
+        assert!(stats.jumps > 0 && stats.core_ticks >= 2 * stats.iterations);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 
 use chronus_core::MechanismKind;
 use chronus_cpu::Trace;
+use chronus_ctrl::AddressMapping;
 use chronus_sim::{SimConfig, System, VrdSpec};
-use chronus_workloads::synthetic_app;
+use chronus_workloads::{perf_attack_trace, synthetic_app};
 
 fn base_cfg() -> SimConfig {
     let mut cfg = SimConfig::single_core();
@@ -140,6 +141,42 @@ fn four_core_batches_match_solo() {
             cfg
         })
         .collect();
+    assert_batch_matches_solo(&cfgs, &traces);
+}
+
+#[test]
+fn attack_trace_cohort_matches_solo() {
+    // The §11 attacker keeps the MSHR file full, so its core spends the
+    // run in the fill-gated stall; the cohort loop and the solo loop must
+    // wake it on the same cycles. Three oracle-only variants share one
+    // cohort, the Chronus member forks.
+    let base = {
+        let mut cfg = base_cfg();
+        cfg.instructions_per_core = 2_000;
+        cfg.mapping = Some(AddressMapping::Mop);
+        cfg.llc.mshrs = 4;
+        cfg.oracle = true;
+        cfg
+    };
+    let traces = vec![perf_attack_trace(
+        AddressMapping::Mop,
+        &base.geometry,
+        4,
+        8,
+        2_400,
+    )];
+    let mut cfgs: Vec<SimConfig> = [(64u32, None), (32, Some(50)), (128, Some(75))]
+        .into_iter()
+        .map(|(nrh, min_pct)| {
+            let mut cfg = base.clone();
+            cfg.nrh = nrh;
+            cfg.vrd = min_pct.map(|min_pct| VrdSpec { min_pct, seed: 5 });
+            cfg
+        })
+        .collect();
+    let mut chronus = base.clone();
+    chronus.mechanism = MechanismKind::Chronus;
+    cfgs.push(chronus);
     assert_batch_matches_solo(&cfgs, &traces);
 }
 

@@ -199,6 +199,65 @@ fn wave_attack_vrr_storm_is_bit_identical() {
 }
 
 #[test]
+fn mshr_pressure_matrix_is_bit_identical() {
+    // A core the LLC rejected for want of an MSHR sleeps until the next
+    // fill instead of re-polling every cycle; the reference loop still
+    // polls. From one MSHR (every access but one is rejected) to the
+    // default 64 (only the `LoadNc` attacker ever fills the file), on the
+    // two attack generators and on a four-core mix where the attacker's
+    // uncached loads and 470.lbm's store misses compete for entries, every
+    // mechanism must see the retries land on exactly the same cycles.
+    let geo = SimConfig::single_core().geometry;
+    let insts = 600u64;
+    let accesses = (insts + insts / 5) as usize;
+    let perf = perf_attack_trace(AddressMapping::Mop, &geo, 4, 8, accesses);
+    let rows: Vec<u32> = (0..6).map(|i| 2_000 + i * 32).collect();
+    let wave = wave_attack_trace(
+        AddressMapping::Mop,
+        &geo,
+        BankId::from_flat(3, &geo),
+        &rows,
+        accesses,
+    );
+    let app = |name: &str, slot: u64| synthetic_app(name, slot).unwrap().generate(750, 17);
+    let mix = vec![
+        perf.clone(),
+        app("470.lbm", 1),
+        app("429.mcf", 2),
+        app("470.lbm", 3),
+    ];
+    let mechanisms = std::iter::once(&MechanismKind::None).chain(MechanismKind::all());
+    for (m, &mech) in mechanisms.enumerate() {
+        for (k, mshrs) in [1usize, 4, 64].into_iter().enumerate() {
+            for (name, traces) in [
+                ("perf-attack", vec![perf.clone()]),
+                ("wave-attack", vec![wave.clone()]),
+                ("attacker+lbm mix", mix.clone()),
+            ] {
+                let mut cfg = if traces.len() == 4 {
+                    SimConfig::four_core()
+                } else {
+                    SimConfig::single_core()
+                };
+                cfg.instructions_per_core = insts;
+                cfg.mechanism = mech;
+                cfg.nrh = 64;
+                cfg.mapping = Some(AddressMapping::Mop);
+                cfg.llc.mshrs = mshrs;
+                cfg.obs = (m + k) % 2 == 0;
+                cfg.max_mem_cycles = insts * 5_000;
+                let fast = System::build(&cfg).run(traces.clone());
+                let naive = System::build(&cfg).run_reference(traces);
+                let what = format!("{name} {mech}@64 mshrs={mshrs}");
+                assert!(!fast.truncated, "{what} truncated");
+                assert_eq!(fast.obs.is_some(), cfg.obs, "{what}: obs presence");
+                assert_identical(&fast, &naive, &what);
+            }
+        }
+    }
+}
+
+#[test]
 fn write_drain_thrash_is_bit_identical() {
     // Dirty evictions keep the write queue around the drain thresholds;
     // the memoized wake must replicate the next tick's drain-mode verdict

@@ -22,6 +22,11 @@ const MECHANISMS: [MechanismKind; 6] = [
     MechanismKind::Para,
 ];
 
+/// MSHR-file sizes sampled by both properties: from one entry (nearly
+/// every miss is rejected and the core sleeps until the fill) to the
+/// Table 2 default.
+const MSHRS: [usize; 5] = [1, 2, 4, 16, 64];
+
 /// Builds a trace from sampled `(bubbles, kind, addr)` triples, folding
 /// each address into a `footprint_bits`-sized working set.
 fn trace_from(entries: &[(u32, u8, u64)], footprint_bits: u32) -> Trace {
@@ -56,6 +61,7 @@ proptest! {
         // Small footprints maximize row conflicts; large ones maximize
         // LLC miss rates. Sample both regimes.
         footprint_bits in 14u32..26,
+        mshr_idx in 0usize..MSHRS.len(),
     ) {
         let mech = MECHANISMS[mech_idx];
         let nrh = 1u32 << nrh_exp;
@@ -65,6 +71,7 @@ proptest! {
         cfg.instructions_per_core = insts;
         cfg.mechanism = mech;
         cfg.nrh = nrh;
+        cfg.llc.mshrs = MSHRS[mshr_idx];
         cfg.max_mem_cycles = insts * 10_000;
         // Attach the observability probe on half the sampled space
         // (deterministically, so failures replay): obs-on cases must stay
@@ -73,7 +80,14 @@ proptest! {
         let fast = System::build(&cfg).run(vec![trace.clone()]);
         let naive = System::build(&cfg).run_reference(vec![trace]);
         prop_assert_eq!(fast.obs.is_some(), cfg.obs, "obs presence mismatch");
-        prop_assert_eq!(&fast, &naive, "{}@{} diverged", mech, nrh);
+        prop_assert_eq!(
+            &fast,
+            &naive,
+            "{}@{} mshrs={} diverged",
+            mech,
+            nrh,
+            cfg.llc.mshrs
+        );
     }
 }
 
@@ -96,6 +110,7 @@ proptest! {
             2..5,
         ),
         footprint_bits in 14u32..26,
+        mshr_idx in 0usize..MSHRS.len(),
     ) {
         let insts = (entries.len() as u64 * 4) / 5;
         let traces = vec![trace_from(&entries, footprint_bits)];
@@ -108,6 +123,7 @@ proptest! {
                 cfg.nrh = 1u32 << nrh_exp;
                 cfg.seed = seed;
                 cfg.oracle = true;
+                cfg.llc.mshrs = MSHRS[mshr_idx];
                 cfg.vrd = (vrd_pct > 0).then_some(VrdSpec {
                     min_pct: vrd_pct,
                     seed: seed ^ 0x5a,
