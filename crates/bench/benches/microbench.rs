@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use chronus_core::hydra::HydraConfig;
 use chronus_core::{decrement, Att, Hydra, MechanismKind, MisraGries};
 use chronus_ctrl::{AddressMapping, CtrlMitigation};
-use chronus_dram::{BankId, Command, DramAddr, DramConfig, DramDevice, Geometry};
+use chronus_dram::{BankId, Command, DramAddr, DramConfig, DramDevice, Geometry, RowTable};
 use chronus_security::wave::{prac_wave_max_acts, PracBackOff, WaveTiming};
 use chronus_sim::{SimConfig, System};
 use chronus_workloads::synthetic_app;
@@ -30,6 +30,23 @@ fn bench_dram_row_cycle(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         )
+    });
+}
+
+fn bench_row_table(c: &mut Criterion) {
+    // Counter increments scattered over every row of the Table 2 geometry:
+    // directory lookup + page access with every page resident after the
+    // first few thousand iterations.
+    c.bench_function("dram/row_table_slot_random", |b| {
+        let geo = Geometry::ddr5();
+        let mut table = RowTable::new(geo.total_banks(), geo.rows);
+        let mut x = 0x9E37_79B9u32;
+        b.iter(|| {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let slot = table.slot((x >> 26) as usize, (x >> 10) as usize & 0xFFFF);
+            *slot += 1;
+            *slot
+        })
     });
 }
 
@@ -139,6 +156,26 @@ fn bench_trace_generation(c: &mut Criterion) {
     });
 }
 
+fn bench_system_build(c: &mut Criterion) {
+    // Build + drop of one cell's `System` at the paper geometry: what a
+    // cold grid pays per cell before the first simulated cycle.
+    let mut group = c.benchmark_group("sim/system_build");
+    for (name, mech, oracle) in [
+        ("baseline", MechanismKind::None, false),
+        ("prfm", MechanismKind::Prfm, false),
+        ("prac4", MechanismKind::Prac4, false),
+        ("chronus", MechanismKind::Chronus, false),
+        ("prac4_oracle", MechanismKind::Prac4, true),
+    ] {
+        let mut cfg = SimConfig::single_core();
+        cfg.mechanism = mech;
+        cfg.nrh = 128;
+        cfg.oracle = oracle;
+        group.bench_function(name, |b| b.iter(|| System::build(&cfg)));
+    }
+    group.finish();
+}
+
 fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim/end_to_end_5k_instr");
     group.sample_size(10);
@@ -164,6 +201,7 @@ fn bench_end_to_end(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dram_row_cycle,
+    bench_row_table,
     bench_mapping_decode,
     bench_att_observe,
     bench_misra_gries,
@@ -171,6 +209,7 @@ criterion_group!(
     bench_decrementer,
     bench_wave_model,
     bench_trace_generation,
+    bench_system_build,
     bench_end_to_end,
 );
 criterion_main!(benches);

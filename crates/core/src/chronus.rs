@@ -16,7 +16,9 @@
 //! Setting `dynamic_backoff = false` yields **Chronus-PB** (§9): CCU with
 //! PRAC's fixed-count back-off policy.
 
-use chronus_dram::{BankId, Cycle, DramMitigation, Geometry, MitigationStats, RfmOutcome, RowId};
+use chronus_dram::{
+    BankId, Cycle, DramMitigation, Geometry, MitigationStats, RfmOutcome, RowId, RowTable,
+};
 
 use crate::att::Att;
 
@@ -26,7 +28,7 @@ pub struct ChronusMechanism {
     geo: Geometry,
     nbo: u32,
     dynamic_backoff: bool,
-    counters: Vec<Vec<u32>>,
+    counters: RowTable,
     att: Vec<Att>,
     /// Rows at or above `N_BO`, per bank — the exact set Chronus Back-Off
     /// must service before `alert_n` de-asserts (§7.2). Tracked explicitly
@@ -61,7 +63,7 @@ impl ChronusMechanism {
             geo,
             nbo,
             dynamic_backoff,
-            counters: (0..banks).map(|_| vec![0u32; geo.rows]).collect(),
+            counters: RowTable::new(banks, geo.rows),
             att: (0..banks).map(|_| Att::new(att_entries)).collect(),
             hot_list: (0..banks).map(|_| Vec::new()).collect(),
             hot_rows: vec![0; geo.ranks],
@@ -81,11 +83,11 @@ impl ChronusMechanism {
     }
 
     fn reset_row(&mut self, flat: usize, rank: usize, row: RowId) {
-        if self.counters[flat][row as usize] >= self.nbo {
+        if self.counters.get(flat, row as usize) >= self.nbo {
             self.hot_rows[rank] = self.hot_rows[rank].saturating_sub(1);
             self.hot_list[flat].retain(|&r| r != row);
         }
-        self.counters[flat][row as usize] = 0;
+        self.counters.clear(flat, row as usize);
         self.att[flat].remove(row);
     }
 }
@@ -94,7 +96,7 @@ impl DramMitigation for ChronusMechanism {
     fn on_activate(&mut self, bank: BankId, row: RowId, _now: Cycle) -> bool {
         // CCU: the counter subarray updates concurrently with the access.
         let flat = bank.flat(&self.geo);
-        let c = &mut self.counters[flat][row as usize];
+        let c = self.counters.slot(flat, row as usize);
         *c += 1;
         let count = *c;
         self.stats.counter_updates += 1;
@@ -167,7 +169,7 @@ impl DramMitigation for ChronusMechanism {
     }
 
     fn counter_of(&self, bank: BankId, row: RowId) -> Option<u32> {
-        Some(self.counters[bank.flat(&self.geo)][row as usize])
+        Some(self.counters.get(bank.flat(&self.geo), row as usize))
     }
 
     fn stats(&self) -> MitigationStats {

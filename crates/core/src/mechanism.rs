@@ -182,7 +182,6 @@ impl MechanismKind {
         threshold_override: Option<u32>,
     ) -> MechanismSetup {
         let mode = self.timing_mode();
-        let t = Timings::for_mode(mode);
         let baseline_t = Timings::for_mode(TimingMode::Baseline);
         let a_normal = baseline_t.a_normal() as u32;
         let att_entries = (a_normal + 1) as usize;
@@ -203,7 +202,6 @@ impl MechanismKind {
             secure: true,
             threshold: 0,
         };
-        let _ = t;
         match self {
             MechanismKind::None => {
                 setup.secure = false; // no protection at all

@@ -10,7 +10,9 @@
 //! the chip borrows time to transparently service one aggressor per bank
 //! (§5, "borrowed refresh").
 
-use chronus_dram::{BankId, Cycle, DramMitigation, Geometry, MitigationStats, RfmOutcome, RowId};
+use chronus_dram::{
+    BankId, Cycle, DramMitigation, Geometry, MitigationStats, RfmOutcome, RowId, RowTable,
+};
 
 use crate::att::Att;
 
@@ -19,7 +21,7 @@ use crate::att::Att;
 pub struct PracMechanism {
     geo: Geometry,
     nbo: u32,
-    counters: Vec<Vec<u32>>,
+    counters: RowTable,
     att: Vec<Att>,
     /// Borrowed refresh fires on every other REFab, per rank.
     borrow_toggle: Vec<bool>,
@@ -35,7 +37,7 @@ impl PracMechanism {
         Self {
             geo,
             nbo,
-            counters: (0..banks).map(|_| vec![0u32; geo.rows]).collect(),
+            counters: RowTable::new(banks, geo.rows),
             att: (0..banks).map(|_| Att::new(att_entries)).collect(),
             borrow_toggle: vec![false; geo.ranks],
             stats: MitigationStats::default(),
@@ -56,7 +58,7 @@ impl DramMitigation for PracMechanism {
 
     fn on_precharge(&mut self, bank: BankId, row: RowId, _now: Cycle) -> bool {
         let flat = bank.flat(&self.geo);
-        let c = &mut self.counters[flat][row as usize];
+        let c = self.counters.slot(flat, row as usize);
         *c += 1;
         let count = *c;
         self.stats.counter_updates += 1;
@@ -73,7 +75,7 @@ impl DramMitigation for PracMechanism {
         let flat = bank.flat(&self.geo);
         match self.att[flat].take_max() {
             Some((row, _)) => {
-                self.counters[flat][row as usize] = 0;
+                self.counters.clear(flat, row as usize);
                 self.stats.rfm_refreshes += 1;
                 RfmOutcome {
                     refreshed_aggressor: Some(row),
@@ -97,7 +99,7 @@ impl DramMitigation for PracMechanism {
         for i in 0..self.geo.banks_per_rank() {
             let flat = base + i;
             if let Some((row, _)) = self.att[flat].take_max() {
-                self.counters[flat][row as usize] = 0;
+                self.counters.clear(flat, row as usize);
                 self.stats.borrowed_refreshes += 1;
                 serviced.push((BankId::from_flat(flat, &self.geo), row));
             }
@@ -105,7 +107,7 @@ impl DramMitigation for PracMechanism {
     }
 
     fn counter_of(&self, bank: BankId, row: RowId) -> Option<u32> {
-        Some(self.counters[bank.flat(&self.geo)][row as usize])
+        Some(self.counters.get(bank.flat(&self.geo), row as usize))
     }
 
     fn stats(&self) -> MitigationStats {

@@ -37,6 +37,7 @@ pub mod geometry;
 pub mod mitigation;
 pub mod oracle;
 pub mod rank;
+pub mod row_table;
 pub mod stats;
 pub mod timing;
 
@@ -46,6 +47,7 @@ pub use device::{DramConfig, DramDevice};
 pub use geometry::{BankId, DramAddr, Geometry, RowId};
 pub use mitigation::{DramMitigation, MitigationStats, NoMitigation, RfmOutcome};
 pub use oracle::{DisturbOracle, ThresholdModel};
+pub use row_table::RowTable;
 pub use stats::DramStats;
 pub use timing::{TimingMode, Timings, TimingsNs};
 

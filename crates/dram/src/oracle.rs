@@ -21,6 +21,7 @@
 //!   scalar accessors report.
 
 use crate::geometry::{victims_of, BankId, Geometry, RowId};
+use crate::row_table::RowTable;
 
 /// How the would-be-bitflip threshold is assigned to rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,18 +108,16 @@ struct OracleLane {
 ///   probabilistic mechanisms such as PARA that refresh victims
 ///   individually.
 ///
-/// Counters live in flat structure-of-arrays vectors (`flat_bank × rows`)
-/// shared by every lane; only the flip verdicts are per-lane.
+/// Counters live in two lazily paged [`RowTable`] planes shared by every
+/// lane; only the flip verdicts are per-lane.
 #[derive(Debug, Clone)]
 pub struct DisturbOracle {
     geo: Geometry,
     blast_radius: u32,
-    /// damage[flat_bank * rows + row] = disturbances absorbed since last
-    /// refresh.
-    damage: Vec<u32>,
-    /// acts[flat_bank * rows + row] = A(row): activations since the row's
-    /// victims were refreshed.
-    acts: Vec<u32>,
+    /// Disturbances each row absorbed since its last refresh.
+    damage: RowTable,
+    /// A(row): activations since the row's victims were refreshed.
+    acts: RowTable,
     max_damage: u32,
     max_acts: u32,
     lanes: Vec<OracleLane>,
@@ -142,7 +141,6 @@ impl DisturbOracle {
     /// models at once (one lane per model; lane order is preserved).
     pub fn with_lanes(geo: Geometry, blast_radius: u32, models: Vec<ThresholdModel>) -> Self {
         assert!(!models.is_empty(), "oracle needs at least one lane");
-        let cells = geo.total_banks() * geo.rows;
         let min_thr = models
             .iter()
             .map(ThresholdModel::min_threshold)
@@ -151,8 +149,8 @@ impl DisturbOracle {
         Self {
             geo,
             blast_radius,
-            damage: vec![0u32; cells],
-            acts: vec![0u32; cells],
+            damage: RowTable::new(geo.total_banks(), geo.rows),
+            acts: RowTable::new(geo.total_banks(), geo.rows),
             max_damage: 0,
             max_acts: 0,
             lanes: models
@@ -167,8 +165,7 @@ impl DisturbOracle {
     /// `row`'s victims absorb one disturbance.
     pub fn on_activate(&mut self, bank: BankId, row: RowId) {
         let flat = bank.flat(&self.geo);
-        let base = flat * self.geo.rows;
-        let a = &mut self.acts[base + row as usize];
+        let a = self.acts.slot(flat, row as usize);
         *a += 1;
         if *a > self.max_acts {
             self.max_acts = *a;
@@ -182,7 +179,7 @@ impl DisturbOracle {
             }
         }
         for v in victims_of(row, self.blast_radius, self.geo.rows) {
-            let d = &mut self.damage[base + v as usize];
+            let d = self.damage.slot(flat, v as usize);
             *d += 1;
             if *d > self.max_damage {
                 self.max_damage = *d;
@@ -195,18 +192,16 @@ impl DisturbOracle {
     /// counts are unaffected — use [`DisturbOracle::on_victims_refreshed`]
     /// when a whole victim set is serviced.
     pub fn on_row_refreshed(&mut self, bank: BankId, row: RowId) {
-        let flat = bank.flat(&self.geo);
-        self.damage[flat * self.geo.rows + row as usize] = 0;
+        self.damage.clear(bank.flat(&self.geo), row as usize);
     }
 
     /// Records that all victims of `aggressor` were refreshed: `A(aggressor)`
     /// resets and the victims' damage clears.
     pub fn on_victims_refreshed(&mut self, bank: BankId, aggressor: RowId) {
         let flat = bank.flat(&self.geo);
-        let base = flat * self.geo.rows;
-        self.acts[base + aggressor as usize] = 0;
+        self.acts.clear(flat, aggressor as usize);
         for v in victims_of(aggressor, self.blast_radius, self.geo.rows) {
-            self.damage[base + v as usize] = 0;
+            self.damage.clear(flat, v as usize);
         }
     }
 
@@ -229,11 +224,8 @@ impl DisturbOracle {
             end.saturating_sub(br)
         };
         for b in base..base + self.geo.banks_per_rank() {
-            let o = b * self.geo.rows;
-            self.damage[o + start..o + end].fill(0);
-            if a_start < a_end {
-                self.acts[o + a_start..o + a_end].fill(0);
-            }
+            self.damage.clear_range(b, start..end);
+            self.acts.clear_range(b, a_start..a_end);
         }
     }
 
@@ -266,12 +258,12 @@ impl DisturbOracle {
 
     /// Current absorbed damage of one row.
     pub fn damage_of(&self, bank: BankId, row: RowId) -> u32 {
-        self.damage[bank.flat(&self.geo) * self.geo.rows + row as usize]
+        self.damage.get(bank.flat(&self.geo), row as usize)
     }
 
     /// Current `A(row)` of one row.
     pub fn acts_of(&self, bank: BankId, row: RowId) -> u32 {
-        self.acts[bank.flat(&self.geo) * self.geo.rows + row as usize]
+        self.acts.get(bank.flat(&self.geo), row as usize)
     }
 
     /// The configured (nominal) disturbance threshold of the primary lane.

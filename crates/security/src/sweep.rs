@@ -6,6 +6,9 @@
 //! the simulated mechanisms run exactly the configurations the paper's
 //! security analysis prescribes.
 
+use std::collections::BTreeMap;
+use std::sync::Mutex;
+
 use serde::{Deserialize, Serialize};
 
 use crate::wave::{prac_wave_max_acts, prfm_wave_max_acts, PracBackOff, WaveTiming};
@@ -66,9 +69,65 @@ pub fn prac_worst_case(nbo: u32, n_ref: u32, n_delay: u32, t: &WaveTiming) -> Wo
     worst
 }
 
+/// The full argument list of one secure-threshold search: the searches are
+/// pure, so equal keys have equal answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SearchKey {
+    nrh: u32,
+    /// `(n_ref, n_delay)` for a PRAC search, `None` for PRFM.
+    back_off: Option<(u32, u32)>,
+    /// The four [`WaveTiming`] fields by bit pattern.
+    timing: [u64; 4],
+}
+
+impl SearchKey {
+    fn new(nrh: u32, back_off: Option<(u32, u32)>, t: &WaveTiming) -> Self {
+        Self {
+            nrh,
+            back_off,
+            timing: [t.trc_ns, t.trfm_ns, t.taboact_ns, t.trefw_ns].map(f64::to_bits),
+        }
+    }
+}
+
+/// Process-wide answers of [`prfm_secure_threshold`] / [`prac_secure_nbo`].
+/// A figure grid asks the same few questions (N_RH point × mechanism) once
+/// per cell, and each search iterates the wave recurrence for a millisecond
+/// or more; one entry per distinct argument list is all the table ever holds.
+static SEARCH_MEMO: Mutex<BTreeMap<SearchKey, Option<u32>>> = Mutex::new(BTreeMap::new());
+
+fn memoised(key: SearchKey, search: impl FnOnce() -> Option<u32>) -> Option<u32> {
+    const HELD: &str = "the memo lock is never held across a search, so it cannot be poisoned";
+    if let Some(&hit) = SEARCH_MEMO.lock().expect(HELD).get(&key) {
+        return hit;
+    }
+    // Two threads missing on one key both search; the answers are equal.
+    let found = search();
+    SEARCH_MEMO.lock().expect(HELD).insert(key, found);
+    found
+}
+
 /// Largest `RFMth` that keeps the worst-case activation count below `nrh`,
-/// or `None` if even `RFMth = 1` is insecure.
+/// or `None` if even `RFMth = 1` is insecure. Answers repeat questions from
+/// a process-wide memo; [`prfm_secure_threshold_search`] is the search.
 pub fn prfm_secure_threshold(nrh: u32, t: &WaveTiming) -> Option<u32> {
+    memoised(SearchKey::new(nrh, None, t), || {
+        prfm_secure_threshold_search(nrh, t)
+    })
+}
+
+/// Largest `N_BO` that keeps PRAC-N's worst case below `nrh`, or `None` if
+/// even `N_BO = 1` is insecure (the paper: PRAC is not securable below
+/// `N_RH = 20`). Answers repeat questions from a process-wide memo;
+/// [`prac_secure_nbo_search`] is the search.
+pub fn prac_secure_nbo(nrh: u32, n_ref: u32, n_delay: u32, t: &WaveTiming) -> Option<u32> {
+    memoised(SearchKey::new(nrh, Some((n_ref, n_delay)), t), || {
+        prac_secure_nbo_search(nrh, n_ref, n_delay, t)
+    })
+}
+
+/// The un-memoised search behind [`prfm_secure_threshold`].
+pub fn prfm_secure_threshold_search(nrh: u32, t: &WaveTiming) -> Option<u32> {
     if prfm_worst_case(1, t).max_acts >= nrh as u64 {
         return None;
     }
@@ -86,10 +145,8 @@ pub fn prfm_secure_threshold(nrh: u32, t: &WaveTiming) -> Option<u32> {
     Some(lo)
 }
 
-/// Largest `N_BO` that keeps PRAC-N's worst case below `nrh`, or `None` if
-/// even `N_BO = 1` is insecure (the paper: PRAC is not securable below
-/// `N_RH = 20`).
-pub fn prac_secure_nbo(nrh: u32, n_ref: u32, n_delay: u32, t: &WaveTiming) -> Option<u32> {
+/// The un-memoised search behind [`prac_secure_nbo`].
+pub fn prac_secure_nbo_search(nrh: u32, n_ref: u32, n_delay: u32, t: &WaveTiming) -> Option<u32> {
     if prac_worst_case(1, n_ref, n_delay, t).max_acts >= nrh as u64 {
         return None;
     }
@@ -269,6 +326,89 @@ mod tests {
         assert!(th <= 8, "got {th}");
         let th_1k = prfm_secure_threshold(1024, &t).expect("securable");
         assert!(th_1k > th);
+    }
+
+    #[test]
+    fn memoised_answers_equal_the_search_over_the_paper_sweep() {
+        // Asked twice so both the filling miss and the hit are compared.
+        for t in [WaveTiming::baseline_default(), WaveTiming::prac_default()] {
+            for nrh in [1024u32, 512, 256, 128, 64, 32, 20] {
+                let prfm = prfm_secure_threshold_search(nrh, &t);
+                assert_eq!(prfm_secure_threshold(nrh, &t), prfm, "PRFM nrh={nrh}");
+                assert_eq!(prfm_secure_threshold(nrh, &t), prfm, "PRFM nrh={nrh}");
+                for n in [1u32, 2, 4] {
+                    let prac = prac_secure_nbo_search(nrh, n, n, &t);
+                    assert_eq!(prac_secure_nbo(nrh, n, n, &t), prac, "PRAC-{n} nrh={nrh}");
+                    assert_eq!(prac_secure_nbo(nrh, n, n, &t), prac, "PRAC-{n} nrh={nrh}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_keys_on_every_argument() {
+        // Neighbouring questions that differ in one argument each: a memo
+        // that dropped any of them from its key would hand one the other's
+        // answer.
+        let base = WaveTiming::prac_default();
+        let slow_rfm = WaveTiming {
+            trfm_ns: 700.0,
+            ..base
+        };
+        let short_window = WaveTiming {
+            trefw_ns: 8.0e6,
+            ..base
+        };
+        let long_aboact = WaveTiming {
+            taboact_ns: 360.0,
+            ..base
+        };
+        for t in [base, slow_rfm, short_window, long_aboact] {
+            for (n_ref, n_delay) in [(4u32, 4u32), (4, 1), (1, 4)] {
+                assert_eq!(
+                    prac_secure_nbo(96, n_ref, n_delay, &t),
+                    prac_secure_nbo_search(96, n_ref, n_delay, &t),
+                    "n_ref={n_ref} n_delay={n_delay} {t:?}"
+                );
+            }
+            assert_eq!(
+                prfm_secure_threshold(96, &t),
+                prfm_secure_threshold_search(96, &t),
+                "{t:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn eight_threads_asking_at_once_agree_with_the_search() {
+        // N_RH values no other test asks about, so the threads race on cold
+        // keys: some miss together and search twice, the rest hit.
+        let t = WaveTiming::prac_default();
+        let start = std::sync::Barrier::new(8);
+        let answers: Vec<_> = std::thread::scope(|s| {
+            let asks: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (
+                            prfm_secure_threshold(777, &t),
+                            prac_secure_nbo(777, 4, 4, &t),
+                            prac_secure_nbo(19, 1, 1, &t),
+                        )
+                    })
+                })
+                .collect();
+            asks.into_iter().map(|a| a.join().unwrap()).collect()
+        });
+        let want = (
+            prfm_secure_threshold_search(777, &t),
+            prac_secure_nbo_search(777, 4, 4, &t),
+            prac_secure_nbo_search(19, 1, 1, &t),
+        );
+        assert!(want.0.is_some() && want.1.is_some());
+        for got in answers {
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

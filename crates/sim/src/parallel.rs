@@ -2,14 +2,16 @@
 //!
 //! The paper's artifact farms ~500 Ramulator jobs onto a Slurm cluster;
 //! here a `std::thread::scope` worker pool runs the (workload × mechanism ×
-//! N_RH) grid on the local machine. Items are dealt round-robin into
-//! per-worker chunks; each worker owns its chunk outright and streams
-//! `(index, result)` pairs back over an mpsc channel, so no slot-level
-//! locking (and no `unsafe`) is needed while input order is still
-//! preserved in the output.
+//! N_RH) grid on the local machine. The workers share one queue of the
+//! items in index order and each takes the next item whenever it is free,
+//! so a grid that mixes heavy and light cells keeps every worker busy
+//! until the queue is empty, and items start in index order. Workers stream
+//! `(index, result)` pairs back over an mpsc channel; the queue lock is
+//! held only while an item is taken, never while it runs, and input order
+//! is preserved in the output.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 
 /// Renders a panic payload as text for error reporting.
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -57,24 +59,23 @@ where
         return items.into_iter().map(guarded).collect();
     }
 
-    // Deal items round-robin so long-running neighbours (e.g. one slow mix
-    // class) spread across workers.
-    let mut chunks: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        chunks[i % threads].push((i, item));
-    }
-
+    // One queue, index order: no worker idles while an item is unclaimed,
+    // however unevenly the items' costs are spread over the indices.
+    let queue = Mutex::new(items.into_iter().enumerate());
     let (tx, rx) = mpsc::channel::<(usize, Result<R, String>)>();
-    let guarded = &guarded;
+    let (guarded, queue) = (&guarded, &queue);
     std::thread::scope(|s| {
-        for chunk in chunks {
+        for _ in 0..threads {
             let tx = tx.clone();
-            s.spawn(move || {
-                for (i, item) in chunk {
-                    if tx.send((i, guarded(item))).is_err() {
-                        // Receiver gone: the main thread is unwinding.
-                        return;
-                    }
+            s.spawn(move || loop {
+                let next = queue
+                    .lock()
+                    .expect("items run outside the queue lock, so it cannot be poisoned")
+                    .next();
+                let Some((i, item)) = next else { return };
+                if tx.send((i, guarded(item))).is_err() {
+                    // Receiver gone: the main thread is unwinding.
+                    return;
                 }
             });
         }
@@ -122,6 +123,38 @@ mod tests {
     fn uneven_items_balance_across_workers() {
         let out = run_parallel((0..37).collect(), 5, |x: u64| x * x);
         assert_eq!(out, (0..37).map(|x| x * x).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_free_worker_takes_the_next_item_whatever_its_index() {
+        // Item 0 holds its worker until every other item has run. Dealing
+        // `i % threads` queues items 2 and 4 behind item 0 on the same
+        // worker and never finishes; a shared queue lets the other worker
+        // drain them.
+        use std::sync::Condvar;
+        use std::time::Duration;
+        const ITEMS: usize = 6;
+        let done = (Mutex::new(0usize), Condvar::new());
+        let out = run_parallel((0..ITEMS).collect(), 2, |i: usize| {
+            let (count, changed) = &done;
+            if i == 0 {
+                let wait = changed
+                    .wait_timeout_while(count.lock().unwrap(), Duration::from_secs(10), |c| {
+                        *c < ITEMS - 1
+                    })
+                    .unwrap();
+                !wait.1.timed_out()
+            } else {
+                *count.lock().unwrap() += 1;
+                changed.notify_all();
+                true
+            }
+        });
+        assert!(
+            out[0],
+            "items behind item 0 never ran: workers are not work-conserving"
+        );
+        assert_eq!(out, vec![true; ITEMS]);
     }
 
     #[test]

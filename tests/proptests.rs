@@ -5,7 +5,11 @@ use std::collections::HashMap;
 use chronus::core::hydra::HydraConfig;
 use chronus::core::{decrement, Att, Hydra, MisraGries};
 use chronus::ctrl::{AddressMapping, CtrlMitigation, CtrlMitigationStats, MitigationAction};
-use chronus::dram::{geometry::victims_of, BankId, DramAddr, Geometry, RowId};
+use chronus::dram::row_table::PAGE_ROWS;
+use chronus::dram::{
+    geometry::victims_of, BankId, DisturbOracle, DramAddr, Geometry, RowId, RowTable,
+    ThresholdModel,
+};
 use chronus::security::wave::{discrete, prfm_wave_max_acts, WaveTiming};
 use chronus::workloads::generator::synthetic_from_profile;
 use chronus::workloads::AppProfile;
@@ -66,6 +70,86 @@ impl LinearMisraGries {
     fn clear(&mut self) {
         self.entries.iter_mut().for_each(|e| *e = None);
         self.spillover = 0;
+    }
+}
+
+/// Reference oracle: the `acts`/`damage` planes of
+/// `chronus::dram::DisturbOracle` as two dense `flat_bank × rows` vectors,
+/// with the periodic sweep a pair of slice fills.
+struct DenseOracle {
+    geo: Geometry,
+    blast_radius: u32,
+    damage: Vec<u32>,
+    acts: Vec<u32>,
+    max_damage: u32,
+    max_acts: u32,
+    lanes: Vec<(ThresholdModel, u64)>,
+}
+
+impl DenseOracle {
+    fn new(geo: Geometry, blast_radius: u32, models: &[ThresholdModel]) -> Self {
+        let cells = geo.total_banks() * geo.rows;
+        Self {
+            geo,
+            blast_radius,
+            damage: vec![0; cells],
+            acts: vec![0; cells],
+            max_damage: 0,
+            max_acts: 0,
+            lanes: models.iter().map(|&m| (m, 0)).collect(),
+        }
+    }
+
+    fn on_activate(&mut self, bank: BankId, row: RowId) {
+        let flat = bank.flat(&self.geo);
+        let base = flat * self.geo.rows;
+        self.acts[base + row as usize] += 1;
+        let a = self.acts[base + row as usize];
+        self.max_acts = self.max_acts.max(a);
+        for (model, flips) in &mut self.lanes {
+            if a == model.threshold_of(flat, row) {
+                *flips += 1;
+            }
+        }
+        for v in victims_of(row, self.blast_radius, self.geo.rows) {
+            self.damage[base + v as usize] += 1;
+            self.max_damage = self.max_damage.max(self.damage[base + v as usize]);
+        }
+    }
+
+    fn on_row_refreshed(&mut self, bank: BankId, row: RowId) {
+        self.damage[bank.flat(&self.geo) * self.geo.rows + row as usize] = 0;
+    }
+
+    fn on_victims_refreshed(&mut self, bank: BankId, aggressor: RowId) {
+        let base = bank.flat(&self.geo) * self.geo.rows;
+        self.acts[base + aggressor as usize] = 0;
+        for v in victims_of(aggressor, self.blast_radius, self.geo.rows) {
+            self.damage[base + v as usize] = 0;
+        }
+    }
+
+    fn on_periodic_sweep(&mut self, rank: usize, ref_idx: u64) {
+        let rows = self.geo.rows;
+        let per_slice = rows.div_ceil(8192);
+        let slice = (ref_idx % 8192) as usize;
+        let start = (slice * per_slice).min(rows);
+        let end = ((slice + 1) * per_slice).min(rows);
+        let br = self.blast_radius as usize;
+        let a_start = if start == 0 { 0 } else { start + br };
+        let a_end = if end >= rows {
+            rows
+        } else {
+            end.saturating_sub(br)
+        };
+        let first = rank * self.geo.banks_per_rank();
+        for b in first..first + self.geo.banks_per_rank() {
+            let o = b * rows;
+            self.damage[o + start..o + end].fill(0);
+            if a_start < a_end {
+                self.acts[o + a_start..o + a_end].fill(0);
+            }
+        }
     }
 }
 
@@ -291,6 +375,111 @@ proptest! {
             }
         }
         prop_assert_eq!(indexed.capacity(), capacity);
+    }
+
+    #[test]
+    fn row_table_matches_a_dense_vector(
+        ops in prop::collection::vec((0u8..10, 0usize..2, 0usize..4000, 0usize..4000), 1..300)
+    ) {
+        // Two full pages and a 300-row tail per bank. Every fourth draw
+        // lands on a page edge or an end of the bank, so ranges straddle
+        // pages, start at 0 and end at `ROWS`.
+        const ROWS: usize = 2 * PAGE_ROWS + 300;
+        const EDGES: [usize; 8] = [
+            0, 1, PAGE_ROWS - 1, PAGE_ROWS, PAGE_ROWS + 1, 2 * PAGE_ROWS - 1, 2 * PAGE_ROWS, ROWS - 1,
+        ];
+        let pick = |x: usize| if x.is_multiple_of(4) { EDGES[x / 4 % EDGES.len()] } else { x % ROWS };
+        let mut table = RowTable::new(2, ROWS);
+        let mut dense = vec![0u32; 2 * ROWS];
+        let mut written = std::collections::HashSet::new();
+        for (op, bank, x, y) in ops {
+            let row = pick(x);
+            match op {
+                0 => {
+                    table.clear(bank, row);
+                    dense[bank * ROWS + row] = 0;
+                }
+                1 | 2 => {
+                    // Half-open, so the far end is one past a picked row.
+                    let (lo, hi) = (row.min(pick(y)), row.max(pick(y)) + (op as usize - 1));
+                    table.clear_range(bank, lo..hi);
+                    dense[bank * ROWS + lo..bank * ROWS + hi].fill(0);
+                }
+                3 => prop_assert_eq!(table.get(bank, row), dense[bank * ROWS + row]),
+                _ => {
+                    *table.slot(bank, row) += y as u32;
+                    dense[bank * ROWS + row] += y as u32;
+                    written.insert((bank, row / PAGE_ROWS));
+                }
+            }
+        }
+        for bank in 0..2 {
+            for row in 0..ROWS {
+                prop_assert_eq!(table.get(bank, row), dense[bank * ROWS + row], "{}/{}", bank, row);
+            }
+        }
+        prop_assert_eq!(table.resident_pages(), written.len(), "only writes materialise pages");
+    }
+
+    #[test]
+    fn paged_oracle_matches_the_dense_oracle(
+        three_lanes: bool,
+        ops in prop::collection::vec((0u8..12, 0u8..4, 0usize..5, 0u32..9), 1..500)
+    ) {
+        // 41 060 rows: 40 pages and a 100-row tail per bank, six rows per
+        // refresh slice, so a sweep clears two `acts` rows and the slices
+        // past 6 843 are empty. Activity sits on the bank's first slices,
+        // the slice straddling the first page boundary (1 020..1 026) and
+        // the last rows, and the sweeps visit the same places.
+        let geo = Geometry { rows: 5 * 8192 + 100, ..Geometry::tiny() };
+        const BASES: [u32; 5] = [0, 6, 1020, 41_046, 41_052];
+        const SWEEPS: [u64; 9] = [0, 1, 170, 171, 6841, 6842, 6843, 8191, 8192];
+        let models = [
+            ThresholdModel::Uniform(5),
+            ThresholdModel::Uniform(9),
+            ThresholdModel::PerRow { nominal: 12, floor: 3, seed: 42 },
+        ];
+        let models = &models[..if three_lanes { 3 } else { 1 }];
+        let mut paged = DisturbOracle::with_lanes(geo, 2, models.to_vec());
+        let mut dense = DenseOracle::new(geo, 2, models);
+        for (op, bank, region, off) in ops {
+            let bank = BankId::from_flat(bank as usize, &geo);
+            let row = (BASES[region] + off).min(geo.rows as u32 - 1);
+            match op {
+                0 => {
+                    paged.on_row_refreshed(bank, row);
+                    dense.on_row_refreshed(bank, row);
+                }
+                1 => {
+                    paged.on_victims_refreshed(bank, row);
+                    dense.on_victims_refreshed(bank, row);
+                }
+                2 | 3 => {
+                    let ref_idx = SWEEPS[(region * 9 + off as usize) % SWEEPS.len()];
+                    paged.on_periodic_sweep(0, ref_idx);
+                    dense.on_periodic_sweep(0, ref_idx);
+                }
+                _ => {
+                    paged.on_activate(bank, row);
+                    dense.on_activate(bank, row);
+                }
+            }
+            prop_assert_eq!(paged.max_aggressor_acts(), dense.max_acts);
+            prop_assert_eq!(paged.max_damage(), dense.max_damage);
+            for (lane, &(_, flips)) in dense.lanes.iter().enumerate() {
+                prop_assert_eq!(paged.flips_of(lane), flips, "lane {}", lane);
+            }
+        }
+        for flat in 0..geo.total_banks() {
+            let bank = BankId::from_flat(flat, &geo);
+            for base in BASES {
+                for row in base.saturating_sub(3)..(base + 12).min(geo.rows as u32) {
+                    let at = flat * geo.rows + row as usize;
+                    prop_assert_eq!(paged.acts_of(bank, row), dense.acts[at], "acts {}/{}", flat, row);
+                    prop_assert_eq!(paged.damage_of(bank, row), dense.damage[at], "damage {}/{}", flat, row);
+                }
+            }
+        }
     }
 
     #[test]
