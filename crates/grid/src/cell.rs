@@ -187,6 +187,26 @@ impl CellKey {
     }
 }
 
+/// The [`CellKey`] of a cell, serialized without building one: hashing a
+/// grid renders every cell's key, and cloning a workload and a full
+/// `SimConfig` just to render them costs more than the rendering. The
+/// member names and order are `CellKey`'s — `tests/cache_key.rs` holds the
+/// two renderings equal, which is what keeps existing stores addressable.
+pub(crate) struct CellKeyRef<'a>(pub &'a CellSpec);
+
+impl Serialize for CellKeyRef<'_> {
+    fn json_write(&self, w: &mut serde::JsonWriter) {
+        w.obj_begin();
+        w.obj_key("sim_version");
+        SIM_VERSION.json_write(w);
+        w.obj_key("workload");
+        self.0.workload.json_write(w);
+        w.obj_key("config");
+        self.0.config.json_write(w);
+        w.obj_end();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -579,15 +579,12 @@ pub fn run_grid_coordinated(
         by_hash.entry(h.as_str()).or_default().push(i);
     }
     let mut pending: Vec<(&str, usize)> = Vec::new(); // (hash, representative index)
+    let mut served: Vec<&str> = Vec::new();
     for (hash, indices) in &by_hash {
         match store.and_then(|s| s.get(hash)) {
             Some(report) => {
                 stats.cached += indices.len();
-                if let Some(s) = store {
-                    if let Some(wall) = s.recorded_wall(hash) {
-                        estimator.record(wall);
-                    }
-                }
+                served.push(hash);
                 for &i in indices {
                     reports[i] = Some(report.clone());
                 }
@@ -605,28 +602,41 @@ pub fn run_grid_coordinated(
         stats.skipped += by_hash[hashes[*i].as_str()].len();
     }
 
+    // The deadline estimator and the lease heartbeat exist for the cells
+    // this run simulates; a pass that owns no miss consults neither, so it
+    // reads no wall sidecar and starts no thread.
+    let has_work = !owned.is_empty();
+    if let Some(s) = store.filter(|_| has_work) {
+        for hash in &served {
+            if let Some(wall) = s.recorded_wall(hash) {
+                estimator.record(wall);
+            }
+        }
+    }
+
     // Heartbeat thread: keeps every held lease's deadline ahead of the
     // clock while cells compute. Stopped (and joined) before returning.
     let hb_stop = Arc::new(AtomicBool::new(false));
-    let heartbeat = plane.as_ref().map(|p| {
+    let heartbeat = plane.as_ref().filter(|_| has_work).map(|p| {
         let plane = Arc::clone(p);
         let estimator = Arc::clone(&estimator);
         let stop = Arc::clone(&hb_stop);
         std::thread::Builder::new()
             .name("lease-heartbeat".into())
             .spawn(move || {
+                // Parked, not sleeping, between beats: the stop below is an
+                // `unpark`, so the join never waits out a sleep. `unpark`
+                // synchronizes with the return of `park_timeout`, which
+                // makes the relaxed `stop` store visible here.
+                let mut due = Instant::now() + plane.heartbeat_interval(&estimator);
                 while !stop.load(Ordering::Relaxed) {
-                    let interval = plane.heartbeat_interval(&estimator);
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !stop.load(Ordering::Relaxed) {
-                        let step = Duration::from_millis(25).min(interval - slept);
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        return;
+                    let now = Instant::now();
+                    if now < due {
+                        std::thread::park_timeout(due - now);
+                        continue;
                     }
                     plane.refresh_active(&estimator);
+                    due = Instant::now() + plane.heartbeat_interval(&estimator);
                 }
             })
             .expect("spawn heartbeat thread")
@@ -787,6 +797,7 @@ pub fn run_grid_coordinated(
 
     if let Some(handle) = heartbeat {
         hb_stop.store(true, Ordering::Relaxed);
+        handle.thread().unpark();
         let _ = handle.join();
     }
 

@@ -1,13 +1,14 @@
 //! Stable content-addressed cell hashing.
 //!
-//! The key is the canonical compact-JSON rendering of a [`CellKey`], folded
-//! through two independent 64-bit FNV-1a passes into a 128-bit hex digest.
+//! The key is the canonical compact-JSON rendering of a
+//! [`CellKey`](crate::cell::CellKey), folded through two independent 64-bit
+//! FNV-1a lanes into a 128-bit hex digest.
 //! JSON-then-hash (rather than `std::hash::Hash`) makes the digest stable
 //! across Rust versions, platforms and processes — the property the on-disk
 //! store and multi-machine sharding depend on. `std`'s `DefaultHasher` is
 //! explicitly *not* guaranteed stable, so it is not used here.
 
-use crate::cell::{CellKey, CellSpec};
+use crate::cell::{CellKeyRef, CellSpec};
 
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Standard FNV-1a offset basis.
@@ -23,10 +24,16 @@ fn fnv1a(bytes: &[u8], mut state: u64) -> u64 {
     state
 }
 
-/// 128-bit hex digest (32 lowercase hex chars) of `bytes`.
+/// 128-bit hex digest (32 lowercase hex chars) of `bytes`: lane A is
+/// [`mix64`], lane B the same fold from a second basis. Both lanes advance
+/// in one pass over the bytes — the two multiply chains are independent,
+/// so the second lane rides in the first one's latency shadow.
 pub fn digest128(bytes: &[u8]) -> String {
-    let a = fnv1a(bytes, OFFSET_A);
-    let b = fnv1a(bytes, OFFSET_B);
+    let (mut a, mut b) = (OFFSET_A, OFFSET_B);
+    for &byte in bytes {
+        a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
     format!("{a:016x}{b:016x}")
 }
 
@@ -51,8 +58,7 @@ pub fn unit01(bytes: &[u8]) -> f64 {
 
 /// The content-addressed store key of one cell.
 pub fn cell_hash(cell: &CellSpec) -> String {
-    let key = CellKey::of(cell);
-    let json = serde_json::to_string(&key).expect("cell keys always serialize");
+    let json = serde_json::to_string(&CellKeyRef(cell)).expect("cell keys always serialize");
     digest128(json.as_bytes())
 }
 
