@@ -81,18 +81,27 @@ fn main() {
 /// Runs one figure binary; returns whether it ended degraded. A degraded
 /// child (some cells failed permanently) does not stop the sequence — the
 /// remaining figures still render from their own healthy cells. Any other
-/// failure aborts.
+/// failure stops it: exit 2 if the child rejected its flags (every later
+/// child would too), 1 otherwise.
 fn run(bin: &str, args: &[&str]) -> bool {
-    let exe = std::env::current_exe().expect("self path");
-    let dir = exe.parent().expect("bin dir");
-    let status = Command::new(dir.join(bin))
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| fail(1, &format!("cannot locate the figure binaries: {e}")));
+    let status = Command::new(exe.with_file_name(bin))
         .args(args)
         .status()
-        .unwrap_or_else(|e| panic!("spawning {bin}: {e}"));
-    if status.code() == Some(DEGRADED_EXIT) {
-        eprintln!("all_figures: {bin} completed DEGRADED (exit {DEGRADED_EXIT}); continuing");
-        return true;
+        .unwrap_or_else(|e| fail(1, &format!("{bin}: cannot start: {e}")));
+    match status.code() {
+        Some(0) => false,
+        Some(DEGRADED_EXIT) => {
+            eprintln!("all_figures: {bin} completed DEGRADED (exit {DEGRADED_EXIT}); continuing");
+            true
+        }
+        Some(2) => fail(2, &format!("{bin}: usage error (exit 2)")),
+        _ => fail(1, &format!("{bin}: failed ({status})")),
     }
-    assert!(status.success(), "{bin} failed");
-    false
+}
+
+fn fail(code: i32, msg: &str) -> ! {
+    eprintln!("all_figures: {msg}");
+    std::process::exit(code);
 }

@@ -7,6 +7,14 @@
 //! instruction target before the rest of the system (standard
 //! multi-programmed methodology; IPC is recorded at the moment the target
 //! is reached).
+//!
+//! Stretches in which the core only retires ready slots and dispatches
+//! queued bubbles are applied in closed form instead of cycle by cycle:
+//! a *bubble sprint* drains the window's ready prefix — the whole window,
+//! or the slots ahead of a pending miss — and a *fill sprint* tops the
+//! window up behind a memory-blocked head. Both are observationally
+//! identical to per-cycle execution, which `set_sprint_enabled(false)`
+//! restores.
 
 use std::collections::VecDeque;
 
@@ -59,7 +67,9 @@ pub enum CoreWake {
     /// Retires or dispatches on the very next cycle: tick every cycle.
     Busy,
     /// Nothing happens before this CPU cycle (head of window becomes
-    /// ready, or a bubble sprint ends).
+    /// ready, or a sprint ends). A bubble sprint may run while a miss is
+    /// pending behind the ready prefix it drains; the fill only voids the
+    /// report, the sprint's end stays where it was.
     At(u64),
     /// Stalled until an LLC fill arrives — a memory-blocked window head,
     /// or a dispatch the LLC rejected for want of an MSHR with nothing
@@ -100,11 +110,9 @@ pub struct SimpleO3Core {
     /// Bubble-sprint horizon: ticks before this cycle are no-ops because a
     /// closed-form sprint already accounted for them.
     ff_until: u64,
-    /// First CPU cycle the active sprint covers.
+    /// First CPU cycle the active sprint covers; each of its cycles
+    /// retires a full `width`.
     sprint_start: u64,
-    /// Instructions the sprint's first cycle retires (later cycles each
-    /// retire a full `width`); kept so un-executed credit can be settled.
-    sprint_first_retire: u64,
     /// Whether closed-form bubble sprints are allowed. The reference
     /// simulation loop disables them so its cores execute strictly cycle
     /// by cycle — which is exactly what lets the equivalence harness catch
@@ -122,7 +130,13 @@ impl SimpleO3Core {
     pub fn new(id: u8, cfg: CoreConfig, trace: Trace, target: u64, llc_hit_latency: u32) -> Self {
         assert!(!trace.entries.is_empty(), "core needs a non-empty trace");
         Self {
-            cfg,
+            // A cycle never retires or dispatches more than the window
+            // holds, so a narrower window is the real width — the one the
+            // sprints' per-cycle arithmetic must use.
+            cfg: CoreConfig {
+                width: cfg.width.min(cfg.window),
+                ..cfg
+            },
             id,
             trace,
             pos: 0,
@@ -137,7 +151,6 @@ impl SimpleO3Core {
             rejected: false,
             ff_until: 0,
             sprint_start: 0,
-            sprint_first_retire: 0,
             sprint_enabled: true,
             fill_appended: 0,
         }
@@ -159,18 +172,7 @@ impl SimpleO3Core {
         } else {
             (last_cpu_cycle - self.sprint_start + 1).min(k)
         };
-        if executed == k {
-            return;
-        }
-        let w = self.cfg.width as u64;
-        let credit_of = |cycles: u64| {
-            if cycles == 0 {
-                0
-            } else {
-                self.sprint_first_retire + w * (cycles - 1)
-            }
-        };
-        self.retired -= credit_of(k) - credit_of(executed);
+        self.retired -= self.cfg.width as u64 * (k - executed);
         self.ff_until = self.sprint_start + executed;
     }
 
@@ -296,70 +298,67 @@ impl SimpleO3Core {
     /// delta they would have produced is applied immediately.
     ///
     /// Preconditions guarantee the skipped cycles are observationally
-    /// identical to naive execution: every window slot is already ready
-    /// (`ReadyAt ≤ now`), and enough bubbles remain that dispatch never
-    /// reaches the stalled memory op. Each skipped cycle then retires
-    /// `min(width, len)` slots and dispatches `width` bubbles, touching
-    /// neither the LLC nor the token counter — so no externally visible
-    /// state can diverge. `k` is additionally held at `≥ ⌈len/width⌉`, so
-    /// the post-sprint window consists purely of sprint-dispatched slots
-    /// and can be reconstructed exactly.
+    /// identical to naive execution: the window starts with a ready
+    /// prefix of `R` slots (`ReadyAt ≤ now`), and at least `width·k`
+    /// bubbles are queued, so dispatch never reaches the stalled memory
+    /// op. Each skipped cycle then retires `width` slots and dispatches
+    /// `width` bubbles, touching neither the LLC nor the token counter — so
+    /// no externally visible state can diverge. (A tick that ends with
+    /// bubbles still queued has dispatched a full `width` or filled the
+    /// window, so `len ≥ width` whenever the gate passes.) When the
+    /// whole window is ready (`R = len`) the sprint runs on through the
+    /// slots it dispatches itself, bounded by the bubbles left; otherwise
+    /// it stops at `k ≤ R/width`, so every cycle retires exactly `width`
+    /// prefix slots. A fill landing mid-sprint only readies a slot behind
+    /// the prefix, which in-order retirement cannot reach before the
+    /// sprint ends, so it cannot change any skipped cycle.
+    #[inline(always)]
     fn try_bubble_sprint(&mut self, now: u64) {
-        if !self.sprint_enabled {
-            return;
-        }
         let w = self.cfg.width as u64;
-        let len = self.window.len() as u64;
-        let min_k = len.div_ceil(w).max(2);
-        if (self.bubbles_left as u64) < min_k * w {
-            return;
+        let min_k = (self.window.len() as u64).div_ceil(w).max(2);
+        if self.sprint_enabled && self.bubbles_left as u64 >= min_k * w {
+            self.bubble_sprint(now, min_k);
         }
-        if self
+    }
+
+    /// The sprint behind [`SimpleO3Core::try_bubble_sprint`]'s gate, out of
+    /// line so that a tick whose gate fails pays for the gate alone.
+    #[inline(never)]
+    fn bubble_sprint(&mut self, now: u64, min_k: u64) {
+        let (w, len) = (self.cfg.width as u64, self.window.len() as u64);
+        let ready = self
             .window
             .iter()
-            .any(|s| !matches!(s, Slot::ReadyAt(at) if *at <= now))
-        {
-            return;
-        }
-        // Per sprint cycle: retire min(w, len) (len is constant once ≥ w),
-        // dispatch w. Totals over k cycles:
-        //   len ≥ w: retire w·k, window stays at len slots;
-        //   len < w: retire len + w·(k−1), window settles at w slots.
-        let retire_of = |k: u64| {
-            if len >= w {
-                w * k
-            } else {
-                len + w * (k - 1)
-            }
+            .take_while(|s| matches!(s, Slot::ReadyAt(at) if *at <= now))
+            .count() as u64;
+        // A fully ready window sprints on through slots it dispatches and
+        // past its last old slot; a ready prefix only through itself.
+        let (mut k, floor) = if ready == len {
+            (self.bubbles_left as u64 / w, min_k)
+        } else {
+            (ready / w, 2)
         };
-        let mut k = self.bubbles_left as u64 / w;
         if self.finished_at.is_none() {
             // Stop short of the instruction target so `finished_at` is
             // recorded by a real tick at the exact retirement cycle.
             let headroom = self.target.saturating_sub(1).saturating_sub(self.retired);
-            if len >= w {
-                k = k.min(headroom / w);
-            } else {
-                if headroom < len {
-                    return;
-                }
-                k = k.min((headroom - len) / w + 1);
-            }
+            k = k.min(headroom / w);
         }
-        if k < min_k {
+        if k < floor {
+            // Below the floor: a prefix sprint must skip at least 2 cycles.
             return;
         }
-        self.retired += retire_of(k);
+        self.retired += w * k;
         self.bubbles_left -= (w * k) as u32;
         self.sprint_start = now + 1;
-        self.sprint_first_retire = len.min(w);
-        // The surviving slots are the newest dispatches: batch j (cycle
-        // now + j, 1 ≤ j ≤ k) contributed w slots, so the slot at distance
-        // d from the back carries stamp now + k − d/w.
-        let new_len = len.max(w).min(w * k);
-        self.window.clear();
-        for i in 0..new_len {
-            let d = new_len - 1 - i;
+        // The window keeps its length: the w·k retired slots leave from
+        // the front — old slots first — and as many of the newest
+        // dispatches as old slots left stay at the back. Batch j (cycle
+        // now + j, 1 ≤ j ≤ k) contributed w slots, so the slot at
+        // distance d from the back carries stamp now + k − d/w.
+        let drained = (w * k).min(len);
+        self.window.drain(..drained as usize);
+        for d in (0..drained).rev() {
             self.window.push_back(Slot::ReadyAt(now + k - d / w));
         }
         self.ff_until = now + k + 1;
@@ -403,7 +402,6 @@ impl SimpleO3Core {
         // Zero retirement credit: mark the sprint pre-settled so
         // `settle_retired` ignores it.
         self.sprint_start = self.ff_until;
-        self.sprint_first_retire = 0;
     }
 
     /// Advances one CPU cycle: retire from the window head, then dispatch
@@ -670,6 +668,123 @@ mod tests {
         fast.settle_retired(3999);
         assert_eq!(fast.retired(), naive.retired());
         assert_eq!(fast.finished_at(), naive.finished_at());
+    }
+
+    #[test]
+    fn prefix_sprint_matches_naive_execution() {
+        // Long bubble runs ending in LLC misses, LLC hits (latency 6) and
+        // stores, on two cores over a tiny LLC, fills answered after random
+        // delays — some land mid-sprint. The sprinting cores must issue the
+        // naive twins' LLC requests in lockstep, equal them whenever no
+        // sprint is in flight, and settle to their retirement count at a
+        // random truncation cycle.
+        let mut rng = crate::TestRng(29);
+        let (mut saw_prefix, mut saw_narrow, mut saw_capped) = (false, false, false);
+        for case in 0..64u64 {
+            let cfg = CoreConfig {
+                // A window narrower than the width: a cycle retires and
+                // dispatches at most a window, and so must a sprint cycle.
+                window: if case % 4 == 3 { 3 } else { 128 },
+                width: 4,
+            };
+            let llc_cfg = CacheConfig {
+                capacity: 4096,
+                ways: 2,
+                line_bytes: 64,
+                hit_latency: 6,
+                mshrs: [2, 64][(case % 2) as usize],
+            };
+            let traces: Vec<Trace> = (0..2)
+                .map(|_| Trace {
+                    name: "prefix".into(),
+                    entries: (0..40)
+                        .map(|_| TraceEntry {
+                            bubbles: match rng.below(4) {
+                                0 => rng.below(4) as u32,
+                                _ => 120 + rng.below(900) as u32,
+                            },
+                            op: match rng.below(4) {
+                                // Four hot lines: LLC hits once filled.
+                                0 => TraceOp::Load(rng.below(4) * 64),
+                                1 => TraceOp::Store(rng.below(1 << 16) * 64),
+                                _ => TraceOp::Load((64 + rng.below(1 << 16)) * 64),
+                            },
+                        })
+                        .collect(),
+                })
+                .collect();
+            let target = 2_000 + rng.below(6_000);
+            let end = 500 + rng.below(3_500);
+            let build = |sprint| -> Vec<SimpleO3Core> {
+                (0..2)
+                    .map(|id| {
+                        let t = traces[id].clone();
+                        let mut core = SimpleO3Core::new(id as u8, cfg, t, target, 6);
+                        core.set_sprint_enabled(sprint);
+                        core
+                    })
+                    .collect()
+            };
+            let (mut fast, mut naive) = (build(true), build(false));
+            let (mut llc_f, mut llc_n) = (SharedLlc::new(llc_cfg), SharedLlc::new(llc_cfg));
+            let mut pending: Vec<(u64, u64, bool)> = Vec::new();
+            let mut waiters = Vec::new();
+            for now in 0..end {
+                let mut i = 0;
+                while i < pending.len() {
+                    let (at, line, uncached) = pending[i];
+                    if at > now {
+                        i += 1;
+                        continue;
+                    }
+                    pending.swap_remove(i);
+                    for (llc, cores) in [(&mut llc_f, &mut fast), (&mut llc_n, &mut naive)] {
+                        llc.on_fill(line, uncached, &mut waiters);
+                        for t in waiters.drain(..) {
+                            cores[SimpleO3Core::token_core(t) as usize].on_mem_complete(t, now);
+                        }
+                    }
+                }
+                for c in 0..2 {
+                    fast[c].tick(now, &mut llc_f);
+                    naive[c].tick(now, &mut llc_n);
+                    let (f, n) = (&fast[c], &naive[c]);
+                    let what = format!("case {case} core {c} cycle {now}");
+                    if f.sprint_start == now + 1 && f.ff_until > now + 1 {
+                        // A bubble sprint started this tick.
+                        let w = f.cfg.width as u64;
+                        saw_prefix |= f.window.iter().any(|s| matches!(s, Slot::WaitingMem(_)));
+                        saw_narrow |= cfg.window < cfg.width;
+                        saw_capped |= f.finished_at.is_none()
+                            && target - 1 - f.retired < w
+                            && f.bubbles_left as u64 >= w;
+                    }
+                    if f.ff_until <= now + 1 {
+                        assert!(f.fingerprint() == n.fingerprint(), "{what}: state");
+                        assert_eq!(f.finished_at, n.finished_at, "{what}: finished_at");
+                    }
+                }
+                while let Some(req) = llc_f.pop_request() {
+                    assert_eq!(Some(req), llc_n.pop_request(), "case {case} cycle {now}");
+                    pending.push((now + 1 + rng.below(60), req.line_addr, req.uncached));
+                }
+                assert_eq!(llc_n.pop_request(), None, "case {case} cycle {now}");
+            }
+            for (f, n) in fast.iter_mut().zip(&naive) {
+                f.settle_retired(end - 1);
+                assert_eq!(f.retired(), n.retired(), "case {case}: settled retirement");
+                assert_eq!(f.finished_at(), n.finished_at(), "case {case}: finished_at");
+            }
+        }
+        assert!(
+            saw_prefix,
+            "no sprint started with a miss behind the prefix"
+        );
+        assert!(saw_narrow, "no sprint on a window narrower than the width");
+        assert!(
+            saw_capped,
+            "no sprint was cut short by the instruction target"
+        );
     }
 
     #[test]

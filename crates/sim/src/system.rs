@@ -747,6 +747,29 @@ mod tests {
     }
 
     #[test]
+    fn idle_cores_are_not_polled() {
+        // 511.povray: every memory access follows ≈ 10 k bubbles, so a
+        // miss lands behind a window of ready ones. The bubble sprint drains that prefix in
+        // closed form, so the loop visits little beyond the miss's own
+        // round trip. Measured 6.0 iterations and 15.8 core ticks per read
+        // served (1 253 and 3 292 for 208 reads); while the core ticked the
+        // window dry cycle by cycle it was 12.7 and 33.3.
+        let mut cfg = quick_cfg(MechanismKind::None, 1024);
+        cfg.instructions_per_core = 2_000_000;
+        let trace = synthetic_app("511.povray", 0)
+            .unwrap()
+            .generate(2_400_000, 3);
+        let (r, stats) = System::build(&cfg).run_with_stats(vec![trace]);
+        assert!(!r.truncated);
+        let reads = r.ctrl.reads_served;
+        assert!(reads > 0, "povray must miss now and then");
+        assert!(
+            stats.iterations <= 8 * reads && stats.core_ticks <= 20 * reads,
+            "{reads} reads served: the core is polled through its drain ({stats:?})"
+        );
+    }
+
+    #[test]
     fn alone_ipc_positive() {
         let cfg = quick_cfg(MechanismKind::None, 1024);
         assert!(alone_ipc(trace_for("tpch2", 0), &cfg) > 0.0);

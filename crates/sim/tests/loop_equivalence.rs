@@ -70,10 +70,12 @@ fn check_single(mech: MechanismKind, nrh: u32, app: &str, insts: u64) {
 #[test]
 fn idle_heavy_app_matrix_is_bit_identical() {
     // 511.povray: the fast loop spends most of its time in bubble sprints
-    // and full-system jumps — exactly the paths that could drift.
+    // and full-system jumps — exactly the paths that could drift. A trace
+    // entry is ≈ 10 k bubbles, so 500 k instructions reach ≈ 50 misses,
+    // each drained behind a ready prefix while its fill is in flight.
     for mech in MECHANISMS {
         for nrh in NRH_POINTS {
-            check_single(mech, nrh, "511.povray", 6_000);
+            check_single(mech, nrh, "511.povray", 500_000);
         }
     }
 }
