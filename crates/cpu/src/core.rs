@@ -15,6 +15,14 @@
 //! window up behind a memory-blocked head. Both are observationally
 //! identical to per-cycle execution, which `set_sprint_enabled(false)`
 //! restores.
+//!
+//! The window is run-length encoded (`Window`): a sprint moves whole
+//! runs, so its cost does not grow with the window. A bubble sprint
+//! appends everything it dispatched as *one* run stamped with its last
+//! cycle. Per-cycle dispatch would have stamped those slots up to `k − 1`
+//! cycles earlier, but every such stamp lies before the sprint's horizon,
+//! and nothing reads those stamps before then; afterwards each of them
+//! reads as "ready" (see `SimpleO3Core::bubble_sprint`).
 
 use std::collections::VecDeque;
 
@@ -77,12 +85,129 @@ pub enum CoreWake {
     Blocked,
 }
 
+/// A run of consecutive window slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    /// Completes at the given CPU cycle (bubbles, LLC hits).
-    ReadyAt(u64),
-    /// Waiting for a memory completion with this token.
-    WaitingMem(u64),
+enum Run {
+    /// `n` slots that all complete at CPU cycle `at` (bubbles, LLC hits,
+    /// posted stores).
+    Ready { at: u64, n: u32 },
+    /// One load waiting for a memory completion with this token.
+    Waiting(u64),
+}
+
+/// The instruction window as runs of slots, oldest first, plus the slot
+/// count. A push whose stamp equals the back run's stamp extends that
+/// run, so a cycle's bubbles — or a whole bubble sprint — are one run.
+/// Every operation names slots, not runs: runs are only the encoding, and
+/// any two windows with the same slot sequence behave identically.
+/// Counts are `u32`: a window never holds more slots than its capacity,
+/// which [`SimpleO3Core::new`] bounds.
+#[derive(Debug)]
+struct Window {
+    runs: VecDeque<Run>,
+    len: u32,
+}
+
+impl Window {
+    fn with_capacity(slots: usize) -> Self {
+        Self {
+            runs: VecDeque::with_capacity(slots),
+            len: 0,
+        }
+    }
+
+    /// Slots held.
+    fn len(&self) -> u32 {
+        self.len
+    }
+
+    /// The oldest run.
+    fn front(&self) -> Option<Run> {
+        self.runs.front().copied()
+    }
+
+    /// Appends `n` slots that complete at cycle `at`.
+    fn push_ready(&mut self, at: u64, n: u32) {
+        debug_assert!(n > 0, "a run holds at least one slot");
+        self.len += n;
+        if let Some(Run::Ready { at: back, n: m }) = self.runs.back_mut() {
+            if *back == at {
+                *m += n;
+                return;
+            }
+        }
+        self.runs.push_back(Run::Ready { at, n });
+    }
+
+    /// Appends one load waiting on `token`.
+    fn push_waiting(&mut self, token: u64) {
+        self.len += 1;
+        self.runs.push_back(Run::Waiting(token));
+    }
+
+    /// Removes up to `max` slots from the front, in order, while they are
+    /// ready at `now`; returns how many it removed.
+    fn retire(&mut self, now: u64, max: u32) -> u32 {
+        let mut left = max;
+        while left > 0 {
+            match self.runs.front_mut() {
+                Some(Run::Ready { at, n }) if *at <= now => {
+                    if *n > left {
+                        *n -= left;
+                        left = 0;
+                    } else {
+                        left -= *n;
+                        self.runs.pop_front();
+                    }
+                }
+                _ => break,
+            }
+        }
+        self.len -= max - left;
+        max - left
+    }
+
+    /// Removes up to `max` slots from the back while they are stamped `now`
+    /// or later; returns how many it removed. A back run that merged a
+    /// push into an older run of the same stamp gives up only `max`.
+    fn pop_back_from(&mut self, now: u64, max: u32) -> u32 {
+        let mut left = max;
+        while left > 0 {
+            match self.runs.back_mut() {
+                Some(Run::Ready { at, n }) if *at >= now => {
+                    if *n > left {
+                        *n -= left;
+                        left = 0;
+                    } else {
+                        left -= *n;
+                        self.runs.pop_back();
+                    }
+                }
+                _ => break,
+            }
+        }
+        self.len -= max - left;
+        max - left
+    }
+
+    /// Readies the load waiting on `token` at cycle `now`, if it is here.
+    fn complete(&mut self, token: u64, now: u64) {
+        if let Some(run) = self.runs.iter_mut().find(|r| **r == Run::Waiting(token)) {
+            *run = Run::Ready { at: now, n: 1 };
+        }
+    }
+
+    /// Length of the ready prefix: slots ready at `now` ahead of the first
+    /// waiting or not-yet-ready one.
+    fn ready_prefix(&self, now: u64) -> u32 {
+        self.runs
+            .iter()
+            .map_while(|r| match *r {
+                Run::Ready { at, n } if at <= now => Some(n),
+                _ => None,
+            })
+            .sum()
+    }
 }
 
 /// A trace-driven out-of-order core.
@@ -93,7 +218,7 @@ pub struct SimpleO3Core {
     trace: Trace,
     pos: usize,
     bubbles_left: u32,
-    window: VecDeque<Slot>,
+    window: Window,
     next_token: u64,
     retired: u64,
     target: u64,
@@ -127,8 +252,24 @@ pub struct SimpleO3Core {
 
 impl SimpleO3Core {
     /// A core executing `trace` until `target` instructions retire.
+    ///
+    /// # Panics
+    ///
+    /// If the trace is empty, the window or width is zero, or the window
+    /// holds more than `u32::MAX` slots.
     pub fn new(id: u8, cfg: CoreConfig, trace: Trace, target: u64, llc_hit_latency: u32) -> Self {
         assert!(!trace.entries.is_empty(), "core needs a non-empty trace");
+        assert!(
+            cfg.window > 0 && cfg.width > 0,
+            "core window and width must be nonzero (window {}, width {})",
+            cfg.window,
+            cfg.width
+        );
+        assert!(
+            u32::try_from(cfg.window).is_ok(),
+            "core window of {} slots exceeds u32::MAX",
+            cfg.window
+        );
         Self {
             // A cycle never retires or dispatches more than the window
             // holds, so a narrower window is the real width — the one the
@@ -141,7 +282,7 @@ impl SimpleO3Core {
             trace,
             pos: 0,
             bubbles_left: 0,
-            window: VecDeque::with_capacity(cfg.window),
+            window: Window::with_capacity(cfg.window),
             next_token: 0,
             retired: 0,
             target,
@@ -234,25 +375,16 @@ impl SimpleO3Core {
     /// the retirement the completion may now unblock — so they are popped
     /// back into `bubbles_left` and the horizon rewinds to `now`. Slots
     /// stamped before `now` were already dispatched in naive terms and
-    /// stay. The rewind is always safe (it merely forfeits the skip).
+    /// stay. The rewind is always safe (it merely forfeits the skip). It
+    /// reads only stamps a fill sprint wrote, which are exact; a bubble
+    /// sprint's single stamp is never rewound.
     pub fn on_mem_complete(&mut self, token: u64, now: u64) {
         if self.fill_appended > 0 && now < self.ff_until {
-            while self.fill_appended > 0
-                && matches!(self.window.back(), Some(Slot::ReadyAt(at)) if *at >= now)
-            {
-                self.window.pop_back();
-                self.fill_appended -= 1;
-                self.bubbles_left += 1;
-            }
+            self.bubbles_left += self.window.pop_back_from(now, self.fill_appended);
             self.fill_appended = 0;
             self.ff_until = now;
         }
-        for slot in self.window.iter_mut() {
-            if matches!(slot, Slot::WaitingMem(t) if *t == token) {
-                *slot = Slot::ReadyAt(now);
-                return;
-            }
-        }
+        self.window.complete(token, now);
     }
 
     /// When this core next makes progress, evaluated after its tick for
@@ -262,7 +394,7 @@ impl SimpleO3Core {
             // Mid-sprint: every tick before `ff_until` returns immediately.
             return CoreWake::At(self.ff_until);
         }
-        if !self.rejected && self.window.len() < self.cfg.window {
+        if !self.rejected && (self.window.len() as usize) < self.cfg.window {
             // Dispatch makes progress: bubbles, a fresh trace entry, or the
             // first LLC attempt of the stalled op.
             return CoreWake::Busy;
@@ -271,25 +403,12 @@ impl SimpleO3Core {
         // op and only a fill can change its answer): the next event is
         // whatever the window head allows retirement to do.
         match self.window.front() {
-            Some(Slot::ReadyAt(at)) if *at > now => CoreWake::At(*at),
-            Some(Slot::ReadyAt(_)) => CoreWake::Busy,
+            Some(Run::Ready { at, .. }) if at > now => CoreWake::At(at),
+            Some(Run::Ready { .. }) => CoreWake::Busy,
             // An empty window here means every MSHR is owned elsewhere
             // (another core, or this core's posted stores).
-            Some(Slot::WaitingMem(_)) | None => CoreWake::Blocked,
+            Some(Run::Waiting(_)) | None => CoreWake::Blocked,
         }
-    }
-
-    /// Every field a tick can change that later behaviour depends on.
-    #[cfg(test)]
-    fn fingerprint(&self) -> impl PartialEq {
-        (
-            self.retired,
-            self.window.clone(),
-            self.pos,
-            self.bubbles_left,
-            self.next_token,
-            self.rejected,
-        )
     }
 
     /// Attempts to replace upcoming pure-bubble cycles with a closed-form
@@ -299,7 +418,7 @@ impl SimpleO3Core {
     ///
     /// Preconditions guarantee the skipped cycles are observationally
     /// identical to naive execution: the window starts with a ready
-    /// prefix of `R` slots (`ReadyAt ≤ now`), and at least `width·k`
+    /// prefix of `R` slots (stamped `≤ now`), and at least `width·k`
     /// bubbles are queued, so dispatch never reaches the stalled memory
     /// op. Each skipped cycle then retires `width` slots and dispatches
     /// `width` bubbles, touching neither the LLC nor the token counter — so
@@ -323,14 +442,24 @@ impl SimpleO3Core {
 
     /// The sprint behind [`SimpleO3Core::try_bubble_sprint`]'s gate, out of
     /// line so that a tick whose gate fails pays for the gate alone.
+    ///
+    /// It costs O(runs in the ready prefix), not O(window): the `w·k`
+    /// retired slots leave the front runs and everything the sprint
+    /// dispatched that is still in the window comes back as *one* run
+    /// stamped `now + k`. Per-cycle dispatch would have stamped the slot
+    /// at distance `d` from the back `now + k − d/w`; the one stamp is
+    /// exact because nothing can tell those stamps apart. Every one is
+    /// `≤ now + k = ff_until − 1`. Before `ff_until` a tick returns early
+    /// and [`SimpleO3Core::next_event_cycle`] answers `At(ff_until)`
+    /// without reading the window; at any later cycle `q` each stamp is
+    /// `≤ q`, which both retirement (`at ≤ q`) and the wake report
+    /// (`at > q`) read as "ready". The one reader of stamps it did not just
+    /// write, the rewind in [`SimpleO3Core::on_mem_complete`], pops only
+    /// slots a fill sprint appended.
     #[inline(never)]
     fn bubble_sprint(&mut self, now: u64, min_k: u64) {
         let (w, len) = (self.cfg.width as u64, self.window.len() as u64);
-        let ready = self
-            .window
-            .iter()
-            .take_while(|s| matches!(s, Slot::ReadyAt(at) if *at <= now))
-            .count() as u64;
+        let ready = self.window.ready_prefix(now) as u64;
         // A fully ready window sprints on through slots it dispatches and
         // past its last old slot; a ready prefix only through itself.
         let (mut k, floor) = if ready == len {
@@ -352,15 +481,12 @@ impl SimpleO3Core {
         self.bubbles_left -= (w * k) as u32;
         self.sprint_start = now + 1;
         // The window keeps its length: the w·k retired slots leave from
-        // the front — old slots first — and as many of the newest
-        // dispatches as old slots left stay at the back. Batch j (cycle
-        // now + j, 1 ≤ j ≤ k) contributed w slots, so the slot at
-        // distance d from the back carries stamp now + k − d/w.
-        let drained = (w * k).min(len);
-        self.window.drain(..drained as usize);
-        for d in (0..drained).rev() {
-            self.window.push_back(Slot::ReadyAt(now + k - d / w));
-        }
+        // the front — old slots first, all of them ready — and as many of
+        // the newest dispatches as old slots left stay at the back.
+        let drained = (w * k).min(len) as u32;
+        let taken = self.window.retire(now, drained);
+        debug_assert_eq!(taken, drained, "a sprint drains only ready slots");
+        self.window.push_ready(now + k, drained);
         self.ff_until = now + k + 1;
     }
 
@@ -370,31 +496,35 @@ impl SimpleO3Core {
     /// in-order and the head is waiting) and dispatches only bubbles —
     /// touching neither the LLC nor the token counter. Those cycles are
     /// applied closed-form: the missing slots are appended with the
-    /// stamps naive dispatch would have given them (`width` per cycle)
-    /// and the next `⌈free/width⌉` ticks become no-ops. Unlike a bubble
-    /// sprint this grants zero retirement credit, so there is nothing for
-    /// [`SimpleO3Core::settle_retired`] to unwind; the only way the
-    /// skipped cycles can diverge from naive execution is a memory
+    /// stamps naive dispatch would have given them, one run of `width`
+    /// per cycle, and the next `⌈free/width⌉` ticks become no-ops. Unlike
+    /// a bubble sprint this grants zero retirement credit, so there is
+    /// nothing for [`SimpleO3Core::settle_retired`] to unwind; the only way
+    /// the skipped cycles can diverge from naive execution is a memory
     /// completion arriving mid-sprint, which rewinds the undispatched
-    /// tail (see [`SimpleO3Core::on_mem_complete`]).
+    /// tail (see [`SimpleO3Core::on_mem_complete`]). That rewind tells
+    /// dispatched slots from undispatched ones by their stamps, which is
+    /// why a fill sprint keeps one stamp per cycle where a bubble sprint
+    /// needs only one.
     fn try_fill_sprint(&mut self, now: u64) {
         if !self.sprint_enabled || self.ff_until > now {
             // Sprints disabled, or a bubble sprint already fired.
             return;
         }
         let w = self.cfg.width as u64;
-        let free = (self.cfg.window - self.window.len()) as u64;
+        let free = (self.cfg.window - self.window.len() as usize) as u64;
         // Profitability floor (≥ 2 skipped cycles), and enough bubbles
         // that dispatch never reaches the stalled memory op mid-sprint.
         if free < 2 * w || (self.bubbles_left as u64) < free {
             return;
         }
-        if !matches!(self.window.front(), Some(Slot::WaitingMem(_))) {
+        if !matches!(self.window.front(), Some(Run::Waiting(_))) {
             return;
         }
         let k = free.div_ceil(w);
-        for i in 0..free {
-            self.window.push_back(Slot::ReadyAt(now + 1 + i / w));
+        for j in 0..k {
+            self.window
+                .push_ready(now + 1 + j, (free - j * w).min(w) as u32);
         }
         self.bubbles_left -= free as u32;
         self.fill_appended = free as u32;
@@ -413,28 +543,24 @@ impl SimpleO3Core {
         }
         // Any fill sprint has fully elapsed once a tick executes.
         self.fill_appended = 0;
+        let (width, capacity) = (self.cfg.width as u32, self.cfg.window as u32);
         // Retire in order.
-        let mut retired_now = 0;
-        while retired_now < self.cfg.width {
-            match self.window.front() {
-                Some(Slot::ReadyAt(at)) if *at <= now => {
-                    self.window.pop_front();
-                    self.retired += 1;
-                    retired_now += 1;
-                    if self.retired >= self.target && self.finished_at.is_none() {
-                        self.finished_at = Some(now);
-                    }
-                }
-                _ => break,
-            }
+        let retired_now = self.window.retire(now, width);
+        self.retired += retired_now as u64;
+        if retired_now > 0 && self.retired >= self.target && self.finished_at.is_none() {
+            self.finished_at = Some(now);
         }
         // Dispatch.
         let mut dispatched = 0;
-        while dispatched < self.cfg.width && self.window.len() < self.cfg.window {
+        while dispatched < width && self.window.len() < capacity {
             if self.bubbles_left > 0 {
-                self.bubbles_left -= 1;
-                self.window.push_back(Slot::ReadyAt(now));
-                dispatched += 1;
+                let n = self
+                    .bubbles_left
+                    .min(width - dispatched)
+                    .min(capacity - self.window.len());
+                self.bubbles_left -= n;
+                self.window.push_ready(now, n);
+                dispatched += n;
                 continue;
             }
             let op = match self.stalled_op.take() {
@@ -456,12 +582,11 @@ impl SimpleO3Core {
                     let token = self.next_load_token();
                     match llc.load(addr, token) {
                         LoadResult::Hit => {
-                            self.window
-                                .push_back(Slot::ReadyAt(now + self.llc_hit_latency as u64));
+                            self.window.push_ready(now + self.llc_hit_latency as u64, 1);
                             true
                         }
                         LoadResult::Miss => {
-                            self.window.push_back(Slot::WaitingMem(token));
+                            self.window.push_waiting(token);
                             self.next_token += 1;
                             true
                         }
@@ -472,7 +597,7 @@ impl SimpleO3Core {
                     let token = self.next_load_token();
                     match llc.load_uncached(addr, token) {
                         LoadResult::Miss => {
-                            self.window.push_back(Slot::WaitingMem(token));
+                            self.window.push_waiting(token);
                             self.next_token += 1;
                             true
                         }
@@ -483,7 +608,7 @@ impl SimpleO3Core {
                 TraceOp::Store(addr) => {
                     if llc.store(addr, self.id) {
                         // Posted: occupies a window slot this cycle only.
-                        self.window.push_back(Slot::ReadyAt(now));
+                        self.window.push_ready(now, 1);
                         true
                     } else {
                         false
@@ -522,6 +647,173 @@ mod tests {
 
     fn llc() -> SharedLlc {
         SharedLlc::new(CacheConfig::default())
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Slot {
+        ReadyAt(u64),
+        WaitingMem(u64),
+    }
+
+    /// The per-slot window that `Window` replaced, kept as the reference
+    /// its operations are checked against.
+    #[derive(Default)]
+    struct SlotWindow(VecDeque<Slot>);
+
+    impl SlotWindow {
+        fn push_ready(&mut self, at: u64, n: u32) {
+            self.0.extend((0..n).map(|_| Slot::ReadyAt(at)));
+        }
+
+        fn push_waiting(&mut self, token: u64) {
+            self.0.push_back(Slot::WaitingMem(token));
+        }
+
+        fn retire(&mut self, now: u64, max: u32) -> u32 {
+            let mut n = 0;
+            while n < max && matches!(self.0.front(), Some(Slot::ReadyAt(at)) if *at <= now) {
+                self.0.pop_front();
+                n += 1;
+            }
+            n
+        }
+
+        fn pop_back_from(&mut self, now: u64, max: u32) -> u32 {
+            let mut n = 0;
+            while n < max && matches!(self.0.back(), Some(Slot::ReadyAt(at)) if *at >= now) {
+                self.0.pop_back();
+                n += 1;
+            }
+            n
+        }
+
+        fn complete(&mut self, token: u64, now: u64) {
+            for slot in self.0.iter_mut() {
+                if *slot == Slot::WaitingMem(token) {
+                    *slot = Slot::ReadyAt(now);
+                    return;
+                }
+            }
+        }
+
+        fn ready_prefix(&self, now: u64) -> u32 {
+            let ready = |s: &&Slot| matches!(s, Slot::ReadyAt(at) if *at <= now);
+            self.0.iter().take_while(ready).count() as u32
+        }
+    }
+
+    /// The window's slots, oldest first, with every stamp below `floor`
+    /// read as `floor`.
+    fn slots(window: &Window, floor: u64) -> Vec<Slot> {
+        let mut out = Vec::new();
+        for run in &window.runs {
+            match *run {
+                Run::Ready { at, n } => out.extend((0..n).map(|_| Slot::ReadyAt(at.max(floor)))),
+                Run::Waiting(token) => out.push(Slot::WaitingMem(token)),
+            }
+        }
+        out
+    }
+
+    /// Every field a tick can change that later behaviour depends on, with
+    /// window stamps below `floor` read as `floor` (see [`slots`]).
+    fn fingerprint(core: &SimpleO3Core, floor: u64) -> impl PartialEq {
+        (
+            core.retired,
+            slots(&core.window, floor),
+            core.pos,
+            core.bubbles_left,
+            core.next_token,
+            core.rejected,
+        )
+    }
+
+    #[test]
+    fn window_matches_the_per_slot_reference() {
+        // Random operation streams against the per-slot window, at three
+        // capacities. Stamps cluster around `now` so that retirement and
+        // the rewind stop inside runs, and a quarter of the pushes reuse
+        // the back run's stamp: merged runs must give up only what
+        // `pop_back_from` is asked for.
+        let mut rng = crate::TestRng(41);
+        let mut merged = 0;
+        for cap in [3u32, 12, 128] {
+            for _ in 0..200 {
+                let mut runs = Window::with_capacity(cap as usize);
+                let mut slots_ref = SlotWindow::default();
+                let (mut now, mut next_token) = (10u64, 0u64);
+                for step in 0..300 {
+                    now += rng.below(3);
+                    let stamp = now + rng.below(8) - 4;
+                    let max = rng.below(cap as u64 + 2) as u32;
+                    let what = match rng.below(6) {
+                        0 if runs.len() < cap => {
+                            let at = match runs.runs.back() {
+                                Some(Run::Ready { at, .. }) if rng.below(4) == 0 => {
+                                    merged += 1;
+                                    *at
+                                }
+                                _ => stamp,
+                            };
+                            let n = 1 + rng.below((cap - runs.len()) as u64) as u32;
+                            runs.push_ready(at, n);
+                            slots_ref.push_ready(at, n);
+                            format!("push_ready({at}, {n})")
+                        }
+                        1 if runs.len() < cap => {
+                            runs.push_waiting(next_token);
+                            slots_ref.push_waiting(next_token);
+                            next_token += 1;
+                            "push_waiting".into()
+                        }
+                        2 => {
+                            let (a, b) = (runs.retire(now, max), slots_ref.retire(now, max));
+                            assert_eq!(a, b, "retire({now}, {max}) at step {step}");
+                            format!("retire({now}, {max})")
+                        }
+                        3 => {
+                            // Mostly a token still in the window, now and
+                            // then one that is not.
+                            let token = rng.below(next_token + 1);
+                            runs.complete(token, stamp);
+                            slots_ref.complete(token, stamp);
+                            format!("complete({token}, {stamp})")
+                        }
+                        4 => {
+                            let a = runs.pop_back_from(stamp, max);
+                            let b = slots_ref.pop_back_from(stamp, max);
+                            assert_eq!(a, b, "pop_back_from({stamp}, {max}) at step {step}");
+                            format!("pop_back_from({stamp}, {max})")
+                        }
+                        _ => {
+                            let (a, b) = (runs.ready_prefix(now), slots_ref.ready_prefix(now));
+                            assert_eq!(a, b, "ready_prefix({now}) at step {step}");
+                            format!("ready_prefix({now})")
+                        }
+                    };
+                    assert_eq!(
+                        slots(&runs, 0),
+                        Vec::from(slots_ref.0.clone()),
+                        "cap {cap} step {step}: {what}"
+                    );
+                    assert_eq!(
+                        runs.len() as usize,
+                        slots_ref.0.len(),
+                        "cap {cap} step {step}"
+                    );
+                    assert!(
+                        runs.runs
+                            .iter()
+                            .all(|r| !matches!(r, Run::Ready { n: 0, .. })),
+                        "cap {cap} step {step}: {what} left an empty run"
+                    );
+                }
+            }
+        }
+        assert!(
+            merged > 500,
+            "only {merged} pushes merged into the back run"
+        );
     }
 
     #[test]
@@ -676,15 +968,23 @@ mod tests {
         // stores, on two cores over a tiny LLC, fills answered after random
         // delays — some land mid-sprint. The sprinting cores must issue the
         // naive twins' LLC requests in lockstep, equal them whenever no
-        // sprint is in flight, and settle to their retirement count at a
-        // random truncation cycle.
+        // sprint is in flight (up to stamps that already read as ready),
+        // report the same next event then, and settle to their retirement
+        // count at a random truncation cycle.
         let mut rng = crate::TestRng(29);
         let (mut saw_prefix, mut saw_narrow, mut saw_capped) = (false, false, false);
+        let mut widest_one_run = 0;
         for case in 0..64u64 {
             let cfg = CoreConfig {
                 // A window narrower than the width: a cycle retires and
                 // dispatches at most a window, and so must a sprint cycle.
-                window: if case % 4 == 3 { 3 } else { 128 },
+                // One far wider than the default: a full-window sprint must
+                // still leave a single run.
+                window: match case {
+                    5 => 1024,
+                    _ if case % 4 == 3 => 3,
+                    _ => 128,
+                },
                 width: 4,
             };
             let llc_cfg = CacheConfig {
@@ -753,15 +1053,29 @@ mod tests {
                     if f.sprint_start == now + 1 && f.ff_until > now + 1 {
                         // A bubble sprint started this tick.
                         let w = f.cfg.width as u64;
-                        saw_prefix |= f.window.iter().any(|s| matches!(s, Slot::WaitingMem(_)));
+                        let k = f.ff_until - 1 - now;
+                        saw_prefix |= f.window.runs.iter().any(|r| matches!(r, Run::Waiting(_)));
                         saw_narrow |= cfg.window < cfg.width;
                         saw_capped |= f.finished_at.is_none()
                             && target - 1 - f.retired < w
                             && f.bubbles_left as u64 >= w;
+                        // A prefix sprint drains at most the prefix, less
+                        // than the window; a full-window one all of it.
+                        if w * k >= f.window.len() as u64 {
+                            assert_eq!(f.window.runs.len(), 1, "{what}: full-window sprint");
+                            if cfg.window > 128 {
+                                widest_one_run = widest_one_run.max(f.window.len());
+                            }
+                        }
                     }
                     if f.ff_until <= now + 1 {
-                        assert!(f.fingerprint() == n.fingerprint(), "{what}: state");
+                        assert!(fingerprint(f, now) == fingerprint(n, now), "{what}: state");
                         assert_eq!(f.finished_at, n.finished_at, "{what}: finished_at");
+                        assert_eq!(
+                            f.next_event_cycle(now),
+                            n.next_event_cycle(now),
+                            "{what}: wake"
+                        );
                     }
                 }
                 while let Some(req) = llc_f.pop_request() {
@@ -784,6 +1098,11 @@ mod tests {
         assert!(
             saw_capped,
             "no sprint was cut short by the instruction target"
+        );
+        assert!(
+            widest_one_run > 128,
+            "no full-window sprint on the 1024-slot window drained more than \
+             the default window (widest: {widest_one_run} slots)"
         );
     }
 
@@ -860,9 +1179,9 @@ mod tests {
                     fill_since = [true; 2];
                 }
                 for (c, core) in cores.iter_mut().enumerate() {
-                    let before = (core.fingerprint(), llc.fingerprint());
+                    let before = (fingerprint(core, 0), llc.fingerprint());
                     core.tick(now, &mut llc);
-                    let changed = before != (core.fingerprint(), llc.fingerprint());
+                    let changed = before != (fingerprint(core, 0), llc.fingerprint());
                     let what =
                         format!("case {case} core {c} cycle {now}: after {:?}", last_wake[c]);
                     match last_wake[c] {
@@ -877,7 +1196,7 @@ mod tests {
                     fill_since[c] = false;
                     if core.rejected {
                         match last_wake[c] {
-                            CoreWake::Blocked if core.window.is_empty() => {
+                            CoreWake::Blocked if core.window.len() == 0 => {
                                 saw_rejected_empty = true
                             }
                             CoreWake::Blocked => saw_rejected_blocked = true,
@@ -922,5 +1241,25 @@ mod tests {
         }
         assert_eq!(core.retired(), 0);
         assert_eq!(core.window.len(), 128, "window saturated");
+    }
+
+    #[test]
+    #[should_panic(expected = "window and width must be nonzero")]
+    fn zero_window_is_rejected_at_construction() {
+        let cfg = CoreConfig {
+            window: 0,
+            width: 4,
+        };
+        SimpleO3Core::new(0, cfg, bubble_trace(1), 10, 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "window and width must be nonzero")]
+    fn zero_width_is_rejected_at_construction() {
+        let cfg = CoreConfig {
+            window: 128,
+            width: 0,
+        };
+        SimpleO3Core::new(0, cfg, bubble_trace(1), 10, 24);
     }
 }
