@@ -345,7 +345,7 @@ impl MemoryController {
     /// refresh due times, recovery / urgent-refresh / RAA-hot / idle-rank
     /// refresh service (`PREab` → `REFab`/`RFMab`), the first eight
     /// pending VRRs, and both demand queues' per-bank candidates via
-    /// [`scheduler::next_demand_event`] — each at its
+    /// `demand_event`, the scan step 6 of the tick also uses — each at its
     /// [`DramDevice::earliest_issue_at`]. Every quantity consulted only
     /// changes when a command issues, a request arrives, or one of the
     /// included timers fires, so the result is memoized behind a dirty
@@ -443,59 +443,46 @@ impl MemoryController {
             };
             wake = wake.min(dram.earliest_issue_at(&cmd, now));
         }
-        // Demand: the preferred queue falls through to the other one, so
-        // any issuable candidate in either queue makes the tick act. The
-        // preference must be the one the *wake-cycle* tick will compute:
-        // its `update_drain_mode` sees today's queue lengths (they only
-        // move on arrivals and issues, which invalidate this result), so
-        // apply the same hysteresis to them here.
-        let fsm = &self.fsm;
-        let raa_hot = &self.raa_hot;
-        let rank_usable = |r: usize| !fsm[r].in_recovery() && !raa_hot[r];
-        let drain_at_wake = if self.drain_mode {
-            self.writes.len() > self.cfg.wr_low
-        } else {
-            self.writes.len() >= self.cfg.wr_high
-        };
-        let serve_writes = drain_at_wake || self.reads.is_empty();
-        let (preferred, other) = if serve_writes {
-            (&self.writes, &self.reads)
-        } else {
-            (&self.reads, &self.writes)
-        };
-        let (t_p, d_p) = scheduler::next_demand_event(
-            preferred,
-            dram,
-            now,
-            self.cfg.cap,
-            &self.hit_streak,
-            &rank_usable,
-        );
-        // When the preferred queue already acts at the earliest possible
-        // cycle (`now + 1`), the other queue cannot beat it — ties go to
-        // the preferred queue — so its scan is skipped entirely.
-        let (t_o, d_o) = if t_p <= now + 1 {
-            (Cycle::MAX, None)
-        } else {
-            scheduler::next_demand_event(
-                other,
-                dram,
-                now,
-                self.cfg.cap,
-                &self.hit_streak,
-                &rank_usable,
-            )
-        };
-        // On a tie the tick consults the preferred queue first.
-        let (t_d, d_d) = if t_p <= t_o {
-            (t_p, d_p.map(|d| (d, serve_writes)))
-        } else {
-            (t_o, d_o.map(|d| (d, !serve_writes)))
-        };
+        // Demand, with the queue preference the *wake-cycle* tick will
+        // compute: its `drain_mode_next` sees today's queue lengths (they
+        // only move on arrivals and issues, which invalidate this result).
+        let serve_writes = self.drain_mode_next() || self.reads.is_empty();
+        let (t_d, d_d) = self.demand_event(dram, serve_writes, now + 1);
         // The verdict is only usable when demand strictly decides the
         // wake: on a tie with any step-1..5 source that step acts first.
         let decision = if t_d < wake { d_d } else { None };
         (wake.min(t_d).max(now + 1), decision)
+    }
+
+    /// The demand step of the tick ladder: the first cycle `>= from` at
+    /// which either queue has an issuable FR-FCFS+Cap candidate, and the
+    /// decision taken there with its queue (`true` = writes). The preferred
+    /// queue (`serve_writes`) falls through to the other one and wins ties,
+    /// so when it already acts at `from` the other queue is not scanned.
+    fn demand_event(
+        &self,
+        dram: &DramDevice,
+        serve_writes: bool,
+        from: Cycle,
+    ) -> (Cycle, Option<(Decision, bool)>) {
+        let (fsm, raa_hot) = (&self.fsm, &self.raa_hot);
+        let rank_usable = |r: usize| !fsm[r].in_recovery() && !raa_hot[r];
+        let (cap, streak) = (self.cfg.cap, &self.hit_streak);
+        let scan = |writes: bool| {
+            let queue = if writes { &self.writes } else { &self.reads };
+            let (t, d) = scheduler::next_demand_event(queue, dram, from, cap, streak, &rank_usable);
+            (t, d.map(|d| (d, writes)))
+        };
+        let preferred = scan(serve_writes);
+        if preferred.0 <= from {
+            return preferred;
+        }
+        let other = scan(!serve_writes);
+        if preferred.0 <= other.0 {
+            preferred
+        } else {
+            other
+        }
     }
 
     /// Advances the controller by one memory cycle, issuing at most one
@@ -653,7 +640,7 @@ impl MemoryController {
         }
 
         // 6. Demand traffic under FR-FCFS+Cap with write draining.
-        self.update_drain_mode();
+        self.drain_mode = self.drain_mode_next();
         // Fused-scan fast path: `compute_wake` already decided what this
         // exact cycle's demand verdict is, and nothing invalidated it (no
         // issue or arrival since — both set `wake_dirty`). Steps 1–5 above
@@ -667,44 +654,13 @@ impl MemoryController {
             }
         }
         let serve_writes = self.drain_mode || self.reads.is_empty();
-        let fsm = &self.fsm;
-        let raa_hot = &self.raa_hot;
-        let rank_usable = |r: usize| !fsm[r].in_recovery() && !raa_hot[r];
-        let queue = if serve_writes {
-            &self.writes
-        } else {
-            &self.reads
-        };
-        let decision = scheduler::pick(
-            queue,
-            dram,
-            now,
-            self.cfg.cap,
-            &self.hit_streak,
-            &rank_usable,
-        );
-        let Some(decision) = decision else {
-            // Nothing issuable in the preferred queue; try the other one.
-            let other = if serve_writes {
-                &self.reads
-            } else {
-                &self.writes
-            };
-            let Some(decision) = scheduler::pick(
-                other,
-                dram,
-                now,
-                self.cfg.cap,
-                &self.hit_streak,
-                &rank_usable,
-            ) else {
-                return changed;
-            };
-            self.apply(decision, !serve_writes, dram, now);
-            return true;
-        };
-        self.apply(decision, serve_writes, dram, now);
-        true
+        match self.demand_event(dram, serve_writes, now) {
+            (at, Some((decision, is_write_queue))) if at == now => {
+                self.apply(decision, is_write_queue, dram, now);
+                true
+            }
+            _ => changed,
+        }
     }
 
     /// Drops leading tombstones and, past a threshold, compacts the VRR
@@ -741,13 +697,13 @@ impl MemoryController {
         false
     }
 
-    fn update_drain_mode(&mut self) {
+    /// Write-drain hysteresis: the drain mode a tick settles on, given the
+    /// current mode and write-queue occupancy.
+    fn drain_mode_next(&self) -> bool {
         if self.drain_mode {
-            if self.writes.len() <= self.cfg.wr_low {
-                self.drain_mode = false;
-            }
-        } else if self.writes.len() >= self.cfg.wr_high {
-            self.drain_mode = true;
+            self.writes.len() > self.cfg.wr_low
+        } else {
+            self.writes.len() >= self.cfg.wr_high
         }
     }
 

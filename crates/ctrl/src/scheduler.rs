@@ -5,7 +5,10 @@
 //! row-miss requests at most `cap` consecutive times per bank, bounding the
 //! starvation FR-FCFS inflicts on conflict-heavy threads.
 //!
-//! [`pick`] visits only banks that hold work (via
+//! [`next_demand_event`] is the one production scan: it answers both "what
+//! issues at cycle `from`" and "when does anything issue next", because the
+//! controller asks the first at `from = now` and the second at
+//! `from = now + 1`. It visits only banks that hold work (via
 //! [`RequestQueue::occupied_banks`]) and inspects at most two requests per
 //! bank. That suffices because within one bank the scheduler's verdict is
 //! decided by its *oldest* hit and *oldest* non-hit alone:
@@ -18,7 +21,8 @@
 //!   oldest non-hit dominates.
 //!
 //! [`pick_reference`] retains the original two-pass scan over the flat
-//! age-ordered queue; a property test pins `pick` to it exactly.
+//! age-ordered queue; a property test pins `next_demand_event` to it
+//! exactly, cycle by cycle.
 
 use chronus_dram::{Command, Cycle, DramDevice};
 
@@ -108,119 +112,38 @@ fn bank_front(queue: &RequestQueue, flat: usize, open: Option<u32>) -> BankFront
     BankFront { hit, other }
 }
 
-/// Picks the next command for `queue` under FR-FCFS+Cap.
+/// The next demand-scheduling event for `queue` under FR-FCFS+Cap: the
+/// exact first cycle `t >= from` at which some command is issuable
+/// (assuming no issues and no arrivals in the meantime), *and* the
+/// decision taken at that cycle. Returns `(Cycle::MAX, None)` when no
+/// candidate exists. The decision at `from` itself is the answer when
+/// `t == from`.
 ///
 /// `hit_streak` holds, per flat bank index, the number of consecutive
 /// row-hit bypasses since the last non-hit service; `rank_usable` filters
-/// out ranks in recovery (or RAA-blocked).
+/// out ranks in recovery (or RAA-blocked). `queue` must hold requests of a
+/// single [`ReqKind`] (the controller keeps reads and writes in separate
+/// queues): the per-bank reduction relies on all row hits to a bank
+/// sharing one CAS timing frontier, which `Rd` and `Wr` do not.
 ///
-/// `queue` must hold requests of a single [`ReqKind`] (the controller
-/// keeps reads and writes in separate queues): the per-bank reduction
-/// relies on all row hits to a bank sharing one CAS timing frontier,
-/// which `Rd` and `Wr` do not.
-///
-/// A row hit younger than a non-hit request to the same bank may be
-/// served only while the bank's bypass streak is below `cap` — in *both*
-/// passes, so timing-blocked precharges cannot be starved by an endless
-/// hit stream (the FR-FCFS+Cap guarantee of [Mutlu & Moscibroda,
-/// MICRO'07]).
-pub fn pick<F: Fn(usize) -> bool>(
-    queue: &RequestQueue,
-    dram: &DramDevice,
-    now: Cycle,
-    cap: u32,
-    hit_streak: &[u32],
-    rank_usable: &F,
-) -> Option<Decision> {
-    let write = match queue.head_kind() {
-        Some(k) => k == ReqKind::Write,
-        None => return None,
-    };
-    // Pass 1: oldest issuable row-hit, honouring the cap.
-    let mut best_hit: Option<(u64, u32, bool)> = None;
-    // Pass 2 fallback: oldest request whose PRE/ACT can make progress. A
-    // CAS can never win pass 2 when pass 1 came up empty (identical
-    // admissibility and timing checks), so only non-hits are candidates.
-    let mut best_other: Option<(u64, Decision)> = None;
-    // `occupied_banks` yields ascending flat ids, so banks of one rank are
-    // contiguous: the rank-level floors are computed once per rank and
-    // prune every candidate check in it to bank/group-level compares.
-    let mut cur_rank = usize::MAX;
-    let mut usable = false;
-    let mut cas_ok = false;
-    let mut act_floor = Cycle::MAX;
-    for flat in queue.occupied_banks() {
-        // Every entry filed under `flat` carries the same `BankId`; reading
-        // it back beats re-deriving it from the flat index (divisions).
-        let bank = queue.get(queue.bank_slots(flat)[0]).req.addr.bank;
-        let rank = bank.rank as usize;
-        if rank != cur_rank {
-            cur_rank = rank;
-            usable = rank_usable(rank);
-            if usable {
-                cas_ok = dram.rank_cas_floor(rank, write) <= now;
-                act_floor = dram.rank_act_floor(rank);
-            }
-        }
-        if !usable {
-            continue;
-        }
-        let group = bank.group as usize;
-        let open = dram.open_row(bank);
-        let front = bank_front(queue, flat, open);
-        if let Some((seq, slot, bypass)) = front.hit {
-            let admissible = !bypass || hit_streak[flat] < cap;
-            if admissible
-                && cas_ok
-                && best_hit.is_none_or(|(s, _, _)| seq < s)
-                && dram.group_cas_floor(rank, group, write) <= now
-                && dram.bank_cas_at(bank, write) <= now
-            {
-                best_hit = Some((seq, slot, bypass));
-            }
-        }
-        if let Some((seq, slot)) = front.other {
-            if best_other.as_ref().is_none_or(|&(s, _)| seq < s) {
-                let issuable_as = match open {
-                    Some(_) => (dram.bank_pre_at(bank) <= now).then_some(Decision::Pre(slot)),
-                    None => (act_floor <= now
-                        && dram.group_act_floor(rank, group) <= now
-                        && dram.bank_act_at(bank) <= now)
-                        .then_some(Decision::Act(slot)),
-                };
-                if let Some(decision) = issuable_as {
-                    best_other = Some((seq, decision));
-                }
-            }
-        }
-    }
-    if let Some((_, slot, bypass)) = best_hit {
-        return Some(Decision::Cas(slot, bypass));
-    }
-    best_other.map(|(_, d)| d)
-}
-
-/// The next demand-scheduling event for `queue`: the exact first cycle
-/// `t > now` at which [`pick`] would return `Some` (assuming no issues and
-/// no arrivals in the meantime), *and* the exact decision it would return
-/// at that cycle. Returns `(Cycle::MAX, None)` when no candidate exists.
-///
-/// One scan serves both the wake time and the verdict: each candidate's
-/// issuable time is its [`DramDevice::earliest_issue_at`] decomposed into
-/// rank-floor/group-floor/bank-frontier terms (the rank floor is fetched
-/// once per rank — `occupied_banks` yields ranks contiguously), clamped to
-/// `now + 1`. The winner at the wake cycle follows FR-FCFS+Cap exactly:
-/// the oldest admissible row hit ready by then beats every non-hit, hits
-/// beat non-hits that tie on time, and ties within a class go to the
-/// lowest sequence number — the same verdict `pick` reaches because at the
-/// wake cycle (the min over candidates) the issuable set is precisely the
-/// candidates whose clamped time equals it. Candidate admissibility (cap,
-/// bypass, rank filters) cannot change without an issue or arrival, which
-/// is what bounds the result's validity.
+/// Each candidate's issuable time is its [`DramDevice::earliest_issue_at`]
+/// decomposed into rank-floor/group-floor/bank-frontier terms (the rank
+/// floor is fetched once per rank — `occupied_banks` yields ranks
+/// contiguously), clamped to `from`. At `t`, the minimum over candidates,
+/// the issuable set is precisely the candidates whose clamped time equals
+/// it, and the winner follows FR-FCFS+Cap: the oldest admissible row hit
+/// beats every non-hit (hits beat non-hits that tie on time), and ties
+/// within a class go to the lowest sequence number. A row hit younger than
+/// a non-hit to the same bank is admissible only while the bank's bypass
+/// streak is below `cap`, so timing-blocked precharges cannot be starved by
+/// an endless hit stream (the FR-FCFS+Cap guarantee of [Mutlu & Moscibroda,
+/// MICRO'07]). Candidate admissibility (cap, bypass, rank filters) cannot
+/// change without an issue or arrival, which is what bounds the result's
+/// validity.
 pub fn next_demand_event<F: Fn(usize) -> bool>(
     queue: &RequestQueue,
     dram: &DramDevice,
-    now: Cycle,
+    from: Cycle,
     cap: u32,
     hit_streak: &[u32],
     rank_usable: &F,
@@ -229,7 +152,6 @@ pub fn next_demand_event<F: Fn(usize) -> bool>(
         Some(k) => k == ReqKind::Write,
         None => return (Cycle::MAX, None),
     };
-    let at_least = now + 1;
     // Oldest admissible hit achieving the earliest hit time.
     let mut t_hit = Cycle::MAX;
     let mut hit_best: Option<(u64, u32, bool)> = None;
@@ -263,7 +185,7 @@ pub fn next_demand_event<F: Fn(usize) -> bool>(
                 let t = cas_floor
                     .max(dram.group_cas_floor(rank, group, write))
                     .max(dram.bank_cas_at(bank, write))
-                    .max(at_least);
+                    .max(from);
                 if t < t_hit || (t == t_hit && hit_best.is_some_and(|(s, _, _)| seq < s)) {
                     t_hit = t;
                     hit_best = Some((seq, slot, bypass));
@@ -272,12 +194,12 @@ pub fn next_demand_event<F: Fn(usize) -> bool>(
         }
         if let Some((seq, slot)) = front.other {
             let (t, decision) = match open {
-                Some(_) => (dram.bank_pre_at(bank).max(at_least), Decision::Pre(slot)),
+                Some(_) => (dram.bank_pre_at(bank).max(from), Decision::Pre(slot)),
                 None => (
                     act_floor
                         .max(dram.group_act_floor(rank, group))
                         .max(dram.bank_act_at(bank))
-                        .max(at_least),
+                        .max(from),
                     Decision::Act(slot),
                 ),
             };
@@ -287,7 +209,7 @@ pub fn next_demand_event<F: Fn(usize) -> bool>(
             }
         }
     }
-    // At the wake cycle any ready admissible hit wins pass 1, so hits beat
+    // At the event cycle any ready admissible hit wins pass 1, so hits beat
     // non-hits on ties.
     if t_hit <= t_oth {
         match hit_best {
@@ -299,9 +221,10 @@ pub fn next_demand_event<F: Fn(usize) -> bool>(
     }
 }
 
-/// The original flat two-pass FR-FCFS+Cap scan, kept as the semantic
-/// reference for [`pick`] (property-tested against it). Operates on the
-/// same [`RequestQueue`] by materializing the age order from `seq`.
+/// The original flat two-pass FR-FCFS+Cap scan: the decision at `now`,
+/// kept as the semantic reference for [`next_demand_event`]
+/// (property-tested against it). Operates on the same [`RequestQueue`] by
+/// materializing the age order from `seq`.
 pub fn pick_reference<F: Fn(usize) -> bool>(
     queue: &RequestQueue,
     dram: &DramDevice,
@@ -415,14 +338,14 @@ mod tests {
         // Older request conflicts (row 9), younger is a hit (row 5).
         let q = queue_of(&d, &[req(0, B0, 9, 0), req(1, B0, 5, 0)]);
         let streak = vec![0u32; d.geometry().total_banks()];
-        let pick1 = pick(&q, &d, now, 4, &streak, &|_| true);
-        assert_eq!(pick1, Some(Decision::Cas(1, true)));
+        let pick1 = next_demand_event(&q, &d, now, 4, &streak, &|_| true);
+        assert_eq!(pick1, (now, Some(Decision::Cas(1, true))));
         // With the cap exhausted the older conflict wins (precharge).
         let mut capped = streak.clone();
         capped[B0.flat(d.geometry())] = 4;
         let now = t.ras.max(now);
-        let pick2 = pick(&q, &d, now, 4, &capped, &|_| true);
-        assert_eq!(pick2, Some(Decision::Pre(0)));
+        let pick2 = next_demand_event(&q, &d, now, 4, &capped, &|_| true);
+        assert_eq!(pick2, (now, Some(Decision::Pre(0))));
     }
 
     #[test]
@@ -431,8 +354,8 @@ mod tests {
         let q = queue_of(&d, &[req(0, B0, 9, 0), req(1, B0, 5, 0)]);
         let streak = vec![0u32; d.geometry().total_banks()];
         assert_eq!(
-            pick(&q, &d, 0, 4, &streak, &|_| true),
-            Some(Decision::Act(0))
+            next_demand_event(&q, &d, 0, 4, &streak, &|_| true),
+            (0, Some(Decision::Act(0)))
         );
     }
 
@@ -441,7 +364,8 @@ mod tests {
         let d = dev();
         let q = queue_of(&d, &[req(0, B0, 9, 0)]);
         let streak = vec![0u32; d.geometry().total_banks()];
-        assert_eq!(pick(&q, &d, 0, 4, &streak, &|_| false), None);
+        let event = next_demand_event(&q, &d, 0, 4, &streak, &|_| false);
+        assert_eq!(event, (Cycle::MAX, None));
     }
 
     #[test]
@@ -452,7 +376,7 @@ mod tests {
         // tRAS: nothing issuable at cycle 1.
         let q = queue_of(&d, &[req(0, B0, 9, 0), req(1, B0, 5, 0)]);
         let streak = vec![0u32; d.geometry().total_banks()];
-        assert_eq!(pick(&q, &d, 1, 4, &streak, &|_| true), None);
+        assert!(next_demand_event(&q, &d, 1, 4, &streak, &|_| true).0 > 1);
     }
 
     #[test]
@@ -460,7 +384,8 @@ mod tests {
         let d = dev();
         let q = RequestQueue::new(*d.geometry());
         let streak = vec![0u32; d.geometry().total_banks()];
-        assert_eq!(pick(&q, &d, 0, 4, &streak, &|_| true), None);
+        let event = next_demand_event(&q, &d, 0, 4, &streak, &|_| true);
+        assert_eq!(event, (Cycle::MAX, None));
     }
 
     #[test]
@@ -468,15 +393,16 @@ mod tests {
         let mut d = dev();
         d.issue(&Command::Act { bank: B0, row: 5 }, 0);
         // A hit gated by tRCD and a conflict gated by tRAS: the wake is the
-        // earlier of the two, and pick flips from None exactly there.
+        // earlier of the two, and the reference flips from None exactly there.
         let q = queue_of(&d, &[req(0, B0, 9, 0), req(1, B0, 5, 0)]);
         let streak = vec![0u32; d.geometry().total_banks()];
         let (wake, predicted) = next_demand_event(&q, &d, 1, 4, &streak, &|_| true);
         assert_eq!(wake, d.timings().rcd);
+        let reference = |t| pick_reference(&q, &d, t, 4, &streak, &|_| true);
         for t in 1..wake {
-            assert_eq!(pick(&q, &d, t, 4, &streak, &|_| true), None, "t={t}");
+            assert_eq!(reference(t), None, "t={t}");
         }
-        let at_wake = pick(&q, &d, wake, 4, &streak, &|_| true);
+        let at_wake = reference(wake);
         assert!(at_wake.is_some());
         assert_eq!(at_wake, predicted, "fused scan must predict the verdict");
     }
@@ -527,9 +453,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         // Drives randomized queue/device states and pins the per-bank
-        // `pick` to the flat two-pass `pick_reference` at every step —
-        // including the cycle-exactness and predicted verdict of
-        // `next_demand_event`.
+        // `next_demand_event` to the flat two-pass `pick_reference` at
+        // every step: its decision at `now`, and the cycle-exactness and
+        // predicted verdict of its next event.
         #[test]
         fn per_bank_pick_matches_flat_reference(seed: u64, cap in 1u32..6) {
             let mut d = DramDevice::new(DramConfig::tiny());
@@ -565,7 +491,10 @@ mod tests {
                 }
                 let mask = rng(1 << geo.ranks.min(4));
                 let rank_usable = |r: usize| mask & (1 << r) != 0;
-                let fast = pick(&q, &d, now, cap, &streak, &rank_usable);
+                let fast = match next_demand_event(&q, &d, now, cap, &streak, &rank_usable) {
+                    (t, decision) if t == now => decision,
+                    _ => None,
+                };
                 let reference = pick_reference(&q, &d, now, cap, &streak, &rank_usable);
                 prop_assert_eq!(fast, reference, "step {} now {}", step, now);
                 match fast {
@@ -575,23 +504,24 @@ mod tests {
                     }
                     None => {
                         // Jump to the predicted wake and require that the
-                        // verdict was None on every skipped cycle and that
-                        // the predicted decision is the one pick takes.
+                        // reference verdict was None on every skipped cycle
+                        // and is the predicted decision at the wake.
                         let (wake, predicted) =
-                            next_demand_event(&q, &d, now, cap, &streak, &rank_usable);
+                            next_demand_event(&q, &d, now + 1, cap, &streak, &rank_usable);
                         if wake == Cycle::MAX {
                             prop_assert!(predicted.is_none());
                             now += 1 + rng(8);
                         } else {
                             for t in now..wake {
                                 prop_assert_eq!(
-                                    pick(&q, &d, t, cap, &streak, &rank_usable),
+                                    pick_reference(&q, &d, t, cap, &streak, &rank_usable),
                                     None,
                                     "skipped cycle {} acted", t
                                 );
                             }
                             now = wake;
-                            let at_wake = pick(&q, &d, now, cap, &streak, &rank_usable);
+                            let at_wake =
+                                pick_reference(&q, &d, now, cap, &streak, &rank_usable);
                             prop_assert!(
                                 at_wake.is_some(),
                                 "wake cycle {} must act", now

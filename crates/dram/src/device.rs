@@ -1,10 +1,15 @@
 //! The DRAM device: command legality checking and execution.
 //!
-//! The device owns the per-bank / per-rank / channel timing frontiers.
-//! [`DramDevice::can_issue`] tells the controller whether a command is legal
-//! *now*; [`DramDevice::issue`] executes it, updates every affected timing
-//! frontier, feeds the mitigation hooks and the disturbance oracle, and
-//! latches the `alert_n` back-off signal when the mechanism requests it.
+//! The device owns the per-bank / per-rank / channel timing frontiers. The
+//! legality rules are stated once, as the `*_floor` / `*_at` accessors that
+//! [`DramDevice::earliest_issue_at`] composes per command; "legal now"
+//! ([`DramDevice::can_issue`]) is derived from it, and the scheduler reads
+//! the same accessors. [`DramDevice::issue`] executes a command, updates
+//! every affected timing frontier, feeds the mitigation hooks and the
+//! disturbance oracle, and latches the `alert_n` back-off signal when the
+//! mechanism requests it. The independent oracle for the rules is the
+//! original per-command statement, kept as `legacy_can_issue` in this
+//! file's tests, plus the hand-computed unit tests.
 
 use crate::bank::{Bank, BankState};
 use crate::command::Command;
@@ -33,8 +38,8 @@ pub struct DramConfig {
     /// (takes precedence over `oracle_nrh`); per-row Variable Read
     /// Disturbance distributions come in through here.
     pub oracle_model: Option<ThresholdModel>,
-    /// Panic on timing violations instead of silently refusing; used by
-    /// tests and debug runs.
+    /// Panic when [`DramDevice::issue`] gets a command that
+    /// [`DramDevice::can_issue`] refuses; used by tests and debug runs.
     pub strict: bool,
 }
 
@@ -343,83 +348,29 @@ impl DramDevice {
             (now * self.cfg.geometry.ranks as u64).saturating_sub(active);
     }
 
-    /// Whether `cmd` may legally be issued at cycle `now`.
+    /// Whether `cmd` may legally be issued at cycle `now`: exactly when
+    /// [`DramDevice::earliest_issue_at`] answers `now`.
     pub fn can_issue(&self, cmd: &Command, now: Cycle) -> bool {
-        let t = &self.cfg.timings;
-        match *cmd {
-            Command::Act { bank, row } => {
-                debug_assert!((row as usize) < self.cfg.geometry.rows, "row out of range");
-                let r = &self.ranks[bank.rank as usize];
-                let b = self.bank(bank);
-                b.is_idle()
-                    && now >= r.blocked_until
-                    && now >= b.next_act
-                    && now >= r.next_act_any
-                    && now >= r.next_act_group[bank.group as usize]
-                    && now >= r.faw_ready_at(t.faw)
-            }
-            Command::Vrr { bank, .. } => {
-                let r = &self.ranks[bank.rank as usize];
-                let b = self.bank(bank);
-                b.is_idle()
-                    && now >= r.blocked_until
-                    && now >= b.next_act
-                    && now >= r.next_act_any
-                    && now >= r.next_act_group[bank.group as usize]
-                    && now >= r.faw_ready_at(t.faw)
-            }
-            Command::Pre { bank } => {
-                let r = &self.ranks[bank.rank as usize];
-                let b = self.bank(bank);
-                !b.is_idle() && now >= r.blocked_until && now >= b.next_pre
-            }
-            Command::PreAll { rank } => {
-                let r = &self.ranks[rank];
-                now >= r.blocked_until && r.banks.iter().all(|b| b.is_idle() || now >= b.next_pre)
-            }
-            Command::Rd { bank, col } | Command::RdA { bank, col } => {
-                debug_assert!((col as usize) < self.cfg.geometry.cols, "col out of range");
-                let r = &self.ranks[bank.rank as usize];
-                let b = self.bank(bank);
-                !b.is_idle()
-                    && now >= r.blocked_until
-                    && now >= b.next_rd
-                    && now >= r.next_rd_any
-                    && now >= r.next_rd_group[bank.group as usize]
-                    && now >= self.next_rd
-            }
-            Command::Wr { bank, col } | Command::WrA { bank, col } => {
-                debug_assert!((col as usize) < self.cfg.geometry.cols, "col out of range");
-                let r = &self.ranks[bank.rank as usize];
-                let b = self.bank(bank);
-                !b.is_idle()
-                    && now >= r.blocked_until
-                    && now >= b.next_wr
-                    && now >= r.next_wr_any
-                    && now >= r.next_wr_group[bank.group as usize]
-                    && now >= self.next_wr
-            }
-            Command::RefAll { rank } | Command::RfmAll { rank } => {
-                let r = &self.ranks[rank];
-                now >= r.blocked_until && r.all_idle() && r.banks.iter().all(|b| now >= b.next_act)
-            }
-        }
+        self.earliest_issue_at(cmd, now) == now
     }
 
-    /// The exact first cycle at or after `now` at which
-    /// [`DramDevice::can_issue`] would accept `cmd`, assuming no further
-    /// commands are issued in the meantime, or `Cycle::MAX` when `cmd` is
-    /// structurally illegal in the current bank state (another command must
-    /// change that state first — e.g. `ACT` to an open bank).
+    /// The exact first cycle at or after `now` at which `cmd` is legal,
+    /// assuming no further commands are issued in the meantime, or
+    /// `Cycle::MAX` when `cmd` is structurally illegal in the current bank
+    /// state (another command must change that state first — e.g. `ACT` to
+    /// an open bank).
     ///
-    /// Contract (pinned by tests): for every `t >= now`,
-    /// `can_issue(cmd, t) == (t >= earliest_issue_at(cmd, now))`.
-    /// The event-driven controller uses this as its issuable-time cache:
-    /// every timing frontier consulted here only moves when a command
-    /// issues, so the result stays exact until the next issue or arrival.
+    /// This is the one statement of the DDR5 timing rules:
+    /// [`DramDevice::can_issue`] is derived from it, and the tests pin it,
+    /// for every `t >= now`, to `legacy_can_issue(cmd, t) == (t >=
+    /// earliest_issue_at(cmd, now))`. The event-driven controller uses it
+    /// as its issuable-time cache: every timing frontier consulted here only
+    /// moves when a command issues, so the result stays exact until the
+    /// next issue or arrival.
     pub fn earliest_issue_at(&self, cmd: &Command, now: Cycle) -> Cycle {
         let ready = match *cmd {
-            Command::Act { bank, .. } | Command::Vrr { bank, .. } => {
+            Command::Act { bank, row } | Command::Vrr { bank, row } => {
+                debug_assert!((row as usize) < self.cfg.geometry.rows, "row out of range");
                 if !self.bank(bank).is_idle() {
                     return Cycle::MAX;
                 }
@@ -434,21 +385,18 @@ impl DramDevice {
                 self.bank_pre_at(bank)
             }
             Command::PreAll { rank } => self.preall_ready_at(rank),
-            Command::Rd { bank, .. } | Command::RdA { bank, .. } => {
+            Command::Rd { bank, col }
+            | Command::RdA { bank, col }
+            | Command::Wr { bank, col }
+            | Command::WrA { bank, col } => {
+                debug_assert!((col as usize) < self.cfg.geometry.cols, "col out of range");
                 if self.bank(bank).is_idle() {
                     return Cycle::MAX;
                 }
-                self.rank_cas_floor(bank.rank as usize, false)
-                    .max(self.group_cas_floor(bank.rank as usize, bank.group as usize, false))
-                    .max(self.bank_cas_at(bank, false))
-            }
-            Command::Wr { bank, .. } | Command::WrA { bank, .. } => {
-                if self.bank(bank).is_idle() {
-                    return Cycle::MAX;
-                }
-                self.rank_cas_floor(bank.rank as usize, true)
-                    .max(self.group_cas_floor(bank.rank as usize, bank.group as usize, true))
-                    .max(self.bank_cas_at(bank, true))
+                let write = cmd.is_write();
+                self.rank_cas_floor(bank.rank as usize, write)
+                    .max(self.group_cas_floor(bank.rank as usize, bank.group as usize, write))
+                    .max(self.bank_cas_at(bank, write))
             }
             Command::RefAll { rank } | Command::RfmAll { rank } => {
                 if !self.ranks[rank].all_idle() {
@@ -765,28 +713,13 @@ mod tests {
         }
         // Four ACTs at 0, 8, 16, 24; the fifth must wait until 0 + tFAW.
         assert!(now < t.faw);
-        let fifth = BankId::new(0, 4, 0);
-        assert!(!d.can_issue(
-            &Command::Act {
-                bank: fifth,
-                row: 0
-            },
-            now
-        ));
-        assert!(!d.can_issue(
-            &Command::Act {
-                bank: fifth,
-                row: 0
-            },
-            t.faw - 1
-        ));
-        assert!(d.can_issue(
-            &Command::Act {
-                bank: fifth,
-                row: 0
-            },
-            t.faw
-        ));
+        let fifth = Command::Act {
+            bank: BankId::new(0, 4, 0),
+            row: 0,
+        };
+        assert!(!d.can_issue(&fifth, now));
+        assert!(!d.can_issue(&fifth, t.faw - 1));
+        assert!(d.can_issue(&fifth, t.faw));
     }
 
     #[test]
@@ -878,17 +811,199 @@ mod tests {
         d.issue(&Command::Rd { bank: B0, col: 0 }, 1);
     }
 
-    /// Pins the `earliest_issue_at` contract against `can_issue` over a
-    /// window of cycles: legality must flip exactly at the reported cycle.
+    /// The original per-command statement of the timing rules, read
+    /// straight off the frontier fields rather than through the floor
+    /// accessors: the independent oracle for `earliest_issue_at`, and so for
+    /// the `can_issue` derived from it.
+    fn legacy_can_issue(d: &DramDevice, cmd: &Command, now: Cycle) -> bool {
+        match *cmd {
+            Command::Act { bank, .. } | Command::Vrr { bank, .. } => {
+                let r = &d.ranks[bank.rank as usize];
+                let b = d.bank(bank);
+                b.is_idle()
+                    && now >= r.blocked_until
+                    && now >= b.next_act
+                    && now >= r.next_act_any
+                    && now >= r.next_act_group[bank.group as usize]
+                    && now >= r.faw_ready_at(d.cfg.timings.faw)
+            }
+            Command::Pre { bank } => {
+                let r = &d.ranks[bank.rank as usize];
+                let b = d.bank(bank);
+                !b.is_idle() && now >= r.blocked_until && now >= b.next_pre
+            }
+            Command::PreAll { rank } => {
+                let r = &d.ranks[rank];
+                now >= r.blocked_until && r.banks.iter().all(|b| b.is_idle() || now >= b.next_pre)
+            }
+            Command::Rd { bank, .. } | Command::RdA { bank, .. } => {
+                let r = &d.ranks[bank.rank as usize];
+                let b = d.bank(bank);
+                !b.is_idle()
+                    && now >= r.blocked_until
+                    && now >= b.next_rd
+                    && now >= r.next_rd_any
+                    && now >= r.next_rd_group[bank.group as usize]
+                    && now >= d.next_rd
+            }
+            Command::Wr { bank, .. } | Command::WrA { bank, .. } => {
+                let r = &d.ranks[bank.rank as usize];
+                let b = d.bank(bank);
+                !b.is_idle()
+                    && now >= r.blocked_until
+                    && now >= b.next_wr
+                    && now >= r.next_wr_any
+                    && now >= r.next_wr_group[bank.group as usize]
+                    && now >= d.next_wr
+            }
+            Command::RefAll { rank } | Command::RfmAll { rank } => {
+                let r = &d.ranks[rank];
+                now >= r.blocked_until && r.all_idle() && r.banks.iter().all(|b| now >= b.next_act)
+            }
+        }
+    }
+
+    /// Pins the `earliest_issue_at` contract against `legacy_can_issue`
+    /// over a window of cycles: legality must flip exactly at the reported
+    /// cycle.
     fn assert_earliest_exact(d: &DramDevice, cmd: &Command, now: Cycle, horizon: Cycle) {
         let at = d.earliest_issue_at(cmd, now);
         for t in now..now + horizon {
             assert_eq!(
-                d.can_issue(cmd, t),
+                legacy_can_issue(d, cmd, t),
                 t >= at,
                 "{cmd} at t={t}: earliest_issue_at said {at}"
             );
         }
+    }
+
+    /// Every command shape on `bank`; the rank-scoped ones target its rank.
+    fn shapes(bank: BankId, row: RowId, col: u32) -> [Command; 10] {
+        let rank = bank.rank as usize;
+        [
+            Command::Act { bank, row },
+            Command::Vrr { bank, row },
+            Command::Pre { bank },
+            Command::PreAll { rank },
+            Command::Rd { bank, col },
+            Command::RdA { bank, col },
+            Command::Wr { bank, col },
+            Command::WrA { bank, col },
+            Command::RefAll { rank },
+            Command::RfmAll { rank },
+        ]
+    }
+
+    /// splitmix64, local to the tests (the crate depends on no RNG).
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn earliest_issue_at_matches_legacy_rules_on_random_walks() {
+        for seed in 0..200u64 {
+            let (mut rng, mut d, mut now) = (seed, dev(), 0);
+            let g = *d.geometry();
+            let rfm = d.timings().rfm;
+            for step in 0..40 {
+                // A random command that is legal at some cycle, issued at
+                // that cycle plus a slack of 0, 1 or 7.
+                let (cmd, at) = loop {
+                    let r = splitmix(&mut rng);
+                    let bank = BankId::from_flat(r as usize % 4, &g);
+                    let cmd = shapes(bank, (r >> 8) as u32 % 16, (r >> 16) as u32 % 16)
+                        [(r >> 24) as usize % 10];
+                    let at = d.earliest_issue_at(&cmd, now);
+                    if at != Cycle::MAX {
+                        break (cmd, at + [0, 1, 7][(r >> 32) as usize % 3]);
+                    }
+                };
+                d.issue(&cmd, at);
+                now = at;
+                for flat in 0..g.total_banks() {
+                    for c in shapes(BankId::from_flat(flat, &g), 5, 3) {
+                        let e = d.earliest_issue_at(&c, now);
+                        let ctx = format!("seed {seed} step {step} after {cmd}: {c}, e={e}");
+                        // A structurally illegal command (e = MAX) is probed a tRFM on.
+                        let p = e.min(now + rfm);
+                        for t in [now, p.saturating_sub(1), p, p + 1]
+                            .into_iter()
+                            .filter(|&t| t >= now)
+                        {
+                            assert_eq!(legacy_can_issue(&d, &c, t), t >= e, "{ctx} at {t}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs one fixed script, each command at its earliest cycle, and
+    /// returns every `earliest_issue_at` answer along the way: each issue
+    /// cycle, then every command shape on the script's banks.
+    fn script_answers(timings: Timings) -> Vec<Cycle> {
+        // The Table 2 geometry: five ACTs inside one tFAW need five banks,
+        // and `tiny()`'s four cannot hold a fifth ACT inside one tRC.
+        let mut cfg = DramConfig::ddr5_baseline();
+        cfg.timings = timings;
+        cfg.strict = true;
+        let mut d = DramDevice::new(cfg);
+        let banks = [(0, 0), (0, 1), (1, 0), (2, 0), (3, 0)].map(|(g, k)| BankId::new(0, g, k));
+        // `MNEMONIC group.bank` on rank 0: tRRD_L, tRRD_S and a fifth ACT
+        // against tFAW; CAS-to-CAS and both bus turnarounds; auto-precharge;
+        // the row cycle after PRE and after VRR; then the rank commands.
+        let script = "ACT 0.0 ACT 0.1 ACT 1.0 ACT 2.0 ACT 3.0 \
+                      RD 0.0 RD 0.0 WR 1.0 RD 0.1 RD 1.0 \
+                      WRA 2.0 RDA 3.0 PRE 0.0 ACT 0.0 PRE 0.1 VRR 0.1 \
+                      PREab 0.0 REFab 0.0 RFMab 0.0";
+        let (mut now, mut answers) = (0, Vec::new());
+        let mut words = script.split_whitespace();
+        while let (Some(op), Some(at)) = (words.next(), words.next()) {
+            let (g, k) = at.split_once('.').unwrap();
+            let bank = BankId::new(0, g.parse().unwrap(), k.parse().unwrap());
+            let cmd = shapes(bank, 1, 0)
+                .into_iter()
+                .find(|c| c.mnemonic() == op)
+                .unwrap();
+            now = d.earliest_issue_at(&cmd, now);
+            assert_ne!(now, Cycle::MAX, "{cmd} must stay structurally legal");
+            d.issue(&cmd, now);
+            answers.push(now);
+            for bank in banks {
+                answers.extend(shapes(bank, 7, 0).map(|c| d.earliest_issue_at(&c, now)));
+            }
+        }
+        answers
+    }
+
+    /// The proof gate for the timing parameters: one cycle more or less on
+    /// any field the device reads must move some answer of one script. A
+    /// perturbation that moves nothing is reported by name — its rule is
+    /// dead, missing, or dominated by another.
+    #[test]
+    fn every_timing_parameter_moves_an_answer() {
+        let base = Timings::for_mode(TimingMode::Baseline);
+        let reference = script_answers(base);
+        let mut unmoved = Vec::new();
+        macro_rules! perturb {
+            ($($field:ident)*) => {$(
+                for delta in [1, -1] {
+                    let mut t = base;
+                    t.$field = t.$field.wrapping_add_signed(delta);
+                    if script_answers(t) == reference {
+                        unmoved.push(format!("{}{delta:+}", stringify!($field)));
+                    }
+                }
+            )*};
+        }
+        perturb!(rcd cl cwl rp ras rc rtp wr rrd_s rrd_l faw ccd_s ccd_l wtr_s wtr_l rfc rfm bl);
+        // Dominated, not dead: the DDR5-3200AN bin ties each of these to
+        // another rule, which then binds one cycle earlier (tRRD_L = tRRD_S,
+        // tFAW = 4 × tRRD_S, tCCD_S = tBL, tCCD_L = tCCD_S).
+        assert_eq!(unmoved, ["rrd_l-1", "faw-1", "ccd_s-1", "ccd_l-1"]);
     }
 
     #[test]

@@ -56,8 +56,11 @@ pub struct SimConfig {
     /// Attach the ground-truth disturbance oracle (slower; used by the
     /// security harness).
     pub oracle: bool,
-    /// Panic on any DRAM timing violation (tests); off for speed in
-    /// harness runs.
+    /// Panic when the controller issues a command its own scan did not
+    /// clear, i.e. one `earliest_issue_at` places after the issue cycle
+    /// (tests); off for speed in harness runs. The rules themselves have an
+    /// independent oracle in `chronus-dram`'s tests: `legacy_can_issue`
+    /// plus the hand-computed device unit tests.
     pub strict_timing: bool,
     /// RNG seed (PARA and workload placement).
     pub seed: u64,

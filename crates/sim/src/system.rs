@@ -1,12 +1,14 @@
-//! System assembly and the main simulation loops.
+//! System assembly and the main simulation loop.
 //!
-//! [`System::run`] is the production loop: event-driven, fast-forwarding
-//! both clock domains over provably inert stretches (empty controller
-//! queues, memory-blocked or bubble-sprinting cores) and allocation-free
-//! on its per-cycle paths. [`System::run_reference`] retains the naive
-//! strictly cycle-by-cycle loop; the two are kept bit-identical in their
-//! [`SimReport`] output (see `tests/loop_equivalence.rs`), so the fast
-//! path can never silently change figure results.
+//! One loop body serves every entry point, in one of two steppings.
+//! [`System::run`] steps it event-driven: fast-forwarding both clock
+//! domains over provably inert stretches (empty controller queues,
+//! memory-blocked or bubble-sprinting cores), allocation-free on its
+//! per-cycle paths. [`System::run_reference`] steps it strictly cycle by
+//! cycle, with no controller wake, no core sprints and no jumps; the two
+//! are kept bit-identical in their [`SimReport`] output (see
+//! `tests/loop_equivalence.rs`), so the fast path can never silently
+//! change figure results.
 
 use chronus_core::MechanismKind;
 use chronus_cpu::{CoreState, CoreWake, SharedLlc, SimpleO3Core, Trace};
@@ -129,15 +131,26 @@ impl System {
     pub fn run_with_stats(mut self, traces: Vec<Trace>) -> (SimReport, LoopStats) {
         let mut cores = self.build_cores(traces);
         let mut stats = LoopStats::default();
-        let (mem_cycle, cpu_cycle, truncated) = self.run_loop(&mut cores, &mut stats);
+        let (mem_cycle, cpu_cycle, truncated) = self.run_loop::<false>(&mut cores, &mut stats);
         (self.finish(cores, mem_cycle, cpu_cycle, truncated), stats)
     }
 
-    /// The event-driven loop body shared by [`System::run`] and
-    /// [`System::run_batch`]: drives `cores` to completion, counting what
-    /// it does into `stats`, and returns `(mem_cycle, cpu_cycle,
-    /// truncated)` for [`System::finish`].
-    fn run_loop(&mut self, cores: &mut [SimpleO3Core], stats: &mut LoopStats) -> (u64, u64, bool) {
+    /// The one loop body, behind [`System::run`], [`System::run_batch`]
+    /// and [`System::run_reference`]: drives `cores` to completion, counting
+    /// what it does into `stats`, and returns `(mem_cycle, cpu_cycle,
+    /// truncated)` for [`System::finish`]. `EVERY_CYCLE` picks the
+    /// reference stepping: the controller ticks every memory cycle and is
+    /// never asked for `next_wake` (so its cached verdict cannot fire),
+    /// core sprints are off and nothing is jumped — it re-derives all that
+    /// the event-driven stepping skips.
+    fn run_loop<const EVERY_CYCLE: bool>(
+        &mut self,
+        cores: &mut [SimpleO3Core],
+        stats: &mut LoopStats,
+    ) -> (u64, u64, bool) {
+        for core in cores.iter_mut() {
+            core.set_sprint_enabled(!EVERY_CYCLE);
+        }
         let mapping = self.ctrl.config().mapping;
         let geo = *self.dram.geometry();
 
@@ -156,10 +169,12 @@ impl System {
             stats.iterations += 1;
             // --- memory domain ---
             let mut pushed = false;
-            if mem_cycle >= ctrl_wake {
+            if EVERY_CYCLE || mem_cycle >= ctrl_wake {
                 stats.ctrl_ticks += 1;
                 self.ctrl.tick(&mut self.dram, mem_cycle);
-                ctrl_wake = self.ctrl.next_wake(&self.dram, mem_cycle);
+                if !EVERY_CYCLE {
+                    ctrl_wake = self.ctrl.next_wake(&self.dram, mem_cycle);
+                }
             }
             completions.clear();
             self.ctrl.drain_completions(mem_cycle, &mut completions);
@@ -187,7 +202,7 @@ impl System {
                     mem_cycle,
                 );
             }
-            if pushed {
+            if pushed && !EVERY_CYCLE {
                 // Arrivals invalidate the memoized wake; recomputing here
                 // (rather than re-arming to `mem_cycle + 1`) lets the next
                 // tick reuse the fused-scan verdict and keeps jumps long
@@ -213,6 +228,9 @@ impl System {
             if self.cfg.max_mem_cycles > 0 && mem_cycle >= self.cfg.max_mem_cycles {
                 truncated = true;
                 break;
+            }
+            if EVERY_CYCLE {
+                continue;
             }
 
             // --- event-driven fast-forward ---
@@ -286,77 +304,17 @@ impl System {
         (mem_cycle, cpu_cycle, truncated)
     }
 
-    /// The retained strictly cycle-by-cycle loop. Kept as the equivalence
-    /// baseline for [`System::run`] (and for before/after benchmarking):
-    /// both loops must produce bit-identical [`SimReport`]s.
+    /// [`System::run`]'s loop in its strictly cycle-by-cycle stepping: the
+    /// equivalence baseline for [`System::run`] (and for before/after
+    /// benchmarking). Both must produce bit-identical [`SimReport`]s.
     ///
     /// # Panics
     ///
     /// Panics if the number of traces does not match `num_cores`.
     pub fn run_reference(mut self, traces: Vec<Trace>) -> SimReport {
         let mut cores = self.build_cores(traces);
-        for core in &mut cores {
-            // Strictly cycle-by-cycle: no closed-form bubble sprints, so
-            // this loop independently re-derives what `run` fast-forwards.
-            core.set_sprint_enabled(false);
-        }
-        let mapping = self.ctrl.config().mapping;
-        let geo = *self.dram.geometry();
-
-        let mut mem_cycle: u64 = 0;
-        let mut cpu_cycle: u64 = 0;
-        let mut cpu_credit: u64 = 0;
-        let mut inflight = InflightSlab::new();
-        let mut completions: Vec<Completion> = Vec::with_capacity(64);
-        let mut waiters: Vec<u64> = Vec::with_capacity(16);
-        let mut truncated = false;
-
-        loop {
-            // --- memory domain ---
-            self.ctrl.tick(&mut self.dram, mem_cycle);
-            completions.clear();
-            self.ctrl.drain_completions(mem_cycle, &mut completions);
-            deliver_fills(
-                &mut self.ctrl,
-                &mut self.llc,
-                &mut cores,
-                &mut inflight,
-                &completions,
-                &mut waiters,
-                mapping,
-                &geo,
-                mem_cycle,
-                cpu_cycle,
-            );
-            forward_llc_requests(
-                &mut self.ctrl,
-                &mut self.llc,
-                &mut inflight,
-                mapping,
-                &geo,
-                mem_cycle,
-            );
-
-            // --- CPU domain (21 CPU cycles per 8 memory cycles) ---
-            cpu_credit += CLOCK_CPU;
-            while cpu_credit >= CLOCK_MEM {
-                cpu_credit -= CLOCK_MEM;
-                for core in cores.iter_mut() {
-                    core.tick(cpu_cycle, &mut self.llc);
-                }
-                cpu_cycle += 1;
-            }
-
-            mem_cycle += 1;
-            if cores.iter().all(|c| c.state() == CoreState::Done) {
-                break;
-            }
-            if self.cfg.max_mem_cycles > 0 && mem_cycle >= self.cfg.max_mem_cycles {
-                truncated = true;
-                break;
-            }
-        }
-
+        let (mem_cycle, cpu_cycle, truncated) =
+            self.run_loop::<true>(&mut cores, &mut LoopStats::default());
         self.finish(cores, mem_cycle, cpu_cycle, truncated)
     }
 
@@ -434,7 +392,7 @@ impl System {
             }
             let mut cores = sys.build_cores(traces.to_vec());
             let (mem_cycle, cpu_cycle, truncated) =
-                sys.run_loop(&mut cores, &mut LoopStats::default());
+                sys.run_loop::<false>(&mut cores, &mut LoopStats::default());
             let lane_flips: Option<Vec<u64>> = sys
                 .dram
                 .oracle()
@@ -692,6 +650,42 @@ mod tests {
         let naive = System::build(&cfg).run_reference(vec![trace_for("511.povray", 0)]);
         assert!(fast.truncated && naive.truncated);
         assert_eq!(fast, naive);
+    }
+
+    #[test]
+    fn reference_stepping_borrows_nothing_from_the_fast_path() {
+        // One stepping on one cell, stopped before `finish` so the
+        // controller's wake counters and the cores can still be read.
+        type Stepped = (System, Vec<SimpleO3Core>, [u64; 2], LoopStats);
+        fn stepped<const EVERY_CYCLE: bool>(cfg: &SimConfig, app: &str) -> Stepped {
+            let mut sys = System::build(cfg);
+            let mut cores = sys.build_cores(vec![trace_for(app, 0)]);
+            let mut stats = LoopStats::default();
+            let (mem, cpu, _) = sys.run_loop::<EVERY_CYCLE>(&mut cores, &mut stats);
+            (sys, cores, [mem, cpu], stats)
+        }
+        let mcf = quick_cfg(MechanismKind::Prac4, 1024);
+        let (sys, _, [mem, cpu], stats) = stepped::<true>(&mcf, "429.mcf");
+        assert_eq!((stats.iterations, stats.jumps), (mem, 0));
+        assert_eq!(stats.core_ticks, cpu * sys.cfg.num_cores as u64);
+        let wake = (sys.ctrl.wake_recomputes(), sys.ctrl.wake_shortcuts());
+        assert_eq!(wake, (0, 0), "the reference consulted the wake");
+        let (sys, _, _, stats) = stepped::<false>(&mcf, "429.mcf");
+        let shortcuts = sys.ctrl.wake_shortcuts();
+        assert!(stats.jumps > 0 && shortcuts > 0, "{stats:?}");
+        // Sprints show only as retirement credit for cycles not yet run:
+        // cut short inside 511.povray's bubbles, the fast stepping holds
+        // some and the reference must hold none.
+        let mut povray = quick_cfg(MechanismKind::None, 1024);
+        povray.max_mem_cycles = 20_000;
+        let credit = |(_, mut cores, [_, cpu], _): Stepped| {
+            let retired = cores[0].retired();
+            cores[0].settle_retired(cpu - 1);
+            retired - cores[0].retired()
+        };
+        let fast = credit(stepped::<false>(&povray, "511.povray"));
+        let reference = credit(stepped::<true>(&povray, "511.povray"));
+        assert!(fast > 0 && reference == 0, "credit {fast} / {reference}");
     }
 
     #[test]
