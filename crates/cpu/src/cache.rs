@@ -4,9 +4,15 @@
 //! misses to one line share a single memory request. Misses and dirty
 //! writebacks surface as [`UncoreRequest`]s that the simulator forwards to
 //! the memory controller; fills come back through [`SharedLlc::on_fill`].
+//!
+//! The two in-flight maps (MSHRs and uncached loads) are keyed by line
+//! address and are only ever probed, never iterated, so their hash cannot
+//! reach any result: they use [`LineHasher`], one fixed multiply, instead
+//! of std's randomly seeded SipHash.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -53,6 +59,33 @@ impl CacheConfig {
         }
     }
 }
+
+/// A multiplicative hasher for line-address keys: each word is xored into
+/// the state and multiplied by 2^64 / φ. Line addresses are multiples of the
+/// line size, and a product's low bits depend only on the key's low bits,
+/// so `finish` rotates the well-mixed high half down to where `HashMap`
+/// takes its bucket index.
+#[derive(Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by line address.
+type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
 #[derive(Debug, Clone, Copy)]
 struct Line {
@@ -120,11 +153,11 @@ pub struct SharedLlc {
     /// Kim'25 36 MiB configuration has 73728 sets — so indexing stays a
     /// modulo, but of a cached value).
     num_sets: u64,
-    mshr: HashMap<u64, Mshr>,
+    mshr: LineMap<Mshr>,
     /// Uncached loads in flight: line address → waiter FIFO. Unlike MSHRs,
     /// uncached loads never merge (clflush-hammer semantics): every load
     /// is its own DRAM access, and each fill wakes exactly one waiter.
-    uncached: HashMap<u64, VecDeque<u64>>,
+    uncached: LineMap<VecDeque<u64>>,
     uncached_outstanding: usize,
     /// Requests awaiting forwarding to the memory controller.
     outbox: VecDeque<UncoreRequest>,
@@ -155,8 +188,8 @@ impl SharedLlc {
             line_mask: !(cfg.line_bytes as u64 - 1),
             line_shift: cfg.line_bytes.trailing_zeros(),
             num_sets: sets as u64,
-            mshr: HashMap::new(),
-            uncached: HashMap::new(),
+            mshr: LineMap::default(),
+            uncached: LineMap::default(),
             uncached_outstanding: 0,
             outbox: VecDeque::new(),
             lru_clock: 0,

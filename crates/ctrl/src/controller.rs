@@ -1,5 +1,6 @@
 //! The memory controller: queues, arbitration, refresh, RFM/back-off.
 
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use chronus_dram::{BankId, Command, Cycle, DramDevice, RowId};
@@ -112,6 +113,20 @@ struct PendingVrr {
     completes_service_of: Option<RowId>,
 }
 
+/// A wake cycle and, when demand alone decides it, the decision and queue.
+type Wake = (Cycle, Option<(Decision, bool)>);
+
+/// Why [`MemoryController::fold_arrivals`] leaves the pending arrivals
+/// to a full recompute.
+enum Rescan {
+    /// An arrival's candidate ties the wake.
+    Tie,
+    /// The queue preference changed under a cached demand verdict.
+    Preference,
+    /// An arrival's rank owes a refresh and may have had no demand.
+    RefreshPending,
+}
+
 /// Tombstones beyond which the VRR queue is compacted in one `retain`
 /// sweep (middle removals are tombstoned to stay O(1); issue order is
 /// unaffected because tombstones are invisible to the scan).
@@ -141,15 +156,24 @@ pub struct MemoryController {
     actions_buf: Vec<MitigationAction>,
     stats: CtrlStats,
     /// Memoized [`MemoryController::next_wake`] verdict; valid while
-    /// `!wake_dirty` and strictly in the future.
+    /// `!wake_dirty`, `wake_arrivals` is empty, and strictly in the future.
     wake_cache: Cycle,
+    /// A tick changed state since the last recompute: the next
+    /// `next_wake` rescans.
     wake_dirty: bool,
+    /// `(is_write_queue, slot)` of each request that arrived since the memo
+    /// was brought up to date, for `next_wake` to fold in (none while dirty).
+    wake_arrivals: Vec<(bool, u32)>,
+    /// The queue preference ([`MemoryController::prefers_writes`]) the
+    /// memoized verdict was decided under.
+    wake_prefers_writes: bool,
     /// The demand decision the tick at `wake_cache` will take, when the
     /// wake is decided strictly by a demand candidate (`(decision,
     /// is_write_queue)`). Valid under the same conditions as `wake_cache`
     /// and only at exactly that cycle; lets the tick skip its queue scan.
     wake_decision: Option<(Decision, bool)>,
     wake_recomputes: u64,
+    wake_folds: u64,
     wake_shortcuts: u64,
     /// Opt-in timing-observability probe ([`crate::obs`]); `None` (one
     /// branch per issued command) unless [`MemoryController::enable_obs`]
@@ -208,8 +232,11 @@ impl MemoryController {
             stats: CtrlStats::default(),
             wake_cache: 0,
             wake_dirty: true,
+            wake_arrivals: Vec::new(),
+            wake_prefers_writes: false,
             wake_decision: None,
             wake_recomputes: 0,
+            wake_folds: 0,
             wake_shortcuts: 0,
             obs: None,
         }
@@ -259,11 +286,16 @@ impl MemoryController {
         if !self.can_accept(req.kind) {
             return false;
         }
-        match req.kind {
-            ReqKind::Read => self.reads.push(req),
-            ReqKind::Write => self.writes.push(req),
+        let write = req.kind == ReqKind::Write;
+        let queue = if write {
+            &mut self.writes
+        } else {
+            &mut self.reads
         };
-        self.wake_dirty = true;
+        let slot = queue.push(req);
+        if !self.wake_dirty {
+            self.wake_arrivals.push((write, slot));
+        }
         true
     }
 
@@ -323,10 +355,16 @@ impl MemoryController {
     }
 
     /// How many times [`MemoryController::next_wake`] actually recomputed
-    /// its verdict (as opposed to serving the memoized one). Exposed for
-    /// the cache-invalidation tests.
+    /// its verdict (as opposed to serving the memoized one or folding
+    /// arrivals into it). Exposed for the cache-invalidation tests.
     pub fn wake_recomputes(&self) -> u64 {
         self.wake_recomputes
+    }
+
+    /// How many times [`MemoryController::next_wake`] folded new requests
+    /// into the memoized verdict instead of recomputing it.
+    pub fn wake_folds(&self) -> u64 {
+        self.wake_folds
     }
 
     /// How many ticks issued straight from the fused-scan verdict without
@@ -349,26 +387,90 @@ impl MemoryController {
     /// [`DramDevice::earliest_issue_at`]. Every quantity consulted only
     /// changes when a command issues, a request arrives, or one of the
     /// included timers fires, so the result is memoized behind a dirty
-    /// flag set on issue/arrival and reused until `now` catches up to it.
+    /// flag set on issue and reused until `now` catches up to it.
     ///
     /// When the wake is decided *strictly* by a demand candidate (every
     /// refresh/back-off/VRR source is later), the fused scan also caches
     /// the exact [`Decision`] the scheduler will take at the wake cycle, so
     /// the tick there skips its own queue scan
     /// ([`MemoryController::tick`]'s step 6 applies the cached verdict
-    /// directly). The same dirty discipline guards it: any issue or
-    /// arrival invalidates, and the verdict is only honoured at exactly
-    /// the cached cycle.
+    /// directly). The same discipline guards it: any issue invalidates,
+    /// and the verdict is only honoured at exactly the cached cycle.
+    ///
+    /// A request arrival only *adds* a candidate, so when arrivals are all
+    /// that happened since the last recompute they are folded into the
+    /// memo one bank at a time ([`MemoryController::fold_arrivals`]); in
+    /// debug builds and in strict mode every fold is checked against a
+    /// full recompute.
     pub fn next_wake(&mut self, dram: &DramDevice, now: Cycle) -> Cycle {
-        if !self.wake_dirty && self.wake_cache > now {
+        let memo_valid = !self.wake_dirty && self.wake_cache > now;
+        if memo_valid && self.wake_arrivals.is_empty() {
             return self.wake_cache;
         }
-        self.wake_recomputes += 1;
-        let (wake, decision) = self.compute_wake(dram, now);
+        let (wake, decision) = match memo_valid.then(|| self.fold_arrivals(dram, now)) {
+            Some(Ok(folded)) => {
+                if cfg!(debug_assertions) || dram.config().strict {
+                    assert_eq!(folded, self.compute_wake(dram, now), "fold at cycle {now}");
+                }
+                self.wake_folds += 1;
+                folded
+            }
+            _ => {
+                self.wake_recomputes += 1;
+                self.compute_wake(dram, now)
+            }
+        };
         self.wake_cache = wake;
         self.wake_decision = decision;
+        self.wake_prefers_writes = self.prefers_writes();
         self.wake_dirty = false;
+        self.wake_arrivals.clear();
         wake
+    }
+
+    /// The memoized wake and verdict with the pending arrivals folded in,
+    /// in order, or why only [`MemoryController::compute_wake`] can bring
+    /// them up to date. An arrival is its bank's youngest entry: it adds a
+    /// candidate only as its bank's oldest hit or oldest non-hit (and not
+    /// a capped bypassing hit, nor in a rank in recovery or RAA-hot), and
+    /// displaces none. One strictly later than the wake changes nothing;
+    /// one strictly earlier is the unique minimum, so it is the new wake
+    /// and verdict whatever its class, age or queue. A tie needs the full
+    /// rule, as does a queue preference that moved under a demand verdict
+    /// (it breaks cross-queue ties among the old candidates) and an
+    /// arrival that may end its rank's opportunistic refresh, the one wake
+    /// source that depends on the queues.
+    fn fold_arrivals(&self, dram: &DramDevice, now: Cycle) -> Result<Wake, Rescan> {
+        if self.wake_decision.is_some() && self.prefers_writes() != self.wake_prefers_writes {
+            return Err(Rescan::Preference);
+        }
+        let (mut wake, mut decision) = (self.wake_cache, self.wake_decision);
+        let (cap, streak) = (self.cfg.cap, &self.hit_streak);
+        for &(write, slot) in &self.wake_arrivals {
+            let queue = if write { &self.writes } else { &self.reads };
+            let entry = queue.get(slot);
+            let rank = entry.req.addr.bank.rank as usize;
+            let flat = entry.req.addr.bank.flat(dram.geometry());
+            // A rank holding more requests than there are arrivals had
+            // demand before them, so it had no opportunistic refresh.
+            let rank_len = self.reads.rank_len(rank) + self.writes.rank_len(rank);
+            if self.refresh[rank].pending() && rank_len <= self.wake_arrivals.len() {
+                return Err(Rescan::RefreshPending);
+            }
+            if !self.rank_usable(rank) {
+                continue;
+            }
+            let candidates =
+                scheduler::bank_candidates(queue, dram, flat, write, now + 1, cap, streak);
+            if let Some((t, _, d)) = candidates.into_iter().flatten().find(|c| c.1 == entry.seq) {
+                match t.cmp(&wake) {
+                    Ordering::Less => (wake, decision) = (t, Some((d, write))),
+                    Ordering::Equal => return Err(Rescan::Tie),
+                    Ordering::Greater => {}
+                }
+            }
+        }
+        Ok((wake, decision))
     }
 
     /// Earliest cycle at which `rank` could take its next refresh-service
@@ -382,7 +484,7 @@ impl MemoryController {
         }
     }
 
-    fn compute_wake(&self, dram: &DramDevice, now: Cycle) -> (Cycle, Option<(Decision, bool)>) {
+    fn compute_wake(&self, dram: &DramDevice, now: Cycle) -> Wake {
         let ranks = dram.geometry().ranks;
         // Wake sources from the ladder's steps 1–5 (timers, refresh/RFM
         // service, VRRs). Demand is folded in afterwards so that a wake
@@ -445,9 +547,8 @@ impl MemoryController {
         }
         // Demand, with the queue preference the *wake-cycle* tick will
         // compute: its `drain_mode_next` sees today's queue lengths (they
-        // only move on arrivals and issues, which invalidate this result).
-        let serve_writes = self.drain_mode_next() || self.reads.is_empty();
-        let (t_d, d_d) = self.demand_event(dram, serve_writes, now + 1);
+        // move on issues, which invalidate this, and on arrivals, checked).
+        let (t_d, d_d) = self.demand_event(dram, self.prefers_writes(), now + 1);
         // The verdict is only usable when demand strictly decides the
         // wake: on a tie with any step-1..5 source that step acts first.
         let decision = if t_d < wake { d_d } else { None };
@@ -459,18 +560,13 @@ impl MemoryController {
     /// decision taken there with its queue (`true` = writes). The preferred
     /// queue (`serve_writes`) falls through to the other one and wins ties,
     /// so when it already acts at `from` the other queue is not scanned.
-    fn demand_event(
-        &self,
-        dram: &DramDevice,
-        serve_writes: bool,
-        from: Cycle,
-    ) -> (Cycle, Option<(Decision, bool)>) {
-        let (fsm, raa_hot) = (&self.fsm, &self.raa_hot);
-        let rank_usable = |r: usize| !fsm[r].in_recovery() && !raa_hot[r];
+    fn demand_event(&self, dram: &DramDevice, serve_writes: bool, from: Cycle) -> Wake {
+        let rank_usable = |r: usize| self.rank_usable(r);
         let (cap, streak) = (self.cfg.cap, &self.hit_streak);
         let scan = |writes: bool| {
             let queue = if writes { &self.writes } else { &self.reads };
-            let (t, d) = scheduler::next_demand_event(queue, dram, from, cap, streak, &rank_usable);
+            let (t, d) =
+                scheduler::next_demand_event(queue, dram, writes, from, cap, streak, &rank_usable);
             (t, d.map(|d| (d, writes)))
         };
         let preferred = scan(serve_writes);
@@ -483,6 +579,12 @@ impl MemoryController {
         } else {
             other
         }
+    }
+
+    /// Whether demand may be scheduled to `rank`: not while it recovers
+    /// from a back-off, nor while its RAA counters demand an RFM.
+    fn rank_usable(&self, rank: usize) -> bool {
+        !self.fsm[rank].in_recovery() && !self.raa_hot[rank]
     }
 
     /// Advances the controller by one memory cycle, issuing at most one
@@ -643,10 +745,10 @@ impl MemoryController {
         self.drain_mode = self.drain_mode_next();
         // Fused-scan fast path: `compute_wake` already decided what this
         // exact cycle's demand verdict is, and nothing invalidated it (no
-        // issue or arrival since — both set `wake_dirty`). Steps 1–5 above
+        // issue since, and every arrival folded in). Steps 1–5 above
         // were all enumerated as strictly-later wake sources, so they
         // cannot have acted; skip the queue scans and apply the verdict.
-        if !self.wake_dirty && now == self.wake_cache {
+        if !self.wake_dirty && self.wake_arrivals.is_empty() && now == self.wake_cache {
             if let Some((decision, is_write_queue)) = self.wake_decision.take() {
                 self.wake_shortcuts += 1;
                 self.apply(decision, is_write_queue, dram, now);
@@ -705,6 +807,12 @@ impl MemoryController {
         } else {
             self.writes.len() >= self.cfg.wr_high
         }
+    }
+
+    /// The queue the next demand step serves first (`true` = writes):
+    /// writes while draining, or when no read waits.
+    fn prefers_writes(&self) -> bool {
+        self.drain_mode_next() || self.reads.is_empty()
     }
 
     fn apply(
@@ -1014,22 +1122,263 @@ mod tests {
         ctrl.tick(&mut dram, 6);
         assert_eq!(ctrl.next_wake(&dram, 6), w1);
         assert_eq!(ctrl.wake_recomputes(), 1);
-        // An arrival invalidates.
+        // An arrival is folded in, not rescanned: its ACT beats the
+        // refresh, so it becomes the wake and the verdict.
         assert!(ctrl.push_request(read_req(1, B0, 10, 0, 7)));
         let w3 = ctrl.next_wake(&dram, 7);
-        assert_eq!(ctrl.wake_recomputes(), 2);
+        assert_eq!((ctrl.wake_recomputes(), ctrl.wake_folds()), (1, 1));
         assert_eq!(w3, 8, "idle bank: the ACT is issuable next cycle");
-        // An issuing tick invalidates.
+        // The tick at the folded wake applies the folded verdict.
         ctrl.tick(&mut dram, 8); // issues the ACT
+        assert_eq!(ctrl.wake_shortcuts(), 1);
+        assert_eq!(dram.stats().acts, 1);
+        // An issuing tick invalidates.
         let w4 = ctrl.next_wake(&dram, 8);
-        assert_eq!(ctrl.wake_recomputes(), 3);
+        assert_eq!(ctrl.wake_recomputes(), 2);
         assert_eq!(w4, 8 + dram.timings().rcd, "next action is the RD");
         // And the fresh verdict memoizes again.
         let _ = ctrl.next_wake(&dram, 9);
-        assert_eq!(ctrl.wake_recomputes(), 3);
+        assert_eq!(ctrl.wake_recomputes(), 2);
         // Reaching the cached wake forces a recompute even without dirt.
         let _ = ctrl.next_wake(&dram, w4);
-        assert_eq!(ctrl.wake_recomputes(), 4);
+        assert_eq!(ctrl.wake_recomputes(), 3);
+        assert_eq!(ctrl.wake_folds(), 1);
+    }
+
+    /// A device-side stand-in for PRAC: asserts the back-off signal on
+    /// every `every`-th activation to rank 1.
+    struct AlertEvery {
+        every: u32,
+        acts: u32,
+    }
+
+    impl chronus_dram::DramMitigation for AlertEvery {
+        fn on_activate(&mut self, bank: BankId, _row: RowId, _now: Cycle) -> bool {
+            self.acts += u32::from(bank.rank == 1);
+            bank.rank == 1 && self.acts.is_multiple_of(self.every)
+        }
+
+        fn on_precharge(&mut self, _bank: BankId, _row: RowId, _now: Cycle) -> bool {
+            false
+        }
+
+        fn on_rfm(&mut self, _bank: BankId, _now: Cycle) -> chronus_dram::RfmOutcome {
+            chronus_dram::RfmOutcome::default()
+        }
+
+        fn on_periodic_refresh(&mut self, _: usize, _: Cycle, _: &mut Vec<(BankId, RowId)>) {}
+
+        fn kind_name(&self) -> &'static str {
+            "alert-every"
+        }
+    }
+
+    #[test]
+    fn folded_wakes_equal_rescans_under_random_traffic() {
+        // `tiny()` widened to two ranks, so one rank can sit in back-off
+        // recovery (or owe a refresh) while the other serves demand, with
+        // refreshes due four times as often so that many fall due under
+        // traffic; drain thresholds low enough for writeback bursts to
+        // cross them.
+        let mut dram_cfg = DramConfig::tiny();
+        dram_cfg.geometry.ranks = 2;
+        dram_cfg.timings.refi /= 4;
+        let mitigation = Box::new(AlertEvery { every: 24, acts: 0 });
+        let mut dram = DramDevice::with_mitigation(dram_cfg, mitigation);
+        let cfg = CtrlConfig {
+            wr_high: 10,
+            wr_low: 4,
+            rfm_policy: RfmPolicy::PracBackOff {
+                n_ref: 2,
+                n_delay: 0,
+            },
+            ..CtrlConfig::default()
+        };
+        let mut ctrl = MemoryController::new(cfg, &dram);
+        let geo = *dram.geometry();
+        let mut state = 0x5eed_u64;
+        let mut rng = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let rescanned = |ctrl: &MemoryController, dram: &DramDevice, now| {
+            assert_eq!(
+                (ctrl.wake_cache, ctrl.wake_decision),
+                ctrl.compute_wake(dram, now),
+                "memoized wake at cycle {now} differs from a rescan"
+            );
+        };
+        // Keep, earlier, tie, preference flip, refresh pending.
+        let mut seen = [0u32; 5];
+        let (mut now, mut wake, mut id) = (0, 0, 0);
+        let mut done = Vec::new();
+        for step in 0..12_000u64 {
+            if now >= wake {
+                ctrl.tick(&mut dram, now);
+                wake = ctrl.next_wake(&dram, now);
+                rescanned(&ctrl, &dram, now);
+            }
+            ctrl.drain_completions(now, &mut done);
+            // Four phases: mixed traffic; none (the queues drain); a trickle
+            // (reads come and go while writes wait); reads under
+            // writeback bursts that cross the drain thresholds.
+            // Four phases: mixed traffic; a sparse one that steps from
+            // wake to wake (the queues drain, and an arrival can land
+            // between a refresh's PREab and its REF); a trickle (reads
+            // come and go while writes wait); reads under writeback bursts
+            // that cross the drain thresholds.
+            let phase = (step / 250) % 4;
+            let (reads, writes) = match phase {
+                0 => (u64::from(rng(4) == 0), u64::from(rng(6) == 0)),
+                1 => (u64::from(rng(4) == 0), 0),
+                2 => (u64::from(rng(12) == 0), u64::from(rng(6) == 0)),
+                _ => (
+                    u64::from(rng(6) == 0),
+                    if rng(12) == 0 { 4 + rng(8) } else { 0 },
+                ),
+            };
+            let mut pushed = false;
+            for k in 0..reads + writes {
+                let bank = BankId::from_flat(rng(geo.total_banks() as u64) as usize, &geo);
+                let mut req = read_req(id, bank, rng(4) as u32, rng(16) as u32, now);
+                if k >= reads {
+                    req.kind = ReqKind::Write;
+                }
+                pushed |= ctrl.push_request(req);
+                id += 1;
+            }
+            if pushed {
+                if !ctrl.wake_dirty && ctrl.wake_cache > now {
+                    let outcome = match ctrl.fold_arrivals(&dram, now) {
+                        Ok((w, _)) if w == ctrl.wake_cache => 0,
+                        Ok(_) => 1,
+                        Err(Rescan::Tie) => 2,
+                        Err(Rescan::Preference) => 3,
+                        Err(Rescan::RefreshPending) => 4,
+                    };
+                    seen[outcome] += 1;
+                }
+                wake = ctrl.next_wake(&dram, now);
+                rescanned(&ctrl, &dram, now);
+            }
+            now = if phase == 1 {
+                wake
+            } else {
+                wake.min(now + 1 + rng(8))
+            };
+        }
+        assert!(seen.iter().all(|&n| n > 0), "outcomes {seen:?}");
+        assert_eq!(ctrl.wake_folds(), u64::from(seen[0] + seen[1]));
+        assert!(ctrl.stats().back_offs > 0 && dram.stats().refs > 0);
+    }
+
+    #[test]
+    fn cross_queue_ties_go_to_the_preferred_queue() {
+        // An ACT to B0 at cycle 0 holds every other bank's ACT behind one
+        // rank floor (tRRD); a request to another row of B0 waits for its
+        // PRE (tRAS), later still. Each queue's first request sits in slot 0.
+        let (b1, b2) = (BankId::new(0, 1, 0), BankId::new(0, 1, 1));
+        let with = |read: (BankId, u32), write: (BankId, u32)| {
+            let (mut ctrl, mut dram) = setup(RfmPolicy::None);
+            dram.issue(&Command::Act { bank: B0, row: 1 }, 0);
+            assert!(ctrl.push_request(read_req(1, read.0, read.1, 0, 0)));
+            let mut w = read_req(2, write.0, write.1, 0, 0);
+            w.kind = ReqKind::Write;
+            assert!(ctrl.push_request(w));
+            (ctrl, dram)
+        };
+        // A tie after `from` (so neither scan is skipped): the preferred
+        // queue wins it, whichever that is.
+        let (ctrl, dram) = with((b1, 5), (b2, 5));
+        let (t_reads, d_reads) = ctrl.demand_event(&dram, false, 1);
+        let (t_writes, d_writes) = ctrl.demand_event(&dram, true, 1);
+        assert!(
+            t_reads > 1 && t_reads == t_writes,
+            "{t_reads} vs {t_writes}"
+        );
+        assert_eq!(d_reads, Some((Decision::Act(0), false)));
+        assert_eq!(d_writes, Some((Decision::Act(0), true)));
+        // The other queue wins only when strictly earlier.
+        let (ctrl, dram) = with((b1, 5), (B0, 2));
+        let (t, d) = ctrl.demand_event(&dram, true, 1);
+        assert_eq!((t, d), (t_reads, Some((Decision::Act(0), false))));
+        let (ctrl, dram) = with((B0, 2), (b1, 5));
+        let (t, d) = ctrl.demand_event(&dram, false, 1);
+        assert_eq!((t, d), (t_reads, Some((Decision::Act(0), true))));
+    }
+
+    #[test]
+    fn drain_mode_enters_at_wr_high_and_leaves_at_wr_low() {
+        let cfg = CtrlConfig {
+            wr_high: 6,
+            wr_low: 2,
+            ..CtrlConfig::default()
+        };
+        // (queued writes, draining before the tick, draining after it)
+        for (writes, before, after) in [
+            (5, false, false),
+            (6, false, true),
+            (3, true, true),
+            (2, true, false),
+        ] {
+            let mut dram = DramDevice::new(DramConfig::tiny());
+            let mut ctrl = MemoryController::new(cfg, &dram);
+            for i in 0..writes {
+                let mut w = read_req(i, B0, i as u32, 0, 0);
+                w.kind = ReqKind::Write;
+                assert!(ctrl.push_request(w));
+            }
+            ctrl.drain_mode = before;
+            ctrl.tick(&mut dram, 0);
+            assert_eq!(ctrl.drain_mode, after, "{writes} writes, draining {before}");
+        }
+    }
+
+    #[test]
+    fn an_arrival_to_a_rank_that_owes_a_refresh_is_rescanned() {
+        // Two ranks, both owing a refresh. After rank 0's one read issues,
+        // neither has demand, so each has an opportunistic-refresh wake:
+        // rank 1's PREab, one cycle later, when its open row's tRAS
+        // expires. A hit to that row then arrives. It ends rank 1's
+        // opportunistic refresh, and its RD waits for the data bus, so the
+        // wake moves later: folding it in would keep the PREab's cycle.
+        let mut dram_cfg = DramConfig::tiny();
+        dram_cfg.geometry.ranks = 2;
+        let mut dram = DramDevice::new(dram_cfg);
+        let mut ctrl = MemoryController::new(CtrlConfig::default(), &dram);
+        let t = *dram.timings();
+        let now = t.refi + 100;
+        let (r0, r1) = (BankId::new(0, 0, 0), BankId::new(1, 0, 0));
+        dram.issue(&Command::Act { bank: r1, row: 7 }, now + 1 - t.ras);
+        dram.issue(&Command::Act { bank: r0, row: 5 }, now + 2 - t.ras);
+        assert!(ctrl.push_request(read_req(1, r0, 5, 0, now)));
+        ctrl.tick(&mut dram, now);
+        assert_eq!(dram.stats().reads, 1, "rank 0's read issues first");
+        assert_eq!(ctrl.next_wake(&dram, now), now + 1, "rank 1's PREab");
+        assert!(ctrl.push_request(read_req(2, r1, 7, 0, now)));
+        let wake = ctrl.next_wake(&dram, now);
+        assert_eq!((ctrl.wake_recomputes(), ctrl.wake_folds()), (2, 0));
+        assert!(wake > now + 1, "wake {wake}");
+        assert_eq!((wake, ctrl.wake_decision), ctrl.compute_wake(&dram, now));
+    }
+
+    #[test]
+    fn an_unfolded_arrival_voids_the_cached_verdict() {
+        // Row 5 is open and a request to row 9 waits for its PRE at tRAS:
+        // that PRE is the cached verdict. A hit to row 5 then arrives, and
+        // the controller ticks at the cached wake without being asked for
+        // `next_wake` first. The hit beats the PRE there.
+        let (mut ctrl, mut dram) = setup(RfmPolicy::None);
+        dram.issue(&Command::Act { bank: B0, row: 5 }, 0);
+        assert!(ctrl.push_request(read_req(1, B0, 9, 0, 1)));
+        let ras = dram.timings().ras;
+        assert_eq!(ctrl.next_wake(&dram, 1), ras);
+        assert!(ctrl.push_request(read_req(2, B0, 5, 0, 2)));
+        ctrl.tick(&mut dram, ras);
+        assert_eq!(ctrl.wake_shortcuts(), 0);
+        assert_eq!((dram.stats().reads, dram.stats().pres), (1, 0));
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! and per-entry sequence numbers ([`Entry::seq`]) recover the global age
 //! order the flat `Vec` used to encode positionally. Removal is O(bank
 //! depth) instead of O(queue) `Vec::remove`.
+//!
+//! A queue holds one request kind, which the scheduler takes from its
+//! caller, and a table of each flat bank's `BankId`.
 
-use chronus_dram::Geometry;
+use chronus_dram::{BankId, Geometry};
 
 use crate::request::MemRequest;
 use crate::scheduler::Entry;
@@ -95,6 +98,8 @@ pub struct RequestQueue {
     free: Vec<u32>,
     /// Per flat bank: slot ids in age order (oldest first).
     by_bank: Vec<Vec<u32>>,
+    /// Per flat bank: its `BankId`.
+    bank_ids: Vec<BankId>,
     occupied: BankSet,
     rank_len: Vec<usize>,
     len: usize,
@@ -121,6 +126,9 @@ impl RequestQueue {
             slots: Vec::new(),
             free: Vec::new(),
             by_bank: vec![Vec::new(); geo.total_banks()],
+            bank_ids: (0..geo.total_banks())
+                .map(|flat| BankId::from_flat(flat, &geo))
+                .collect(),
             occupied: BankSet::new(),
             rank_len: vec![0; geo.ranks],
             len: 0,
@@ -199,13 +207,9 @@ impl RequestQueue {
         entry
     }
 
-    /// The [`ReqKind`](crate::request::ReqKind) of the queued requests, or
-    /// `None` when empty. Queues are kind-uniform (the controller keeps
-    /// reads and writes apart), so any live entry's kind is *the* kind.
-    pub fn head_kind(&self) -> Option<crate::request::ReqKind> {
-        let flat = self.occupied.iter().next()?;
-        let slot = self.by_bank[flat][0];
-        Some(self.get(slot).req.kind)
+    /// The [`BankId`] of flat bank `flat` (the inverse of `BankId::flat`).
+    pub(crate) fn bank_id(&self, flat: usize) -> BankId {
+        self.bank_ids[flat]
     }
 
     /// Flat bank ids that currently hold at least one request, ascending.
@@ -232,7 +236,7 @@ impl RequestQueue {
 mod tests {
     use super::*;
     use crate::request::ReqKind;
-    use chronus_dram::{BankId, DramAddr};
+    use chronus_dram::DramAddr;
 
     fn req(id: u64, flat: usize, geo: &Geometry) -> MemRequest {
         MemRequest {

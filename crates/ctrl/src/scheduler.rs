@@ -20,6 +20,13 @@
 //!   open, `ACT` — whose timing is row-independent — if idle), so the
 //!   oldest non-hit dominates.
 //!
+//! Those two candidates, with their issue times, front choice, bypass flag
+//! and cap test, are computed in one place, [`bank_candidates`]. The scan
+//! takes their minimum; the controller's wake fold evaluates an arriving
+//! request's bank with it alone, because an arrival is its bank's youngest
+//! entry and can only *add* a candidate, never displace one. The caller
+//! passes the queue's kind, and an empty queue answers at once.
+//!
 //! [`pick_reference`] retains the original two-pass scan over the flat
 //! age-ordered queue; a property test pins `next_demand_event` to it
 //! exactly, cycle by cycle.
@@ -83,17 +90,31 @@ pub enum Decision {
     Pre(u32),
 }
 
-/// The two per-bank candidates the scheduler's verdict depends on.
-struct BankFront {
-    /// Oldest row hit: `(seq, slot, bypass)`.
-    hit: Option<(u64, u32, bool)>,
-    /// Oldest non-hit: `(seq, slot)`.
-    other: Option<(u64, u32)>,
-}
+/// One demand candidate: the first cycle `>= from` it can issue, its
+/// sequence number (age), and the command that serves it.
+pub(crate) type Candidate = (Cycle, u64, Decision);
 
-/// Scans one bank's age-ordered slot list for its oldest hit and oldest
-/// non-hit. Stops as soon as both are known.
-fn bank_front(queue: &RequestQueue, flat: usize, open: Option<u32>) -> BankFront {
+/// The two candidates of flat bank `flat` in a queue of writes (`write`)
+/// or reads: its oldest row hit, unless it bypasses an older non-hit with
+/// the bank's streak at `cap`, and its oldest non-hit (`PRE` if a row is
+/// open, else `ACT`), each at its [`DramDevice::earliest_issue_at`] from
+/// the rank, group and bank frontiers, clamped to `from`. The one statement
+/// of the per-bank rules, shared by [`next_demand_event`] and the wake fold.
+#[inline]
+pub(crate) fn bank_candidates(
+    queue: &RequestQueue,
+    dram: &DramDevice,
+    flat: usize,
+    write: bool,
+    from: Cycle,
+    cap: u32,
+    hit_streak: &[u32],
+) -> [Option<Candidate>; 2] {
+    let bank = queue.bank_id(flat);
+    let (rank, group) = (bank.rank as usize, bank.group as usize);
+    let open = dram.open_row(bank);
+    // Oldest hit `(seq, slot, bypass)` and oldest non-hit `(seq, slot)`;
+    // stop as soon as both are known.
     let mut hit: Option<(u64, u32, bool)> = None;
     let mut other: Option<(u64, u32)> = None;
     for &slot in queue.bank_slots(flat) {
@@ -109,7 +130,26 @@ fn bank_front(queue: &RequestQueue, flat: usize, open: Option<u32>) -> BankFront
             break;
         }
     }
-    BankFront { hit, other }
+    let hit = hit
+        .filter(|&(_, _, bypass)| !bypass || hit_streak[flat] < cap)
+        .map(|(seq, slot, bypass)| {
+            let t = dram
+                .rank_cas_floor(rank, write)
+                .max(dram.group_cas_floor(rank, group, write))
+                .max(dram.bank_cas_at(bank, write));
+            (t.max(from), seq, Decision::Cas(slot, bypass))
+        });
+    let other = other.map(|(seq, slot)| match open {
+        Some(_) => (dram.bank_pre_at(bank).max(from), seq, Decision::Pre(slot)),
+        None => {
+            let t = dram
+                .rank_act_floor(rank)
+                .max(dram.group_act_floor(rank, group))
+                .max(dram.bank_act_at(bank));
+            (t.max(from), seq, Decision::Act(slot))
+        }
+    });
+    [hit, other]
 }
 
 /// The next demand-scheduling event for `queue` under FR-FCFS+Cap: the
@@ -119,105 +159,51 @@ fn bank_front(queue: &RequestQueue, flat: usize, open: Option<u32>) -> BankFront
 /// candidate exists. The decision at `from` itself is the answer when
 /// `t == from`.
 ///
-/// `hit_streak` holds, per flat bank index, the number of consecutive
-/// row-hit bypasses since the last non-hit service; `rank_usable` filters
-/// out ranks in recovery (or RAA-blocked). `queue` must hold requests of a
-/// single [`ReqKind`] (the controller keeps reads and writes in separate
-/// queues): the per-bank reduction relies on all row hits to a bank
-/// sharing one CAS timing frontier, which `Rd` and `Wr` do not.
+/// `write` is the kind of every request in `queue` (the controller keeps
+/// reads and writes in separate queues): the per-bank reduction relies on
+/// all row hits to a bank sharing one CAS timing frontier, which `Rd` and
+/// `Wr` do not. `hit_streak` holds, per flat bank index, the number of
+/// consecutive row-hit bypasses since the last non-hit service;
+/// `rank_usable` filters out ranks in recovery (or RAA-blocked).
 ///
-/// Each candidate's issuable time is its [`DramDevice::earliest_issue_at`]
-/// decomposed into rank-floor/group-floor/bank-frontier terms (the rank
-/// floor is fetched once per rank — `occupied_banks` yields ranks
-/// contiguously), clamped to `from`. At `t`, the minimum over candidates,
-/// the issuable set is precisely the candidates whose clamped time equals
-/// it, and the winner follows FR-FCFS+Cap: the oldest admissible row hit
-/// beats every non-hit (hits beat non-hits that tie on time), and ties
-/// within a class go to the lowest sequence number. A row hit younger than
-/// a non-hit to the same bank is admissible only while the bank's bypass
-/// streak is below `cap`, so timing-blocked precharges cannot be starved by
-/// an endless hit stream (the FR-FCFS+Cap guarantee of [Mutlu & Moscibroda,
-/// MICRO'07]). Candidate admissibility (cap, bypass, rank filters) cannot
-/// change without an issue or arrival, which is what bounds the result's
-/// validity.
+/// Each occupied bank contributes its [`bank_candidates`]. At `t`, the
+/// minimum over candidates, the issuable set is precisely the candidates
+/// whose clamped time equals it, and the winner follows FR-FCFS+Cap: the
+/// oldest admissible row hit beats every non-hit (hits beat non-hits that
+/// tie on time), and ties within a class go to the lowest sequence number.
+/// A row hit younger than a non-hit to the same bank is admissible only
+/// while the bank's bypass streak is below `cap`, so timing-blocked
+/// precharges cannot be starved by an endless hit stream (the FR-FCFS+Cap
+/// guarantee of [Mutlu & Moscibroda, MICRO'07]). Candidate admissibility
+/// (cap, bypass, rank filters) cannot change without an issue or arrival,
+/// which is what bounds the result's validity.
 pub fn next_demand_event<F: Fn(usize) -> bool>(
     queue: &RequestQueue,
     dram: &DramDevice,
+    write: bool,
     from: Cycle,
     cap: u32,
     hit_streak: &[u32],
     rank_usable: &F,
 ) -> (Cycle, Option<Decision>) {
-    let write = match queue.head_kind() {
-        Some(k) => k == ReqKind::Write,
-        None => return (Cycle::MAX, None),
-    };
-    // Oldest admissible hit achieving the earliest hit time.
-    let mut t_hit = Cycle::MAX;
-    let mut hit_best: Option<(u64, u32, bool)> = None;
-    // Oldest non-hit achieving the earliest non-hit time.
-    let mut t_oth = Cycle::MAX;
-    let mut oth_best: Option<(u64, Decision)> = None;
-    let mut cur_rank = usize::MAX;
-    let mut usable = false;
-    let mut cas_floor = 0;
-    let mut act_floor = 0;
+    if queue.is_empty() {
+        return (Cycle::MAX, None);
+    }
+    let (mut best_hit, mut best_other): (Option<Candidate>, Option<Candidate>) = (None, None);
+    let earliest = |&(t, seq, _): &Candidate| (t, seq);
     for flat in queue.occupied_banks() {
-        // Every entry filed under `flat` carries the same `BankId`.
-        let bank = queue.get(queue.bank_slots(flat)[0]).req.addr.bank;
-        let rank = bank.rank as usize;
-        if rank != cur_rank {
-            cur_rank = rank;
-            usable = rank_usable(rank);
-            if usable {
-                cas_floor = dram.rank_cas_floor(rank, write);
-                act_floor = dram.rank_act_floor(rank);
-            }
-        }
-        if !usable {
-            continue;
-        }
-        let group = bank.group as usize;
-        let open = dram.open_row(bank);
-        let front = bank_front(queue, flat, open);
-        if let Some((seq, slot, bypass)) = front.hit {
-            if !bypass || hit_streak[flat] < cap {
-                let t = cas_floor
-                    .max(dram.group_cas_floor(rank, group, write))
-                    .max(dram.bank_cas_at(bank, write))
-                    .max(from);
-                if t < t_hit || (t == t_hit && hit_best.is_some_and(|(s, _, _)| seq < s)) {
-                    t_hit = t;
-                    hit_best = Some((seq, slot, bypass));
-                }
-            }
-        }
-        if let Some((seq, slot)) = front.other {
-            let (t, decision) = match open {
-                Some(_) => (dram.bank_pre_at(bank).max(from), Decision::Pre(slot)),
-                None => (
-                    act_floor
-                        .max(dram.group_act_floor(rank, group))
-                        .max(dram.bank_act_at(bank))
-                        .max(from),
-                    Decision::Act(slot),
-                ),
-            };
-            if t < t_oth || (t == t_oth && oth_best.as_ref().is_some_and(|&(s, _)| seq < s)) {
-                t_oth = t;
-                oth_best = Some((seq, decision));
-            }
+        if rank_usable(queue.bank_id(flat).rank as usize) {
+            let [hit, other] = bank_candidates(queue, dram, flat, write, from, cap, hit_streak);
+            best_hit = best_hit.into_iter().chain(hit).min_by_key(earliest);
+            best_other = best_other.into_iter().chain(other).min_by_key(earliest);
         }
     }
     // At the event cycle any ready admissible hit wins pass 1, so hits beat
     // non-hits on ties.
-    if t_hit <= t_oth {
-        match hit_best {
-            Some((_, slot, bypass)) => (t_hit, Some(Decision::Cas(slot, bypass))),
-            None => (Cycle::MAX, None),
-        }
-    } else {
-        (t_oth, oth_best.map(|(_, d)| d))
+    match (best_hit, best_other) {
+        (Some((t, _, d)), o) if o.is_none_or(|(t_o, _, _)| t <= t_o) => (t, Some(d)),
+        (_, Some((t, _, d))) => (t, Some(d)),
+        _ => (Cycle::MAX, None),
     }
 }
 
@@ -338,13 +324,13 @@ mod tests {
         // Older request conflicts (row 9), younger is a hit (row 5).
         let q = queue_of(&d, &[req(0, B0, 9, 0), req(1, B0, 5, 0)]);
         let streak = vec![0u32; d.geometry().total_banks()];
-        let pick1 = next_demand_event(&q, &d, now, 4, &streak, &|_| true);
+        let pick1 = next_demand_event(&q, &d, false, now, 4, &streak, &|_| true);
         assert_eq!(pick1, (now, Some(Decision::Cas(1, true))));
         // With the cap exhausted the older conflict wins (precharge).
         let mut capped = streak.clone();
         capped[B0.flat(d.geometry())] = 4;
         let now = t.ras.max(now);
-        let pick2 = next_demand_event(&q, &d, now, 4, &capped, &|_| true);
+        let pick2 = next_demand_event(&q, &d, false, now, 4, &capped, &|_| true);
         assert_eq!(pick2, (now, Some(Decision::Pre(0))));
     }
 
@@ -354,7 +340,7 @@ mod tests {
         let q = queue_of(&d, &[req(0, B0, 9, 0), req(1, B0, 5, 0)]);
         let streak = vec![0u32; d.geometry().total_banks()];
         assert_eq!(
-            next_demand_event(&q, &d, 0, 4, &streak, &|_| true),
+            next_demand_event(&q, &d, false, 0, 4, &streak, &|_| true),
             (0, Some(Decision::Act(0)))
         );
     }
@@ -364,7 +350,7 @@ mod tests {
         let d = dev();
         let q = queue_of(&d, &[req(0, B0, 9, 0)]);
         let streak = vec![0u32; d.geometry().total_banks()];
-        let event = next_demand_event(&q, &d, 0, 4, &streak, &|_| false);
+        let event = next_demand_event(&q, &d, false, 0, 4, &streak, &|_| false);
         assert_eq!(event, (Cycle::MAX, None));
     }
 
@@ -376,7 +362,7 @@ mod tests {
         // tRAS: nothing issuable at cycle 1.
         let q = queue_of(&d, &[req(0, B0, 9, 0), req(1, B0, 5, 0)]);
         let streak = vec![0u32; d.geometry().total_banks()];
-        assert!(next_demand_event(&q, &d, 1, 4, &streak, &|_| true).0 > 1);
+        assert!(next_demand_event(&q, &d, false, 1, 4, &streak, &|_| true).0 > 1);
     }
 
     #[test]
@@ -384,7 +370,7 @@ mod tests {
         let d = dev();
         let q = RequestQueue::new(*d.geometry());
         let streak = vec![0u32; d.geometry().total_banks()];
-        let event = next_demand_event(&q, &d, 0, 4, &streak, &|_| true);
+        let event = next_demand_event(&q, &d, false, 0, 4, &streak, &|_| true);
         assert_eq!(event, (Cycle::MAX, None));
     }
 
@@ -396,7 +382,7 @@ mod tests {
         // earlier of the two, and the reference flips from None exactly there.
         let q = queue_of(&d, &[req(0, B0, 9, 0), req(1, B0, 5, 0)]);
         let streak = vec![0u32; d.geometry().total_banks()];
-        let (wake, predicted) = next_demand_event(&q, &d, 1, 4, &streak, &|_| true);
+        let (wake, predicted) = next_demand_event(&q, &d, false, 1, 4, &streak, &|_| true);
         assert_eq!(wake, d.timings().rcd);
         let reference = |t| pick_reference(&q, &d, t, 4, &streak, &|_| true);
         for t in 1..wake {
@@ -474,6 +460,7 @@ mod tests {
             // One kind per queue, as the controller guarantees (the
             // per-bank reduction assumes a single CAS timing frontier).
             let kind = if rng(2) == 0 { ReqKind::Read } else { ReqKind::Write };
+            let write = kind == ReqKind::Write;
             for step in 0..160u64 {
                 if q.len() < 10 && rng(3) > 0 {
                     let flat = rng(total) as usize;
@@ -491,7 +478,7 @@ mod tests {
                 }
                 let mask = rng(1 << geo.ranks.min(4));
                 let rank_usable = |r: usize| mask & (1 << r) != 0;
-                let fast = match next_demand_event(&q, &d, now, cap, &streak, &rank_usable) {
+                let fast = match next_demand_event(&q, &d, write, now, cap, &streak, &rank_usable) {
                     (t, decision) if t == now => decision,
                     _ => None,
                 };
@@ -507,7 +494,7 @@ mod tests {
                         // reference verdict was None on every skipped cycle
                         // and is the predicted decision at the wake.
                         let (wake, predicted) =
-                            next_demand_event(&q, &d, now + 1, cap, &streak, &rank_usable);
+                            next_demand_event(&q, &d, write, now + 1, cap, &streak, &rank_usable);
                         if wake == Cycle::MAX {
                             prop_assert!(predicted.is_none());
                             now += 1 + rng(8);

@@ -203,7 +203,7 @@ impl System {
                 );
             }
             if pushed && !EVERY_CYCLE {
-                // Arrivals invalidate the memoized wake; recomputing here
+                // Arrivals can move the wake earlier; folding them in here
                 // (rather than re-arming to `mem_cycle + 1`) lets the next
                 // tick reuse the fused-scan verdict and keeps jumps long
                 // when the arrival itself cannot issue for a while.
@@ -761,6 +761,30 @@ mod tests {
             stats.iterations <= 8 * reads && stats.core_ticks <= 20 * reads,
             "{reads} reads served: the core is polled through its drain ({stats:?})"
         );
+    }
+
+    #[test]
+    fn arrivals_fold_instead_of_rescanning() {
+        // A request arrival can only add a candidate, so the controller
+        // folds it into the memoized wake instead of rescanning its queues.
+        // Measured reads served / folds / recomputes / controller ticks:
+        // 429.mcf 1 130 / 845 / 3 133 / 2 857 (0.75 folds a read), 470.lbm
+        // 684 / 666 / 1 106 / 1 082 (0.97). When every arrival rescanned,
+        // recomputes were 3 978 and 1 772: one per read above the ticks.
+        for app in ["429.mcf", "470.lbm"] {
+            let mut sys = System::build(&quick_cfg(MechanismKind::None, 1024));
+            let mut cores = sys.build_cores(vec![trace_for(app, 0)]);
+            let mut stats = LoopStats::default();
+            sys.run_loop::<false>(&mut cores, &mut stats);
+            let reads = sys.ctrl.stats().reads_served;
+            let (folds, recomputes) = (sys.ctrl.wake_folds(), sys.ctrl.wake_recomputes());
+            assert!(
+                folds >= reads / 2 && recomputes <= stats.ctrl_ticks + reads / 2,
+                "{app}: {folds} folds, {recomputes} recomputes for {reads} reads served \
+                 and {} controller ticks",
+                stats.ctrl_ticks
+            );
+        }
     }
 
     #[test]

@@ -2,16 +2,24 @@
 # Runs the benchmark and records the run in the tracked trajectory.
 #
 #   scripts/bench_record.sh --workload idle-sprint --seed 11 --seconds 10 --trace 0
+#   scripts/bench_record.sh --tree ../parent --workload idle-sprint --seed 11
 #
-# Every argument goes to benchmark/run.sh, whose output passes through
+# Every other argument goes to benchmark/run.sh, whose output passes through
 # unchanged. The line that run appends to the git-ignored
 # benchmark/out/history.jsonl (git SHA, seed, per-workload medians, failures,
 # sim digests) is then appended to BENCH_history.jsonl at the repository root,
 # with the toolchain and host it ran on: `rustc -V`, `nproc` and the CPU model.
+# With `--tree DIR` the run is of another checkout's benchmark/run.sh (a parent
+# commit, say), under that checkout's git SHA, and is still recorded here.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-history="$root/benchmark/out/history.jsonl"
+tree="$root"
+if [ "${1:-}" = "--tree" ]; then
+    tree="$(cd "${2:?bench_record.sh: --tree needs a directory}" && pwd)"
+    shift 2
+fi
+history="$tree/benchmark/out/history.jsonl"
 trajectory="$root/BENCH_history.jsonl"
 
 before=0
@@ -19,7 +27,7 @@ if [ -f "$history" ]; then
     before=$(wc -l < "$history")
 fi
 
-"$root/benchmark/run.sh" "$@"
+"$tree/benchmark/run.sh" "$@"
 
 after=$(wc -l < "$history")
 if [ "$after" -ne $((before + 1)) ]; then
