@@ -42,8 +42,7 @@ use chronus_bench::grids::{build_spec, GRID_NAMES};
 use chronus_bench::opts::{HarnessOpts, ParseOutcome, VALUELESS_FLAGS};
 use chronus_bench::{format_table, write_json};
 use chronus_grid::{
-    merge, run_doctor, run_grid_batched, run_grid_coordinated, EntryState, GridSpec, ResultStore,
-    DEGRADED_EXIT,
+    merge, run_doctor, run_grid_coordinated, EntryState, GridSpec, ResultStore, DEGRADED_EXIT,
 };
 
 fn usage() -> String {
@@ -176,11 +175,7 @@ fn run(grid_arg: Option<&str>, opts: &HarnessOpts) {
     let coord = chronus_bench::runs::coord_opts(opts);
     let mut degraded = false;
     for spec in specs_for(grid_arg, opts) {
-        let outcome = if opts.batched {
-            run_grid_batched(&spec, store.as_ref(), &exec)
-        } else {
-            run_grid_coordinated(&spec, store.as_ref(), &exec, &coord)
-        };
+        let outcome = run_grid_coordinated(&spec, store.as_ref(), &exec, &coord);
         println!(
             "chronus-sweep: grid={} shard={} {} wall={:.1}s",
             spec.name,

@@ -10,9 +10,7 @@
 
 use chronus_core::MechanismKind;
 use chronus_ctrl::AddressMapping;
-use chronus_grid::{
-    AppTrace, AttackSpec, BatchSpec, CellSpec, GridOutcome, GridSpec, WorkloadSpec,
-};
+use chronus_grid::{AppTrace, AttackSpec, CellSpec, GridOutcome, GridSpec, WorkloadSpec};
 use chronus_sim::{SimConfig, SimReport, VrdSpec};
 use chronus_workloads::{all_profiles, eight_core_spec17_profiles, four_core_mixes, Mix};
 use serde::Serialize;
@@ -669,8 +667,8 @@ pub const VRD_MIN_PCTS: [u32; 2] = [100, 50];
 /// per-row thresholds from `[nrh·min_pct/100, nrh]`, swept over
 /// [`VRD_SEEDS`] sampling seeds per [`VRD_MIN_PCTS`] point. Every cell
 /// shares one workload and differs only in oracle parameters, so the
-/// entire grid is one timing cohort under `--batched` — the flagship
-/// workload of the batched lockstep engine.
+/// entire grid is one timing cohort: the executor fills it with one
+/// multi-lane [`chronus_sim::System::run_batch`] simulation.
 pub struct VrdSweepGrid {
     /// The declarative grid.
     pub spec: GridSpec,
@@ -689,23 +687,21 @@ impl VrdSweepGrid {
         let mut spec = GridSpec::new("vrd-sweep");
         let mut jobs = Vec::new();
         for &min_pct in &VRD_MIN_PCTS {
-            let configs: Vec<SimConfig> = (0..VRD_SEEDS)
-                .map(|s| {
-                    let mut cfg = SimConfig::single_core();
-                    cfg.instructions_per_core = opts.instructions;
-                    cfg.nrh = nominal;
-                    cfg.seed = opts.seed;
-                    cfg.oracle = true;
-                    cfg.vrd = Some(VrdSpec {
-                        min_pct,
-                        seed: opts.seed + s as u64,
-                    });
-                    cfg.max_mem_cycles = opts.instructions.saturating_mul(6000).max(1 << 22);
-                    cfg
-                })
-                .collect();
             let start = spec.len();
-            BatchSpec::new(format!("vrd{min_pct}"), workload.clone(), configs).push_onto(&mut spec);
+            for s in 0..VRD_SEEDS {
+                let mut cfg = SimConfig::single_core();
+                cfg.instructions_per_core = opts.instructions;
+                cfg.nrh = nominal;
+                cfg.seed = opts.seed;
+                cfg.oracle = true;
+                cfg.vrd = Some(VrdSpec {
+                    min_pct,
+                    seed: opts.seed + s as u64,
+                });
+                cfg.max_mem_cycles = opts.instructions.saturating_mul(6000).max(1 << 22);
+                let label = format!("vrd{min_pct}#{s}");
+                spec.push(CellSpec::new(label, workload.clone(), cfg));
+            }
             jobs.push((min_pct, (start..spec.len()).collect()));
         }
         Self { spec, jobs }
@@ -802,8 +798,13 @@ mod tests {
             assert!(cell.config.oracle, "{}: VRD needs the oracle", cell.label);
             assert!(cell.config.vrd.is_some());
             assert_eq!(cell.config.mechanism, MechanismKind::None);
-            // One shared workload: the whole grid batches into one group.
+            // One shared workload and one cohort key: the executor fills
+            // the whole grid as one unit.
             assert_eq!(cell.workload, grid.spec.cells[0].workload);
+            assert_eq!(
+                cell.config.cohort_key(),
+                grid.spec.cells[0].config.cohort_key()
+            );
         }
         // Distinct cells: every member hashes uniquely.
         let hashes = grid.spec.hashes();

@@ -32,12 +32,6 @@ pub struct HarnessOpts {
     /// (`--obs`): reports gain an `ObsReport` section. Changes cell keys
     /// (obs cells cache separately) but no pre-existing report field.
     pub obs: bool,
-    /// Fill cache misses through the batched lockstep engine
-    /// (`--batched`): cells sharing a workload generate traces once and
-    /// timing-identical variants collapse into one simulation. Store
-    /// entries are byte-identical to solo runs — this flag changes only
-    /// how fast misses fill.
-    pub batched: bool,
     /// Retry budget override for failed cells (`--retries N`); `None`
     /// keeps the grid default.
     pub retries: Option<u32>,
@@ -65,7 +59,6 @@ impl Default for HarnessOpts {
             no_cache: false,
             quiet: false,
             obs: false,
-            batched: false,
             retries: None,
             cell_timeout: None,
             lease_ttl: None,
@@ -86,14 +79,7 @@ pub enum ParseOutcome {
 /// The flags of [`HarnessOpts::parse_from`] that take no value argument.
 /// Argument pre-splitters (`chronus-sweep` separates positionals from
 /// flags) consult this so flag arity is defined in exactly one place.
-pub const VALUELESS_FLAGS: &[&str] = &[
-    "--no-cache",
-    "--quiet",
-    "--obs",
-    "--batched",
-    "--help",
-    "-h",
-];
+pub const VALUELESS_FLAGS: &[&str] = &["--no-cache", "--quiet", "--obs", "--help", "-h"];
 
 impl HarnessOpts {
     /// Parses `std::env::args`, printing usage on `--help` (exit 0) and a
@@ -119,7 +105,7 @@ impl HarnessOpts {
             "{tool}: regenerates one artefact of the Chronus paper.\n\
              flags: --instructions N --mixes N --threads N --seed N \
              --nrh a,b,c --out FILE\n\
-             grid:  --shard i/N --grid-dir DIR --no-cache --quiet --obs --batched\n\
+             grid:  --shard i/N --grid-dir DIR --no-cache --quiet --obs\n\
              fault: --retries N --cell-timeout SECS --lease-ttl SECS \
              (env: CHRONUS_FAULTS)"
         )
@@ -183,7 +169,6 @@ impl HarnessOpts {
                 "--no-cache" => o.no_cache = true,
                 "--quiet" => o.quiet = true,
                 "--obs" => o.obs = true,
-                "--batched" => o.batched = true,
                 "--help" | "-h" => return Err(ParseOutcome::Help),
                 other => return Err(ParseOutcome::Invalid(format!("unknown flag '{other}'"))),
             }
@@ -258,7 +243,6 @@ mod tests {
             "--no-cache",
             "--quiet",
             "--obs",
-            "--batched",
         ])
         .unwrap();
         assert_eq!(o.instructions, 9_000);
@@ -275,9 +259,16 @@ mod tests {
         assert!(o.no_cache);
         assert!(o.quiet);
         assert!(o.obs);
-        assert!(o.batched);
         assert!(!HarnessOpts::default().obs, "obs is opt-in");
-        assert!(!HarnessOpts::default().batched, "batched is opt-in");
+    }
+
+    #[test]
+    fn batched_is_no_longer_a_flag() {
+        // Timing cohorts fill automatically; the old opt-in is a usage error.
+        assert_eq!(
+            parse(&["--batched"]).unwrap_err(),
+            ParseOutcome::Invalid("unknown flag '--batched'".into())
+        );
     }
 
     #[test]

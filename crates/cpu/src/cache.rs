@@ -168,11 +168,17 @@ pub struct SharedLlc {
 
 impl SharedLlc {
     /// An empty cache.
+    ///
+    /// # Panics
+    ///
+    /// If the line size is not a power of two, or `mshrs` is zero (no miss
+    /// could ever issue, so the run would never finish).
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(
             cfg.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(cfg.mshrs > 0, "LLC needs at least one MSHR (mshrs 0)");
         let sets = cfg.sets();
         Self {
             cfg,
@@ -642,6 +648,15 @@ mod tests {
             rejections > 100,
             "only {rejections} cases reached a rejection"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "LLC needs at least one MSHR")]
+    fn zero_mshrs_are_rejected_at_construction() {
+        SharedLlc::new(CacheConfig {
+            mshrs: 0,
+            ..CacheConfig::default()
+        });
     }
 
     #[test]

@@ -1,7 +1,16 @@
 //! The grid executor: cache lookup, shard filtering, fault-isolated
 //! parallel simulation, store write-back, and the order-preserving merge.
 //!
-//! Cell execution is *fault-isolated*: every attempt runs in its own
+//! The unit of work is a *timing cohort*: the owned misses that share a
+//! workload and a [`SimConfig::cohort_key`] simulate cycle-identically, so
+//! one unit generates their traces once and runs them as one
+//! [`System::run_batch`] (a unit of one is a batch of one). Every member
+//! keeps its own hash, store entry, lease and journal events, and its entry
+//! is byte-identical to a solo fill. A Monte-Carlo sweep over oracle-only
+//! parameters (VRD seeds) fills as one simulation; any other grid runs one
+//! unit per distinct cell.
+//!
+//! Unit execution is *fault-isolated*: every attempt runs in its own
 //! watchdog-guarded thread behind `catch_unwind`, failures (panics,
 //! deadline overruns, store write errors) are retried under a capped
 //! exponential backoff, and cells that exhaust their retries are recorded
@@ -22,18 +31,19 @@
 //! written atomically, so the worst case is duplicate compute, never
 //! corruption.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use chronus_sim::{try_run_parallel, SimReport, System};
+use chronus_sim::{try_run_parallel, SimConfig, SimReport, System};
 use serde::{Deserialize, Serialize};
 
 use crate::cell::CellSpec;
 use crate::faults::{ExecFault, FaultInjector};
-use crate::hash::mix64;
+use crate::hash::{cell_hash, mix64};
 use crate::journal::{EventKind, Journal};
 use crate::lease::{self, ClaimOutcome, LeaseManager};
 use crate::progress::Progress;
@@ -58,11 +68,8 @@ const LEASE_WAIT_POLL: Duration = Duration::from_millis(150);
 /// Inter-process coordination options for store-backed runs. Defaults are
 /// what every CLI entry point uses; tests shrink `lease_ttl` to exercise
 /// stale-lease reclamation quickly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CoordOpts {
-    /// Lease claims + operations journal (on by default when a store is
-    /// present; irrelevant without one).
-    pub enabled: bool,
     /// Override the lease time-to-live. `None` derives it from the
     /// watchdog deadline estimator (20× observed mean wall-clock), floored
     /// at 15 s — a lease always outlives its heartbeat interval by 4×.
@@ -70,16 +77,6 @@ pub struct CoordOpts {
     /// Override the holder identity recorded in leases and the journal.
     /// `None` mints a process-unique `host-pid-instance` id.
     pub holder: Option<String>,
-}
-
-impl Default for CoordOpts {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            lease_ttl: None,
-            holder: None,
-        }
-    }
 }
 
 /// Execution options.
@@ -286,35 +283,48 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one attempt of one cell in a dedicated watchdog-guarded thread.
+/// Simulates one timing cohort: the members share a workload and a
+/// [`SimConfig::cohort_key`], so their traces are generated once and one
+/// [`System::run_batch`] returns every member's report, each equal to its
+/// [`simulate_cell`].
+fn simulate_cohort(cells: &[CellSpec]) -> Vec<SimReport> {
+    let traces = cells[0].workload.traces(&cells[0].config.geometry);
+    let cfgs: Vec<SimConfig> = cells.iter().map(|c| c.config.clone()).collect();
+    System::run_batch(&cfgs, &traces)
+}
+
+/// Runs one attempt of one unit in a dedicated watchdog-guarded thread.
 ///
-/// The simulation runs behind `catch_unwind` in a freshly spawned thread
-/// while this (worker) thread waits on a channel with the deadline. A
-/// panic comes back as [`FailureKind::Panic`]; a deadline overrun as
+/// Each member's injected fault for `attempt` fires first, then the cohort
+/// simulates, all behind `catch_unwind` in a freshly spawned thread while
+/// this (worker) thread waits on a channel with the deadline. A panic comes
+/// back as [`FailureKind::Panic`]; a deadline overrun as
 /// [`FailureKind::Timeout`] — the stuck thread is abandoned (it holds only
 /// cloned data and its late result is dropped with the channel).
-fn run_cell_guarded(
-    cell: CellSpec,
-    hash: String,
+fn run_unit_guarded(
+    cells: Vec<CellSpec>,
+    hashes: Vec<String>,
     attempt: u32,
     faults: Option<FaultInjector>,
     deadline: Option<Duration>,
-) -> Result<SimReport, (FailureKind, String)> {
-    let (tx, rx) = mpsc::sync_channel::<Result<SimReport, String>>(1);
+) -> Result<Vec<SimReport>, (FailureKind, String)> {
+    let (tx, rx) = mpsc::sync_channel::<Result<Vec<SimReport>, String>>(1);
     let spawned = std::thread::Builder::new()
-        .name(format!("cell-{}", &hash[..8.min(hash.len())]))
+        .name(format!("cell-{}", &hashes[0][..8.min(hashes[0].len())]))
         .spawn(move || {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if let Some(injector) = &faults {
-                    match injector.exec_fault(&hash, attempt) {
-                        Some(ExecFault::Panic) => {
-                            panic!("injected fault: panic (cell {hash}, attempt {attempt})")
+                    for hash in &hashes {
+                        match injector.exec_fault(hash, attempt) {
+                            Some(ExecFault::Panic) => {
+                                panic!("injected fault: panic (cell {hash}, attempt {attempt})")
+                            }
+                            Some(ExecFault::Stall(pause)) => std::thread::sleep(pause),
+                            None => {}
                         }
-                        Some(ExecFault::Stall(pause)) => std::thread::sleep(pause),
-                        None => {}
                     }
                 }
-                simulate_cell(&cell)
+                simulate_cohort(&cells)
             }));
             let _ = tx.send(outcome.map_err(panic_message));
         });
@@ -506,18 +516,256 @@ struct CellDone {
     waited: bool,
 }
 
+/// A simulated member's report, the attempt that produced it, and that
+/// attempt's wall-clock (a cohort is one simulation: every member records
+/// the whole unit's wall, so deadlines derived from it stay per-simulation).
+type Simulated = Result<(SimReport, u32, f64), CellFailure>;
+
+/// Groups the owned misses (representative spec indices, ascending) into
+/// units of work, one per timing cohort: cells sharing a workload and a
+/// [`SimConfig::cohort_key`], keyed by one content hash — [`cell_hash`] of
+/// the cell with its config replaced by its cohort key. Units are ordered
+/// by their first member, members by spec index.
+fn plan_units(cells: &[CellSpec], owned: &[usize]) -> Vec<Vec<usize>> {
+    let mut unit_of: HashMap<String, usize> = HashMap::new();
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    for &i in owned {
+        let cohort = CellSpec {
+            config: cells[i].config.cohort_key(),
+            ..cells[i].clone()
+        };
+        match unit_of.entry(cell_hash(&cohort)) {
+            Entry::Occupied(u) => units[*u.get()].push(i),
+            Entry::Vacant(slot) => {
+                slot.insert(units.len());
+                units.push(vec![i]);
+            }
+        }
+    }
+    units.sort_unstable_by_key(|u| u[0]);
+    units
+}
+
+/// What every unit's worker shares: the run's spec, store, coordination
+/// plane, deadline estimator and progress line.
+struct UnitRunner<'a> {
+    cells: &'a [CellSpec],
+    hashes: &'a [String],
+    store: Option<&'a ResultStore>,
+    plane: Option<&'a CoordPlane>,
+    estimator: &'a DeadlineEstimator,
+    progress: &'a Progress,
+    opts: &'a ExecOpts,
+}
+
+impl UnitRunner<'_> {
+    /// Runs one unit: claims its members in increasing spec index (a member
+    /// resolved by waiting on another holder leaves the unit), simulates the
+    /// rest as one cohort, and persists each member. A cohort attempt that
+    /// panics or times out (an injected fault of any member included) falls
+    /// back to running each member alone. The members' `Claim` events are
+    /// fsync'd once before simulating and their `Complete`/`Fail` events
+    /// once after persisting; only then are their leases released.
+    fn run(&self, unit: Vec<usize>) -> Vec<(usize, Result<CellDone, CellFailure>)> {
+        let mut out = Vec::with_capacity(unit.len());
+        let mut live: Vec<(usize, bool)> = Vec::with_capacity(unit.len());
+        for i in unit {
+            let claim = match (self.store, self.plane) {
+                (Some(store), Some(plane)) => {
+                    claim_or_wait(plane, store, &self.hashes[i], plane.ttl(self.estimator))
+                }
+                _ => ClaimResult::Uncoordinated,
+            };
+            match claim {
+                ClaimResult::Resolved(report) => {
+                    self.progress.cell_done(&self.cells[i].label);
+                    out.push((
+                        i,
+                        Ok(CellDone {
+                            report: *report,
+                            store_failure: None,
+                            waited: true,
+                        }),
+                    ));
+                }
+                claim => {
+                    let claimed = matches!(claim, ClaimResult::Claimed);
+                    let note = if claimed { "" } else { "uncoordinated" };
+                    self.journal(EventKind::Claim, i, 0, 0.0, "", note);
+                    live.push((i, claimed));
+                }
+            }
+        }
+        self.sync_journal();
+        let members: Vec<usize> = live.iter().map(|&(i, _)| i).collect();
+        let n = members.len();
+        let simulated: Vec<Simulated> = match (n > 1).then(|| self.attempt(&members, 0)) {
+            Some(Ok((reports, wall))) => reports
+                .into_iter()
+                .zip(&members)
+                .map(|(report, &i)| {
+                    self.progress.cell_done(&self.cells[i].label);
+                    Ok((report, 0, wall))
+                })
+                .collect(),
+            failed => {
+                if let Some(Err((_, error))) = failed {
+                    let label = format!("cohort of {}", self.cells[members[0]].label);
+                    let note = format!("{error}; running its {n} members one by one");
+                    self.progress.cell_failed(&label, 0, &note);
+                }
+                members.iter().map(|&i| self.simulate_alone(i)).collect()
+            }
+        };
+        for (&i, result) in members.iter().zip(simulated) {
+            out.push((i, self.persist(i, result)));
+        }
+        self.sync_journal();
+        if let Some(plane) = self.plane {
+            for (i, _) in live.into_iter().filter(|&(_, holds_lease)| holds_lease) {
+                plane.release(&self.hashes[i]);
+            }
+        }
+        out
+    }
+
+    /// Writes an event about cell `i` to the journal (store-backed runs
+    /// only); it is durable after the next [`Self::sync_journal`].
+    fn journal(&self, kind: EventKind, i: usize, attempt: u32, wall: f64, sum: &str, note: &str) {
+        let Some(plane) = self.plane else { return };
+        let hash = &self.hashes[i];
+        if let Err(e) = plane
+            .journal
+            .write(kind, &plane.grid, hash, attempt, wall, sum, note)
+        {
+            eprintln!(
+                "chronus-grid: journal append failed for {hash} ({kind:?}): {e} (run continues; \
+                 audit trail incomplete)"
+            );
+        }
+    }
+
+    /// Fsyncs the events this unit wrote.
+    fn sync_journal(&self) {
+        if let Err(e) = self.plane.map_or(Ok(()), |plane| plane.journal.sync()) {
+            eprintln!("chronus-grid: journal fsync failed: {e} (run continues)");
+        }
+    }
+
+    /// One watchdog-guarded attempt at `members` as one cohort; returns the
+    /// reports in member order and the attempt's wall-clock.
+    fn attempt(
+        &self,
+        members: &[usize],
+        attempt: u32,
+    ) -> Result<(Vec<SimReport>, f64), (FailureKind, String)> {
+        let started = Instant::now();
+        let reports = run_unit_guarded(
+            members.iter().map(|&i| self.cells[i].clone()).collect(),
+            members.iter().map(|&i| self.hashes[i].clone()).collect(),
+            attempt,
+            self.opts.faults.clone(),
+            self.estimator.deadline(),
+        )?;
+        let wall = started.elapsed().as_secs_f64();
+        self.estimator.record(wall);
+        Ok((reports, wall))
+    }
+
+    /// Cell `i` as a unit of one, from attempt 0, retried under the policy.
+    fn simulate_alone(&self, i: usize) -> Simulated {
+        let cell = &self.cells[i];
+        let hash = self.hashes[i].as_str();
+        let token = mix64(hash.as_bytes());
+        let mut attempt: u32 = 0;
+        loop {
+            match self.attempt(&[i], attempt) {
+                Ok((mut reports, wall)) => {
+                    self.progress.cell_done(&cell.label);
+                    return Ok((reports.remove(0), attempt, wall));
+                }
+                Err((kind, error)) => {
+                    self.progress.cell_failed(&cell.label, attempt, &error);
+                    if attempt >= self.opts.retry.max_retries {
+                        return Err(CellFailure {
+                            index: i,
+                            label: cell.label.clone(),
+                            hash: hash.to_string(),
+                            kind,
+                            attempts: attempt + 1,
+                            error,
+                        });
+                    }
+                    self.opts.retry.sleep_before_retry(attempt, token);
+                    attempt += 1;
+                }
+            }
+        }
+    }
+
+    /// Persists a simulated member (entry, wall sidecar) and writes the
+    /// journal event that settles it.
+    fn persist(&self, i: usize, simulated: Simulated) -> Result<CellDone, CellFailure> {
+        let cell = &self.cells[i];
+        let hash = self.hashes[i].as_str();
+        let (report, attempt, wall) = match simulated {
+            Ok(done) => done,
+            Err(failure) => {
+                let detail = format!("{:?}: {}", failure.kind, failure.error);
+                self.journal(EventKind::Fail, i, failure.attempts, 0.0, "", &detail);
+                return Err(failure);
+            }
+        };
+        let mut store_failure = None;
+        if let Some(store) = self.store {
+            match put_with_retry(store, hash, cell, &report, &self.opts.retry) {
+                Ok(checksum) => {
+                    store.record_wall(hash, wall);
+                    self.journal(EventKind::Complete, i, attempt, wall, &checksum, "");
+                }
+                Err(e) => {
+                    eprintln!(
+                        "chronus-grid: failed to persist cell {hash} to {}: {e}",
+                        store.dir().display()
+                    );
+                    let detail = format!("store-write: {e}");
+                    self.journal(EventKind::Fail, i, attempt, wall, "", &detail);
+                    store_failure = Some(CellFailure {
+                        index: i,
+                        label: cell.label.clone(),
+                        hash: hash.to_string(),
+                        kind: FailureKind::StoreWrite,
+                        attempts: self.opts.retry.attempts(),
+                        error: e.to_string(),
+                    });
+                }
+            }
+        }
+        Ok(CellDone {
+            report,
+            store_failure,
+            waited: false,
+        })
+    }
+}
+
 /// Executes a grid: serves cached cells from `store`, simulates the misses
 /// this shard owns (in parallel, each attempt fault-isolated), and
 /// persists every fresh result. `store: None` disables caching entirely —
 /// every owned cell re-simulates and nothing touches the filesystem.
 ///
 /// Identical cells (same content hash) appearing at several spec positions
-/// are simulated once and fanned out to all positions.
+/// are simulated once and fanned out to all positions; cells of one timing
+/// cohort are simulated together (see the module docs).
 ///
 /// A failing cell never aborts the run: attempts are retried under
 /// `opts.retry`, and cells that exhaust their budget are recorded in
 /// [`GridOutcome::failures`] (and, when a store is present, persisted as a
-/// [`FailureManifest`]) while every other cell completes normally.
+/// [`FailureManifest`]) while every other cell completes normally. A cohort
+/// whose one attempt panics or times out (an injected fault of any member
+/// included) runs as units of one, each retried from attempt 0; faults are
+/// pure in `(cell, attempt)`, so every cell's outcome equals its solo
+/// outcome.
 ///
 /// Store-backed runs coordinate through leases and the operations journal
 /// with default [`CoordOpts`]; see [`run_grid_coordinated`].
@@ -544,19 +792,17 @@ pub fn run_grid_coordinated(
     // Coordination plane (leases + journal) for store-backed runs; lease
     // I/O failure at open degrades to uncoordinated execution.
     let plane: Option<Arc<CoordPlane>> = match store {
-        Some(s) if coord.enabled => {
-            match CoordPlane::open(s, &spec.name, coord, opts.faults.clone()) {
-                Ok(plane) => Some(Arc::new(plane)),
-                Err(e) => {
-                    eprintln!(
-                        "chronus-grid: could not open lease/journal plane ({e}); running \
-                         uncoordinated"
-                    );
-                    None
-                }
+        Some(s) => match CoordPlane::open(s, &spec.name, coord, opts.faults.clone()) {
+            Ok(plane) => Some(Arc::new(plane)),
+            Err(e) => {
+                eprintln!(
+                    "chronus-grid: could not open lease/journal plane ({e}); running \
+                     uncoordinated"
+                );
+                None
             }
-        }
-        _ => None,
+        },
+        None => None,
     };
     // Route store-level events (demotes) through this run's journal unless
     // the store already carries one.
@@ -578,7 +824,7 @@ pub fn run_grid_coordinated(
     for (i, h) in hashes.iter().enumerate() {
         by_hash.entry(h.as_str()).or_default().push(i);
     }
-    let mut pending: Vec<(&str, usize)> = Vec::new(); // (hash, representative index)
+    let mut pending: Vec<usize> = Vec::new(); // representative indices
     let mut served: Vec<&str> = Vec::new();
     for (hash, indices) in &by_hash {
         match store.and_then(|s| s.get(hash)) {
@@ -589,17 +835,17 @@ pub fn run_grid_coordinated(
                     reports[i] = Some(report.clone());
                 }
             }
-            None => pending.push((hash, indices[0])),
+            None => pending.push(indices[0]),
         }
     }
 
     // Shard filter: a duplicated hash is owned by the shard owning its
     // first (representative) position.
-    pending.sort_by_key(|&(_, i)| i);
-    let (owned, foreign): (Vec<_>, Vec<_>) =
-        pending.into_iter().partition(|&(_, i)| opts.shard.owns(i));
-    for (_, i) in &foreign {
-        stats.skipped += by_hash[hashes[*i].as_str()].len();
+    pending.sort_unstable();
+    let (owned, foreign): (Vec<usize>, Vec<usize>) =
+        pending.into_iter().partition(|&i| opts.shard.owns(i));
+    for i in foreign {
+        stats.skipped += by_hash[hashes[i].as_str()].len();
     }
 
     // The deadline estimator and the lease heartbeat exist for the cells
@@ -642,158 +888,22 @@ pub fn run_grid_coordinated(
             .expect("spawn heartbeat thread")
     });
 
-    // Simulate the owned misses, each cell isolated and retried. Claims,
-    // store writes and journal events all happen inside the worker, so a
-    // cell's lease is released the moment its entry lands — not at the
-    // end-of-grid barrier.
+    // Simulate the owned misses, one timing cohort per unit of work, each
+    // attempt isolated and retried. Claims, store writes and journal events
+    // all happen inside the worker, so a cell's lease is released the
+    // moment its unit's entries land — not at the end-of-grid barrier.
+    let units = plan_units(&spec.cells, &owned);
     let progress = Progress::new(&spec.name, owned.len(), opts.progress);
-    let progress_ref = &progress;
-    let cells_ref = &spec.cells;
-    let hashes_ref = &hashes;
-    let estimator_ref = &estimator;
-    let plane_ref = plane.as_deref();
-    let owned_indices: Vec<usize> = owned.iter().map(|&(_, i)| i).collect();
-    let worker_results = try_run_parallel(owned_indices.clone(), opts.threads, move |i| {
-        let cell = &cells_ref[i];
-        let hash = hashes_ref[i].as_str();
-
-        // Claim the cell (or wait out a live holder, or degrade to
-        // uncoordinated on lease I/O failure).
-        let mut holds_lease = false;
-        if let (Some(store), Some(plane)) = (store, plane_ref) {
-            match claim_or_wait(plane, store, hash, plane.ttl(estimator_ref)) {
-                ClaimResult::Resolved(report) => {
-                    progress_ref.cell_done(&cell.label);
-                    return Ok(CellDone {
-                        report: *report,
-                        store_failure: None,
-                        waited: true,
-                    });
-                }
-                ClaimResult::Claimed => holds_lease = true,
-                ClaimResult::Uncoordinated => {}
-            }
-            plane.journal.record(
-                EventKind::Claim,
-                &plane.grid,
-                hash,
-                0,
-                0.0,
-                "",
-                if holds_lease { "" } else { "uncoordinated" },
-            );
-        }
-
-        let token = mix64(hash.as_bytes());
-        let mut attempt: u32 = 0;
-        let simulated = loop {
-            let attempt_started = Instant::now();
-            let outcome = run_cell_guarded(
-                cell.clone(),
-                hash.to_string(),
-                attempt,
-                opts.faults.clone(),
-                estimator_ref.deadline(),
-            );
-            match outcome {
-                Ok(report) => {
-                    let wall = attempt_started.elapsed().as_secs_f64();
-                    estimator_ref.record(wall);
-                    progress_ref.cell_done(&cell.label);
-                    break Ok((report, wall));
-                }
-                Err((kind, error)) => {
-                    progress_ref.cell_failed(&cell.label, attempt, &error);
-                    if attempt >= opts.retry.max_retries {
-                        break Err(CellFailure {
-                            index: i,
-                            label: cell.label.clone(),
-                            hash: hash.to_string(),
-                            kind,
-                            attempts: attempt + 1,
-                            error,
-                        });
-                    }
-                    opts.retry.sleep_before_retry(attempt, token);
-                    attempt += 1;
-                }
-            }
-        };
-
-        let out = match simulated {
-            Ok((report, wall)) => {
-                let mut store_failure = None;
-                if let Some(store) = store {
-                    match put_with_retry(store, hash, cell, &report, &opts.retry) {
-                        Ok(checksum) => {
-                            store.record_wall(hash, wall);
-                            if let Some(plane) = plane_ref {
-                                plane.journal.record(
-                                    EventKind::Complete,
-                                    &plane.grid,
-                                    hash,
-                                    attempt,
-                                    wall,
-                                    &checksum,
-                                    "",
-                                );
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "chronus-grid: failed to persist cell {hash} to {}: {e}",
-                                store.dir().display()
-                            );
-                            if let Some(plane) = plane_ref {
-                                plane.journal.record(
-                                    EventKind::Fail,
-                                    &plane.grid,
-                                    hash,
-                                    attempt,
-                                    wall,
-                                    "",
-                                    &format!("store-write: {e}"),
-                                );
-                            }
-                            store_failure = Some(CellFailure {
-                                index: i,
-                                label: cell.label.clone(),
-                                hash: hash.to_string(),
-                                kind: FailureKind::StoreWrite,
-                                attempts: opts.retry.attempts(),
-                                error: e.to_string(),
-                            });
-                        }
-                    }
-                }
-                Ok(CellDone {
-                    report,
-                    store_failure,
-                    waited: false,
-                })
-            }
-            Err(failure) => {
-                if let Some(plane) = plane_ref {
-                    plane.journal.record(
-                        EventKind::Fail,
-                        &plane.grid,
-                        hash,
-                        failure.attempts,
-                        0.0,
-                        "",
-                        &format!("{:?}: {}", failure.kind, failure.error),
-                    );
-                }
-                Err(failure)
-            }
-        };
-        if holds_lease {
-            if let Some(plane) = plane_ref {
-                plane.release(hash);
-            }
-        }
-        out
-    });
+    let runner = UnitRunner {
+        cells: &spec.cells,
+        hashes: &hashes,
+        store,
+        plane: plane.as_deref(),
+        estimator: &estimator,
+        progress: &progress,
+        opts,
+    };
+    let worker_results = try_run_parallel(units.clone(), opts.threads, |unit| runner.run(unit));
 
     if let Some(handle) = heartbeat {
         hb_stop.store(true, Ordering::Relaxed);
@@ -801,41 +911,46 @@ pub fn run_grid_coordinated(
         let _ = handle.join();
     }
 
-    // Fan-out and accounting. Worker-level panics (outside the per-cell
-    // guard) are demoted to cell failures too: one bad worker must never
-    // take the grid down.
+    // Fan-out and accounting. Worker-level panics (outside the per-attempt
+    // guard) are demoted to failures of the unit's cells: one bad worker
+    // must never take the grid down.
     let mut failures: Vec<CellFailure> = Vec::new();
-    for (&i, result) in owned_indices.iter().zip(worker_results) {
-        let hash = hashes[i].as_str();
-        let indices = &by_hash[hash];
-        let flattened = match result {
-            Ok(done) => done,
-            Err(panic_msg) => Err(CellFailure {
-                index: i,
-                label: spec.cells[i].label.clone(),
-                hash: hash.to_string(),
-                kind: FailureKind::Panic,
-                attempts: 1,
-                error: format!("worker thread panicked: {panic_msg}"),
-            }),
-        };
-        match flattened {
-            Ok(done) => {
-                if done.waited {
-                    stats.waited += indices.len();
-                } else {
-                    stats.simulated += indices.len();
+    for (unit, result) in units.iter().zip(worker_results) {
+        let members = result.unwrap_or_else(|panic_msg| {
+            unit.iter()
+                .map(|&i| {
+                    let failure = CellFailure {
+                        index: i,
+                        label: spec.cells[i].label.clone(),
+                        hash: hashes[i].clone(),
+                        kind: FailureKind::Panic,
+                        attempts: 1,
+                        error: format!("worker thread panicked: {panic_msg}"),
+                    };
+                    (i, Err(failure))
+                })
+                .collect()
+        });
+        for (i, member) in members {
+            let indices = &by_hash[hashes[i].as_str()];
+            match member {
+                Ok(done) => {
+                    if done.waited {
+                        stats.waited += indices.len();
+                    } else {
+                        stats.simulated += indices.len();
+                    }
+                    if let Some(failure) = done.store_failure {
+                        failures.push(failure);
+                    }
+                    for &j in indices {
+                        reports[j] = Some(done.report.clone());
+                    }
                 }
-                if let Some(failure) = done.store_failure {
+                Err(failure) => {
+                    stats.failed += indices.len();
                     failures.push(failure);
                 }
-                for &j in indices {
-                    reports[j] = Some(done.report.clone());
-                }
-            }
-            Err(failure) => {
-                stats.failed += indices.len();
-                failures.push(failure);
             }
         }
     }
@@ -1116,5 +1231,227 @@ mod tests {
 
         let explicit = DeadlineEstimator::new(Some(Duration::from_millis(250)));
         assert_eq!(explicit.deadline(), Some(Duration::from_millis(250)));
+    }
+
+    fn mcf(seed: u64) -> WorkloadSpec {
+        WorkloadSpec::Apps {
+            apps: vec![AppTrace::new("429.mcf", 0, seed)],
+            trace_instructions: 3_000,
+        }
+    }
+
+    /// An unmitigated, oracle-judged cell: `nrh` and `vrd` reach only the
+    /// oracle, so every such cell over one workload is one timing cohort.
+    fn vrd_cell(label: &str, workload: WorkloadSpec, nrh: u32, vrd_seed: u64) -> CellSpec {
+        let mut cfg = SimConfig::single_core();
+        cfg.instructions_per_core = 2_000;
+        cfg.nrh = nrh;
+        cfg.oracle = true;
+        cfg.vrd = Some(chronus_sim::VrdSpec {
+            min_pct: 50,
+            seed: vrd_seed,
+        });
+        CellSpec::new(label, workload, cfg)
+    }
+
+    /// 2 `min_pct` points × 16 VRD seeds over one workload.
+    fn vrd_sweep() -> GridSpec {
+        let mut spec = GridSpec::new("vrd-units");
+        for min_pct in [100, 50] {
+            for seed in 0..16 {
+                let mut cell = vrd_cell(&format!("vrd{min_pct}#{seed}"), mcf(42), 1024, seed);
+                cell.config.vrd = Some(chronus_sim::VrdSpec { min_pct, seed });
+                spec.push(cell);
+            }
+        }
+        spec
+    }
+
+    /// The units the executor plans for `spec` on a cold store: owned
+    /// misses are first positions of their hash that `shard` owns.
+    fn units_of(spec: &GridSpec, shard: Shard) -> Vec<Vec<usize>> {
+        let hashes = spec.hashes();
+        let owned: Vec<usize> = (0..spec.len())
+            .filter(|&i| !hashes[..i].contains(&hashes[i]) && shard.owns(i))
+            .collect();
+        plan_units(&spec.cells, &owned)
+    }
+
+    #[test]
+    fn units_are_timing_cohorts() {
+        // 32 VRD members are one unit.
+        let vrd = vrd_sweep();
+        assert_eq!(
+            units_of(&vrd, Shard::full()),
+            vec![(0..32).collect::<Vec<_>>()]
+        );
+
+        // A mechanism forks its own unit; so does a second workload. A hash
+        // duplicated at two positions is one member (its first position).
+        let mut spec = GridSpec::new("forks");
+        spec.push(vrd_cell("a", mcf(42), 1024, 1));
+        spec.push(vrd_cell("b", mcf(42), 512, 2));
+        let mut chronus = vrd_cell("c", mcf(42), 1024, 1);
+        chronus.config.mechanism = chronus_core::MechanismKind::Chronus;
+        spec.push(chronus.clone());
+        spec.push(vrd_cell("d", mcf(7), 1024, 1));
+        spec.push(vrd_cell("dup-of-b", mcf(42), 512, 2));
+        let mut chronus_vrd = chronus;
+        chronus_vrd.config.vrd = None;
+        spec.push(chronus_vrd);
+        assert_eq!(
+            units_of(&spec, Shard::full()),
+            vec![vec![0, 1], vec![2, 5], vec![3]]
+        );
+
+        // A shard filter splits a cohort: each shard fills its own half.
+        let halves: Vec<Vec<Vec<usize>>> = (1..=2)
+            .map(|k| units_of(&vrd, Shard { index: k, count: 2 }))
+            .collect();
+        assert_eq!(halves[0], vec![(0..32).step_by(2).collect::<Vec<_>>()]);
+        assert_eq!(halves[1], vec![(1..32).step_by(2).collect::<Vec<_>>()]);
+    }
+
+    /// Four VRD variants of one workload: one cohort.
+    fn cohort_grid(name: &str) -> GridSpec {
+        let mut spec = GridSpec::new(name);
+        for (i, (nrh, vrd_seed)) in [(1024u32, 1u64), (1024, 2), (512, 1), (256, 3)]
+            .into_iter()
+            .enumerate()
+        {
+            spec.push(vrd_cell(&format!("mc#{i}"), mcf(42), nrh, vrd_seed));
+        }
+        spec
+    }
+
+    /// `(file name, bytes)` of the store's top-level entries — the
+    /// byte-identity surface (sidecars and journals are not part of it).
+    fn entry_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_type().unwrap().is_file())
+            .map(|e| (e.file_name().into_string().unwrap(), e.path()))
+            .filter(|(name, _)| name.ends_with(".json"))
+            .map(|(name, path)| (name, std::fs::read(path).unwrap()))
+            .collect();
+        out.sort();
+        out
+    }
+
+    fn quiet_opts() -> ExecOpts {
+        ExecOpts {
+            threads: 2,
+            progress: false,
+            ..ExecOpts::default()
+        }
+    }
+
+    #[test]
+    fn cohort_fill_is_byte_identical_to_solo() {
+        let solo_dir = scratch("solo");
+        let cohort_dir = scratch("cohort");
+        let spec = cohort_grid("byte-identity");
+        assert_eq!(units_of(&spec, Shard::full()).len(), 1);
+
+        // The reference: every cell simulated alone and put by hand.
+        let solo_store = ResultStore::open(&solo_dir).unwrap();
+        let solo: Vec<SimReport> = spec.cells.iter().map(simulate_cell).collect();
+        for ((cell, hash), report) in spec.cells.iter().zip(spec.hashes()).zip(&solo) {
+            solo_store.put(&hash, cell, report).unwrap();
+        }
+
+        let store = ResultStore::open(&cohort_dir).unwrap();
+        let out = run_grid(&spec, Some(&store), &quiet_opts());
+        assert!(out.is_complete() && !out.is_degraded());
+        assert_eq!(out.stats.simulated, 4);
+        let entries = entry_bytes(&cohort_dir);
+        assert_eq!(entries.len(), 4);
+        assert_eq!(
+            entries,
+            entry_bytes(&solo_dir),
+            "cohort entries must be byte-identical to solo puts"
+        );
+        for (report, solo) in out.reports.iter().zip(&solo) {
+            assert_eq!(report.as_ref(), Some(solo));
+        }
+        let _ = std::fs::remove_dir_all(&solo_dir);
+        let _ = std::fs::remove_dir_all(&cohort_dir);
+    }
+
+    #[test]
+    fn second_cohort_pass_is_fully_cached() {
+        let dir = scratch("cohort-cached");
+        let spec = cohort_grid("cached");
+        let store = ResultStore::open(&dir).unwrap();
+        let first = run_grid(&spec, Some(&store), &quiet_opts());
+        assert_eq!(first.stats.simulated, 4);
+        let second = run_grid(&spec, Some(&store), &quiet_opts());
+        assert_eq!(second.stats.cached, 4);
+        assert_eq!(second.stats.simulated, 0);
+        assert_eq!(second.reports, first.reports);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cohort_members_record_the_units_whole_wall() {
+        // A cohort is one simulation: the next run seeds its watchdog
+        // deadline from the served members' `.wall` sidecars, so each must
+        // hold the unit's whole wall — not wall ÷ members, which would arm
+        // a deadline shorter than the one simulation a partly cached
+        // cohort's remainder runs.
+        let dir = scratch("cohort-wall");
+        let spec = cohort_grid("wall");
+        let store = ResultStore::open(&dir).unwrap();
+        // Every member stalls 40 ms on attempt 0, so the unit's one attempt
+        // takes at least 4 × 40 ms.
+        let faults = crate::faults::FaultPlan::parse("stall:1.0,stall_ms:40,attempts:1,seed:1")
+            .unwrap()
+            .injector();
+        let opts = ExecOpts {
+            faults: Some(faults),
+            ..quiet_opts()
+        };
+        let out = run_grid(&spec, Some(&store), &opts);
+        assert!(out.is_complete() && !out.is_degraded());
+        assert_eq!(out.stats.simulated, 4);
+        let walls: Vec<f64> = spec
+            .hashes()
+            .iter()
+            .map(|h| store.recorded_wall(h).unwrap())
+            .collect();
+        assert!(walls.iter().all(|&w| w >= 0.160), "{walls:?}");
+        assert!(walls.iter().all(|&w| w == walls[0]), "{walls:?}");
+        let completes: Vec<f64> = crate::journal::read_events(&dir)
+            .unwrap()
+            .events
+            .into_iter()
+            .filter(|e| e.kind == EventKind::Complete)
+            .map(|e| e.wall)
+            .collect();
+        assert_eq!(completes.len(), 4);
+        assert!(completes.iter().all(|&w| (w - walls[0]).abs() < 1e-6));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mixed_workloads_split_into_units() {
+        // A second workload is its own unit; every cell still completes.
+        let mut spec = cohort_grid("mixed");
+        let mut cfg = SimConfig::single_core();
+        cfg.instructions_per_core = 2_000;
+        let povray = WorkloadSpec::Apps {
+            apps: vec![AppTrace::new("511.povray", 0, 7)],
+            trace_instructions: 3_000,
+        };
+        spec.push(CellSpec::new("povray", povray, cfg));
+        assert_eq!(units_of(&spec, Shard::full()).len(), 2);
+        let out = run_grid(&spec, None, &quiet_opts());
+        assert!(out.is_complete());
+        assert_eq!(out.stats.simulated, 5);
+        assert_eq!(
+            out.reports[4].as_ref(),
+            Some(&simulate_cell(&spec.cells[4]))
+        );
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Each holder (one executor, `doctor` pass, `gc`, …) appends to its own
 //! `<store>/journal/<holder>.jsonl` — one compact JSON object per line,
-//! fsync'd per event, never rewritten. Single-writer-per-file means no
+//! fsync'd per event (or once per unit of work's events), never
+//! rewritten. Single-writer-per-file means no
 //! append interleaving between processes; readers merge all files and sort
 //! by `(at_ms, holder, seq)` to reconstruct the global order.
 //!
@@ -148,6 +149,28 @@ impl Journal {
         checksum: &str,
         detail: &str,
     ) -> io::Result<()> {
+        self.write(kind, grid, hash, attempt, wall, checksum, detail)?;
+        self.sync()
+    }
+
+    /// [`Journal::append`] without the fsync: the event is durable after
+    /// the next [`Journal::sync`], so a unit of work fsyncs its members'
+    /// events once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::append`], fsync aside.
+    #[allow(clippy::too_many_arguments)]
+    pub fn write(
+        &self,
+        kind: EventKind,
+        grid: &str,
+        hash: &str,
+        attempt: u32,
+        wall: f64,
+        checksum: &str,
+        detail: &str,
+    ) -> io::Result<()> {
         if let Some(faults) = &self.faults {
             if let Some(e) = faults.journal_fault(hash) {
                 return Err(e);
@@ -179,9 +202,18 @@ impl Journal {
         let file = state.file.as_mut().expect("opened above");
         file.write_all(line.as_bytes())?;
         file.write_all(b"\n")?;
-        file.sync_data()?;
         state.seq += 1;
         Ok(())
+    }
+
+    /// Fsyncs every event written so far.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the fsync failure.
+    pub fn sync(&self) -> io::Result<()> {
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.file.as_ref().map_or(Ok(()), File::sync_data)
     }
 
     /// [`Journal::append`] that reports failures to stderr instead of

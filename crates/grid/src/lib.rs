@@ -39,7 +39,6 @@
 //! assert!(outcome.is_complete());
 //! ```
 
-pub mod batch;
 pub mod cell;
 pub mod doctor;
 pub mod exec;
@@ -53,7 +52,6 @@ pub mod shard;
 pub mod spec;
 pub mod store;
 
-pub use batch::{run_grid_batched, BatchSpec};
 pub use cell::{AppTrace, AttackSpec, CellKey, CellSpec, WorkloadSpec, SIM_VERSION};
 pub use doctor::{run_doctor, DoctorReport};
 pub use exec::{

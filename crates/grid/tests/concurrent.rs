@@ -56,7 +56,6 @@ fn coord(holder: &str) -> CoordOpts {
     CoordOpts {
         holder: Some(holder.to_string()),
         lease_ttl: Some(Duration::from_secs(30)),
-        ..CoordOpts::default()
     }
 }
 
@@ -286,5 +285,72 @@ fn a_fully_cached_run_does_no_miss_path_work() {
         vec![],
         "the lease was released"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// 2 `min_pct` points × 16 VRD seeds of one unmitigated workload: 32 cells,
+/// one timing cohort (the shape of the `vrd-sweep` grid).
+fn cohort_grid() -> GridSpec {
+    let mut spec = GridSpec::new("conc-cohort");
+    for min_pct in [100, 50] {
+        for seed in 0..16u64 {
+            let mut cfg = SimConfig::single_core();
+            cfg.instructions_per_core = 2_000;
+            cfg.nrh = 1024;
+            cfg.oracle = true;
+            cfg.vrd = Some(chronus_sim::VrdSpec { min_pct, seed });
+            cfg.max_mem_cycles = 1 << 22;
+            let workload = WorkloadSpec::Apps {
+                apps: vec![AppTrace::new("429.mcf", 0, 42)],
+                trace_instructions: 2_400,
+            };
+            spec.push(CellSpec::new(format!("vrd{min_pct}#{seed}"), workload, cfg));
+        }
+    }
+    spec
+}
+
+#[test]
+fn racing_executors_split_no_cohort_member_twice() {
+    let spec = cohort_grid();
+    let dir = scratch("race-cohort");
+    let start = Barrier::new(2);
+    let (a, b) = std::thread::scope(|scope| {
+        let run = |holder: &'static str| {
+            let (spec, dir, start) = (&spec, &dir, &start);
+            scope.spawn(move || {
+                let store = ResultStore::open(dir).unwrap();
+                start.wait();
+                run_grid_coordinated(spec, Some(&store), &opts(), &coord(holder))
+            })
+        };
+        let a = run("host-1-a");
+        let b = run("host-2-b");
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert!(a.is_complete() && !a.is_degraded(), "{:?}", a.stats);
+    assert!(b.is_complete() && !b.is_degraded(), "{:?}", b.stats);
+    assert_eq!(a.reports, b.reports);
+    assert_eq!(
+        a.stats.simulated + b.stats.simulated,
+        32,
+        "duplicated or lost work: a={:?} b={:?}",
+        a.stats,
+        b.stats
+    );
+
+    // One Complete per hash across both holders' journals.
+    let scan = chronus_grid::journal::read_events(&dir).unwrap();
+    let mut completes: Vec<&str> = scan
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Complete)
+        .map(|e| e.hash.as_str())
+        .collect();
+    completes.sort_unstable();
+    let mut hashes = spec.hashes();
+    hashes.sort_unstable();
+    assert_eq!(completes, hashes);
+    assert_eq!(files_in(&dir.join("leases")), vec![], "all leases released");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -200,3 +200,115 @@ fn permanent_io_faults_surface_as_store_write_failures_with_reports() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Eight VRD variants of one unmitigated workload: one timing cohort.
+fn cohort_grid() -> GridSpec {
+    let mut spec = GridSpec::new("fault-recovery-cohort");
+    for seed in 0..8u64 {
+        let mut cfg = SimConfig::single_core();
+        cfg.instructions_per_core = 2_000;
+        cfg.nrh = 1024;
+        cfg.oracle = true;
+        cfg.vrd = Some(chronus_sim::VrdSpec { min_pct: 50, seed });
+        cfg.max_mem_cycles = 1 << 22;
+        let workload = WorkloadSpec::Apps {
+            apps: vec![AppTrace::new("429.mcf", 0, 42)],
+            trace_instructions: 2_400,
+        };
+        spec.push(CellSpec::new(format!("vrd#{seed}"), workload, cfg));
+    }
+    spec
+}
+
+#[test]
+fn a_faulted_cohort_gives_every_member_its_solo_outcome() {
+    let spec = cohort_grid();
+    let hashes = spec.hashes();
+    let max_retries = 1;
+    // Permanent panics on some members, then the same draws healed by the
+    // retry (`attempts:1`).
+    for (tag, text) in [
+        ("cohort-faults", "panic:0.5,seed:4"),
+        ("cohort-faults-gated", "panic:0.5,attempts:1,seed:4"),
+    ] {
+        let dir = scratch(tag);
+        let store = ResultStore::open(&dir).unwrap();
+        let plan = FaultPlan::parse(text).unwrap();
+
+        // Each member's own decisions over attempts 0..=max_retries: the
+        // first clean attempt succeeds; a member with none fails after all.
+        let injector = plan.clone().injector();
+        let solo: Vec<Option<u32>> = hashes
+            .iter()
+            .map(|h| (0..=max_retries).find(|&a| injector.exec_fault(h, a).is_none()))
+            .collect();
+        // The plan splits the cohort: some member faults on attempt 0.
+        assert!(
+            solo.contains(&Some(0)) && solo.iter().any(|s| *s != Some(0)),
+            "{solo:?}"
+        );
+
+        let out = run_grid(
+            &spec,
+            Some(&store),
+            &opts(fast_retry(max_retries), Some(plan)),
+        );
+        let expected_failed: Vec<(usize, u32)> = (0..solo.len())
+            .filter(|&i| solo[i].is_none())
+            .map(|i| (i, max_retries + 1))
+            .collect();
+        let manifest = store
+            .load_manifest(&spec.name)
+            .map(|m| m.failures)
+            .unwrap_or_default();
+        let failed: Vec<(usize, u32)> = manifest.iter().map(|f| (f.index, f.attempts)).collect();
+        assert_eq!(failed, expected_failed, "{text}");
+        assert!(manifest.iter().all(|f| f.kind == FailureKind::Panic));
+        assert_eq!(out.failures, manifest);
+        assert_eq!(out.stats.failed, expected_failed.len());
+        assert_eq!(out.stats.simulated, 8 - expected_failed.len());
+
+        // Every success is journaled once, at the attempt its solo
+        // decisions give.
+        let scan = chronus_grid::journal::read_events(&dir).unwrap();
+        for (i, s) in solo.iter().enumerate() {
+            let completes: Vec<u32> = scan
+                .events
+                .iter()
+                .filter(|e| e.kind == chronus_grid::EventKind::Complete && e.hash == hashes[i])
+                .map(|e| e.attempt)
+                .collect();
+            assert_eq!(
+                completes,
+                s.iter().copied().collect::<Vec<_>>(),
+                "{text}: cell {i}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_timed_out_cohort_retries_each_member_alone() {
+    let dir = scratch("cohort-timeout");
+    let store = ResultStore::open(&dir).unwrap();
+    let spec = cohort_grid();
+    // No simulation beats a 1 ns deadline: the cohort attempt times out,
+    // and so does every member's own attempt after the split.
+    let exec = ExecOpts {
+        cell_timeout: Some(Duration::from_nanos(1)),
+        ..opts(fast_retry(0), None)
+    };
+    let out = run_grid(&spec, Some(&store), &exec);
+    assert_eq!(out.stats.failed, 8);
+    assert_eq!(out.failures.len(), 8);
+    for (i, f) in out.failures.iter().enumerate() {
+        assert_eq!((f.index, f.kind, f.attempts), (i, FailureKind::Timeout, 1));
+    }
+    // A clean rerun heals the whole cohort in one unit.
+    let healed = run_grid(&spec, Some(&store), &opts(fast_retry(0), None));
+    assert!(healed.is_complete() && !healed.is_degraded());
+    assert_eq!(healed.stats.simulated, 8);
+    assert!(store.load_manifest(&spec.name).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}

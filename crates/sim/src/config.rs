@@ -134,6 +134,23 @@ impl SimConfig {
             },
         }
     }
+
+    /// The config with every timing-inert field canonicalized away: two
+    /// configs with equal keys simulate cycle-identically (one timing
+    /// cohort), differing only in what the oracle judges and the report's
+    /// `nrh`. Cleared: `vrd`, the seed of a mechanism that draws none, and
+    /// `nrh` under no mechanism (only the oracle consumes it there).
+    pub fn cohort_key(&self) -> Self {
+        let mut key = self.clone();
+        key.vrd = None;
+        if !key.mechanism.uses_seed() {
+            key.seed = 0;
+        }
+        if key.mechanism == MechanismKind::None {
+            key.nrh = 0;
+        }
+        key
+    }
 }
 
 #[cfg(test)]

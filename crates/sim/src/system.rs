@@ -322,15 +322,15 @@ impl System {
     /// lockstep where possible, and returns one [`SimReport`] per variant,
     /// each bit-identical to what its solo [`System::run`] would produce.
     ///
-    /// The engine partitions the variants into *timing cohorts*. The
-    /// disturbance oracle is strictly observational (no hook affects a
-    /// timing frontier), so variants that differ only in oracle-visible
-    /// parameters — the VRD distribution (`vrd`), the seed of a
-    /// seed-insensitive mechanism, or `nrh` under the unmitigated baseline
-    /// — share one simulation: the cohort runs once with a multi-lane
-    /// [`DisturbOracle`] (one threshold-model lane per member) and each
-    /// member's report is the cohort report with its own `nrh` and lane
-    /// flip count patched in. Every other field is provably
+    /// The engine partitions the variants into *timing cohorts* (equal
+    /// [`SimConfig::cohort_key`]s). The disturbance oracle is strictly
+    /// observational (no hook affects a timing frontier), so variants that
+    /// differ only in oracle-visible parameters — the VRD distribution
+    /// (`vrd`), the seed of a seed-insensitive mechanism, or `nrh` under the
+    /// unmitigated baseline — share one simulation: the cohort runs once
+    /// with a multi-lane [`DisturbOracle`] (one threshold-model lane per
+    /// member) and each member's report is the cohort report with its own
+    /// `nrh` and lane flip count patched in. Every other field is provably
     /// cohort-invariant: the mechanism label, timing, and `secure` verdict
     /// are functions of the cohort key alone.
     ///
@@ -352,24 +352,9 @@ impl System {
                 "every batch member must run the shared workload"
             );
         }
-        // The cohort key is the config with every timing-inert field
-        // canonicalized away; equal keys ⇒ bit-identical timing.
-        let cohort_key = |cfg: &SimConfig| {
-            let mut key = cfg.clone();
-            key.vrd = None;
-            if !key.mechanism.uses_seed() {
-                key.seed = 0;
-            }
-            if key.mechanism == MechanismKind::None {
-                // No mechanism consumes the threshold: nrh only reaches
-                // the oracle (a lane) and the report (patched below).
-                key.nrh = 0;
-            }
-            key
-        };
         let mut cohorts: Vec<(SimConfig, Vec<usize>)> = Vec::new();
         for (i, cfg) in cfgs.iter().enumerate() {
-            let key = cohort_key(cfg);
+            let key = cfg.cohort_key();
             match cohorts.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, members)) => members.push(i),
                 None => cohorts.push((key, vec![i])),

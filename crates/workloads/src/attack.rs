@@ -38,9 +38,16 @@ pub fn wave_attack_trace(
 }
 
 /// Builds the §11 performance-degradation attack: hammer `rows_per_bank`
-/// rows in each of `num_banks` banks (paper: 8 rows × 4 banks), cycling so
-/// every return to a bank targets a different row (guaranteed row
-/// conflict → activation).
+/// rows in each of `num_banks` banks (paper: 8 rows × 4 banks), cycling
+/// banks fastest and rows next, so in trace order every return to a bank
+/// names a different row.
+///
+/// Trace order does not make every access an activation. The pattern
+/// repeats every `num_banks × rows_per_bank` accesses, the controller's
+/// read queue can hold two requests to one row, and FR-FCFS serves the
+/// second as a row hit: ROADMAP.md item 2(a) measured 0.50 ACTs per access
+/// under Baseline (0.95 under PRAC-4, 0.49 under Chronus), single core,
+/// N_RH 1024.
 pub fn perf_attack_trace(
     mapping: AddressMapping,
     geo: &Geometry,
