@@ -12,7 +12,7 @@
 //! A queue holds one request kind, which the scheduler takes from its
 //! caller, and a table of each flat bank's `BankId`.
 
-use chronus_dram::{BankId, Geometry};
+use chronus_dram::{BankId, Geometry, RowId};
 
 use crate::request::MemRequest;
 use crate::scheduler::Entry;
@@ -96,8 +96,9 @@ pub struct RequestQueue {
     /// Stable storage; slot ids stay valid until removal.
     slots: Vec<Option<Entry>>,
     free: Vec<u32>,
-    /// Per flat bank: slot ids in age order (oldest first).
+    /// Per flat bank: slot ids in age order (oldest first), and their rows.
     by_bank: Vec<Vec<u32>>,
+    rows: Vec<Vec<RowId>>,
     /// Per flat bank: its `BankId`.
     bank_ids: Vec<BankId>,
     occupied: BankSet,
@@ -126,6 +127,7 @@ impl RequestQueue {
             slots: Vec::new(),
             free: Vec::new(),
             by_bank: vec![Vec::new(); geo.total_banks()],
+            rows: vec![Vec::new(); geo.total_banks()],
             bank_ids: (0..geo.total_banks())
                 .map(|flat| BankId::from_flat(flat, &geo))
                 .collect(),
@@ -172,6 +174,7 @@ impl RequestQueue {
         };
         let flat = req.addr.bank.flat(&self.geo);
         self.by_bank[flat].push(slot);
+        self.rows[flat].push(req.addr.row);
         self.occupied.insert(flat);
         self.rank_len[req.addr.bank.rank as usize] += 1;
         self.len += 1;
@@ -198,6 +201,7 @@ impl RequestQueue {
             .position(|&s| s == slot)
             .expect("slot indexed under its bank");
         list.remove(pos);
+        self.rows[flat].remove(pos);
         if list.is_empty() {
             self.occupied.remove(flat);
         }
@@ -220,6 +224,11 @@ impl RequestQueue {
     /// Slot ids queued for flat bank `flat`, oldest first.
     pub fn bank_slots(&self, flat: usize) -> &[u32] {
         &self.by_bank[flat]
+    }
+
+    /// The row of each of [`Self::bank_slots`]`(flat)`, in the same order.
+    pub fn bank_rows(&self, flat: usize) -> &[RowId] {
+        &self.rows[flat]
     }
 
     /// All live `(slot, entry)` pairs, in unspecified order. Sort by
@@ -272,6 +281,21 @@ mod tests {
         let _ = q.remove(c);
         assert!(q.is_empty());
         assert_eq!(q.rank_len(0), 0);
+    }
+
+    #[test]
+    fn bank_rows_follow_bank_slots() {
+        let geo = Geometry::tiny();
+        let mut q = RequestQueue::new(geo);
+        let slots: Vec<u32> = (0..4).map(|id| q.push(req(id, 2, &geo))).collect();
+        assert_eq!(q.bank_rows(2), &[0, 1, 2, 3]);
+        let _ = q.remove(slots[1]);
+        let _ = q.push(req(7, 2, &geo));
+        let _ = q.remove(slots[0]);
+        assert_eq!(q.bank_rows(2), &[2, 3, 7]);
+        for (&slot, &row) in q.bank_slots(2).iter().zip(q.bank_rows(2)) {
+            assert_eq!(q.get(slot).req.addr.row, row);
+        }
     }
 
     #[test]

@@ -113,40 +113,40 @@ pub(crate) fn bank_candidates(
     let bank = queue.bank_id(flat);
     let (rank, group) = (bank.rank as usize, bank.group as usize);
     let open = dram.open_row(bank);
-    // Oldest hit `(seq, slot, bypass)` and oldest non-hit `(seq, slot)`;
-    // stop as soon as both are known.
-    let mut hit: Option<(u64, u32, bool)> = None;
-    let mut other: Option<(u64, u32)> = None;
-    for &slot in queue.bank_slots(flat) {
-        let e = queue.get(slot);
-        if open == Some(e.req.addr.row) {
+    // Oldest hit `(slot, bypass)` and oldest non-hit slot, from the rows
+    // alone (only the picked entries are read); stop once both are known.
+    let mut hit: Option<(u32, bool)> = None;
+    let mut other: Option<u32> = None;
+    for (&slot, &row) in queue.bank_slots(flat).iter().zip(queue.bank_rows(flat)) {
+        if open == Some(row) {
             if hit.is_none() {
-                hit = Some((e.seq, slot, other.is_some()));
+                hit = Some((slot, other.is_some()));
             }
         } else if other.is_none() {
-            other = Some((e.seq, slot));
+            other = Some(slot);
         }
         if hit.is_some() && other.is_some() {
             break;
         }
     }
+    let seq = |slot: u32| queue.get(slot).seq;
     let hit = hit
-        .filter(|&(_, _, bypass)| !bypass || hit_streak[flat] < cap)
-        .map(|(seq, slot, bypass)| {
+        .filter(|&(_, bypass)| !bypass || hit_streak[flat] < cap)
+        .map(|(slot, bypass)| {
             let t = dram
                 .rank_cas_floor(rank, write)
                 .max(dram.group_cas_floor(rank, group, write))
                 .max(dram.bank_cas_at(bank, write));
-            (t.max(from), seq, Decision::Cas(slot, bypass))
+            (t.max(from), seq(slot), Decision::Cas(slot, bypass))
         });
-    let other = other.map(|(seq, slot)| match open {
-        Some(_) => (dram.bank_pre_at(bank).max(from), seq, Decision::Pre(slot)),
+    let other = other.map(|s| match open {
+        Some(_) => (dram.bank_pre_at(bank).max(from), seq(s), Decision::Pre(s)),
         None => {
             let t = dram
                 .rank_act_floor(rank)
                 .max(dram.group_act_floor(rank, group))
                 .max(dram.bank_act_at(bank));
-            (t.max(from), seq, Decision::Act(slot))
+            (t.max(from), seq(s), Decision::Act(s))
         }
     });
     [hit, other]

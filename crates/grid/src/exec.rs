@@ -30,6 +30,11 @@
 //! uncoordinated execution: store entries are byte-deterministic and
 //! written atomically, so the worst case is duplicate compute, never
 //! corruption.
+//!
+//! A pass served entirely from the store reads its entries and writes
+//! nothing: stale temp files are reaped and the lease plane is opened only
+//! once the pass owns a miss, before its first write, and the store lock
+//! is taken only for a failure to record or a manifest file to heal.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -50,7 +55,7 @@ use crate::progress::Progress;
 use crate::retry::RetryPolicy;
 use crate::shard::Shard;
 use crate::spec::GridSpec;
-use crate::store::{ManifestState, ResultStore};
+use crate::store::{ManifestState, ResultStore, STALE_TMP_AGE};
 
 /// Process exit code of a run that completed in degraded mode (some cells
 /// failed permanently and are listed in the failure manifest). Distinct
@@ -357,24 +362,6 @@ struct CoordPlane {
 }
 
 impl CoordPlane {
-    fn open(
-        store: &ResultStore,
-        grid: &str,
-        coord: &CoordOpts,
-        faults: Option<FaultInjector>,
-    ) -> std::io::Result<Self> {
-        let holder = coord.holder.clone().unwrap_or_else(lease::unique_holder);
-        let leases = LeaseManager::open(store.dir(), holder.clone())?.with_faults(faults.clone());
-        let journal = Arc::new(Journal::open(store.dir(), holder).with_faults(faults));
-        Ok(Self {
-            leases,
-            journal,
-            grid: grid.to_string(),
-            ttl_override: coord.lease_ttl,
-            active: Mutex::new(HashSet::new()),
-        })
-    }
-
     /// The TTL to stamp into (and refresh onto) leases right now.
     fn ttl(&self, estimator: &DeadlineEstimator) -> Duration {
         self.ttl_override.unwrap_or_else(|| {
@@ -426,9 +413,9 @@ impl CoordPlane {
         }
     }
 
-    /// Executor-open hook: sweep leases abandoned by crashed holders so no
+    /// Plane-open hook: sweep leases abandoned by crashed holders so no
     /// cell stays blocked longer than one TTL (and, on this host, no
-    /// longer than the next open).
+    /// longer than the next pass that owns a miss).
     fn reclaim_stale_on_open(&self) {
         match self.leases.reclaim_stale() {
             Ok(reclaimed) if !reclaimed.is_empty() => {
@@ -789,37 +776,20 @@ pub fn run_grid_coordinated(
     };
     let estimator = Arc::new(DeadlineEstimator::new(opts.cell_timeout));
 
-    // Coordination plane (leases + journal) for store-backed runs; lease
-    // I/O failure at open degrades to uncoordinated execution.
-    let plane: Option<Arc<CoordPlane>> = match store {
-        Some(s) => match CoordPlane::open(s, &spec.name, coord, opts.faults.clone()) {
-            Ok(plane) => Some(Arc::new(plane)),
-            Err(e) => {
-                eprintln!(
-                    "chronus-grid: could not open lease/journal plane ({e}); running \
-                     uncoordinated"
-                );
-                None
-            }
-        },
-        None => None,
-    };
-    // Route store-level events (demotes) through this run's journal unless
-    // the store already carries one.
-    let journaled_store: Option<ResultStore> = match (store, &plane) {
-        (Some(s), Some(p)) if s.journal().is_none() => {
-            Some(s.clone().with_journal(p.journal.clone()))
-        }
-        (Some(s), _) => Some(s.clone()),
-        (None, _) => None,
+    // The journal exists from the start but does no I/O until it records,
+    // so a demote during the cache pass is journaled. Store-level events go
+    // through it unless the store already carries one.
+    let holder = coord.holder.clone().unwrap_or_else(lease::unique_holder);
+    let journal = store
+        .map(|s| Arc::new(Journal::open(s.dir(), holder.clone()).with_faults(opts.faults.clone())));
+    let journaled_store: Option<ResultStore> = match (store, &journal) {
+        (Some(s), Some(j)) if s.journal().is_none() => Some(s.clone().with_journal(j.clone())),
+        (s, _) => s.cloned(),
     };
     let store = journaled_store.as_ref();
-    if let Some(p) = &plane {
-        p.reclaim_stale_on_open();
-    }
 
     // Cache pass. Deduplicate lookups so a hash shared by many cells is
-    // read once.
+    // read once; its report is cloned into all but its last position.
     let mut by_hash: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, h) in hashes.iter().enumerate() {
         by_hash.entry(h.as_str()).or_default().push(i);
@@ -831,9 +801,11 @@ pub fn run_grid_coordinated(
             Some(report) => {
                 stats.cached += indices.len();
                 served.push(hash);
-                for &i in indices {
+                let (&last, rest) = indices.split_last().expect("a hash has a position");
+                for &i in rest {
                     reports[i] = Some(report.clone());
                 }
+                reports[last] = Some(report);
             }
             None => pending.push(indices[0]),
         }
@@ -848,22 +820,48 @@ pub fn run_grid_coordinated(
         stats.skipped += by_hash[hashes[i].as_str()].len();
     }
 
-    // The deadline estimator and the lease heartbeat exist for the cells
-    // this run simulates; a pass that owns no miss consults neither, so it
-    // reads no wall sidecar and starts no thread.
+    // The temp-file reap, the lease plane, the deadline estimator and the
+    // heartbeat exist for the cells this run simulates; a pass that owns no
+    // miss lists no directory, opens no `leases/`, reads no wall sidecar and
+    // starts no thread. Lease I/O failure at open degrades to uncoordinated
+    // execution.
     let has_work = !owned.is_empty();
-    if let Some(s) = store.filter(|_| has_work) {
-        for hash in &served {
-            if let Some(wall) = s.recorded_wall(hash) {
-                estimator.record(wall);
+    let plane: Option<Arc<CoordPlane>> = match (store.filter(|_| has_work), journal) {
+        (Some(s), Some(journal)) => {
+            match s.reap_tmp_older_than(STALE_TMP_AGE) {
+                Ok(0) | Err(_) => {}
+                Ok(n) => eprintln!(
+                    "chronus-grid: reaped {n} stale temp file(s) from {} (crash leftovers)",
+                    s.dir().display()
+                ),
             }
+            for hash in &served {
+                if let Some(wall) = s.recorded_wall(hash) {
+                    estimator.record(wall);
+                }
+            }
+            let leases = LeaseManager::open(s.dir(), holder).map_err(|e| {
+                eprintln!("chronus-grid: could not open lease plane ({e}); running uncoordinated")
+            });
+            leases.ok().map(|leases| {
+                let plane = CoordPlane {
+                    leases: leases.with_faults(opts.faults.clone()),
+                    journal,
+                    grid: spec.name.clone(),
+                    ttl_override: coord.lease_ttl,
+                    active: Mutex::new(HashSet::new()),
+                };
+                plane.reclaim_stale_on_open();
+                Arc::new(plane)
+            })
         }
-    }
+        _ => None,
+    };
 
     // Heartbeat thread: keeps every held lease's deadline ahead of the
     // clock while cells compute. Stopped (and joined) before returning.
     let hb_stop = Arc::new(AtomicBool::new(false));
-    let heartbeat = plane.as_ref().filter(|_| has_work).map(|p| {
+    let heartbeat = plane.as_ref().map(|p| {
         let plane = Arc::clone(p);
         let estimator = Arc::clone(&estimator);
         let stop = Arc::clone(&hb_stop);
@@ -977,7 +975,8 @@ pub fn run_grid_coordinated(
 }
 
 /// Merges this run's failures into the grid's persisted manifest under the
-/// store lock. Prior failures whose cells now verify in the store are
+/// store lock (taken only when there is a failure to record or a manifest
+/// file to heal). Prior failures whose cells now verify in the store are
 /// dropped (any shard's rerun heals them); failures re-observed this run
 /// replace their prior record; an empty result removes the manifest.
 pub(crate) fn update_manifest(
@@ -987,6 +986,10 @@ pub(crate) fn update_manifest(
     failures: &[CellFailure],
     complete: bool,
 ) {
+    // Nothing to record and no manifest to heal: no lock, no lock file.
+    if failures.is_empty() && !store.manifest_path(&spec.name).exists() {
+        return;
+    }
     let lock = store.lock();
     if let Err(e) = &lock {
         eprintln!("chronus-grid: store lock for manifest update failed ({e}); proceeding");
@@ -1158,6 +1161,73 @@ mod tests {
         assert_eq!(again.stats.cached, 3);
         assert_eq!(again.stats.simulated, 0);
         assert_eq!(again.reports, out.reports);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every path under `dir`, relative to it, sorted.
+    fn tree(dir: &std::path::Path) -> Vec<String> {
+        fn walk(root: &std::path::Path, dir: &std::path::Path, out: &mut Vec<String>) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                out.push(path.strip_prefix(root).unwrap().display().to_string());
+                if path.is_dir() {
+                    walk(root, &path, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(dir, dir, &mut out);
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn a_cached_pass_leaves_no_footprint() {
+        let dir = scratch("footprint");
+        let spec = tiny_spec();
+        // Filled with `put` alone: no `leases/`, no `journal/`, no lock file.
+        let store = ResultStore::open(&dir).unwrap();
+        for (cell, hash) in spec.cells.iter().zip(spec.hashes()) {
+            store.put(&hash, cell, &simulate_cell(cell)).unwrap();
+        }
+        // An orphaned temp file past the reap age, and a stale lease left
+        // by a holder on another host.
+        let tmp = dir.join(format!(".{}.999.tmp", "e".repeat(32)));
+        let old = std::time::SystemTime::now() - STALE_TMP_AGE - Duration::from_secs(60);
+        std::fs::File::create(&tmp)
+            .unwrap()
+            .set_modified(old)
+            .unwrap();
+        let stale = crate::lease::LeaseInfo {
+            holder: "elsewhere-7-0".into(),
+            deadline_ms: 1,
+            refreshes: 0,
+        };
+        let lease = LeaseManager::open(&dir, "planter")
+            .unwrap()
+            .lease_path(&"f".repeat(32));
+        std::fs::write(&lease, serde_json::to_string(&stale).unwrap()).unwrap();
+        let before = tree(&dir);
+        assert!(!before.iter().any(|p| p == ".store.lock" || p == "journal"));
+
+        // Every pass opens the store afresh, as each figure binary does.
+        let pass = |spec: &GridSpec| {
+            let store = ResultStore::open(&dir).unwrap();
+            run_grid_coordinated(spec, Some(&store), &quiet_opts(), &CoordOpts::default())
+        };
+        let cached = pass(&spec);
+        assert_eq!((cached.stats.cached, cached.stats.simulated), (3, 0));
+        assert_eq!(tree(&dir), before, "a fully cached pass must touch nothing");
+
+        // A pass that owns a miss reaps the orphan and reclaims the lease.
+        let mut grown = spec.clone();
+        let mut extra = spec.cells[2].clone();
+        extra.config.nrh = 16;
+        grown.push(extra);
+        let out = pass(&grown);
+        assert_eq!((out.stats.cached, out.stats.simulated), (3, 1));
+        assert!(!tmp.exists(), "stale temp file reaped");
+        assert!(!lease.exists(), "stale lease reclaimed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,10 +18,11 @@
 //!
 //! Writes go through a temp file + rename so concurrent sharded processes
 //! sharing one directory never observe torn entries; temp files orphaned
-//! by killed processes are reaped on open (when stale) and by
-//! [`ResultStore::fsck`] (unconditionally). `fsck` moves entries that fail
-//! verification into `quarantine/`, which re-enqueues them: the next run
-//! misses on the quarantined hash and re-simulates the cell.
+//! by killed processes are reaped by an executor pass that owns a miss,
+//! before its first write (when stale), and by [`ResultStore::fsck`] and
+//! `doctor` (unconditionally); opening a store lists nothing. `fsck` moves
+//! entries that fail verification into `quarantine/`, which re-enqueues
+//! them: the next run misses on the quarantined hash and re-simulates it.
 //!
 //! Two kinds of non-authoritative sidecar live next to the entries:
 //! `<hash>.wall` records the wall-clock seconds the cell cost (feeding the
@@ -36,7 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use chronus_sim::SimReport;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, JsonReader, Serialize};
 
 use crate::cell::{CellKey, CellSpec, SIM_VERSION};
 use crate::exec::FailureManifest;
@@ -60,11 +61,13 @@ pub const STORE_FORMAT_VERSION: u32 = 2;
 const FOOTER_TAG: &str = "#chronus-cell";
 
 /// Temp files untouched for this long are considered orphaned by a dead
-/// process and reaped when the store opens. Live writers rename within
-/// milliseconds, so minutes of margin is conservative.
-const STALE_TMP_AGE: Duration = Duration::from_secs(15 * 60);
+/// process and reaped before an executor pass writes. Live writers rename
+/// within milliseconds, so minutes of margin is conservative.
+pub(crate) const STALE_TMP_AGE: Duration = Duration::from_secs(15 * 60);
 
-/// One stored entry: identity plus result.
+/// One stored entry: identity plus result. This is the written format;
+/// a read builds only the report and the key's `sim_version` (see
+/// [`ResultStore::verify`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellRecord {
     /// Full cell identity (what was hashed).
@@ -94,7 +97,8 @@ pub enum EntryIssue {
     },
     /// Payload bytes do not hash to the footer digest.
     ChecksumMismatch,
-    /// The payload is not a parseable [`CellRecord`].
+    /// The payload is not a parseable [`CellRecord`] (or has no
+    /// `key.sim_version` or no `report`).
     BadJson(String),
     /// The record was produced by a different simulator version.
     SimVersion {
@@ -128,8 +132,8 @@ impl std::fmt::Display for EntryIssue {
 pub enum EntryState {
     /// No file for this hash.
     Missing,
-    /// The entry verified end to end.
-    Ok(Box<CellRecord>),
+    /// The entry verified end to end; its report.
+    Ok(Box<SimReport>),
     /// The file exists but failed verification.
     Bad(EntryIssue),
 }
@@ -219,8 +223,9 @@ pub struct ResultStore {
 }
 
 impl ResultStore {
-    /// Opens (creating if needed) a store at `dir`, reaping temp files
-    /// orphaned by dead processes (older than 15 minutes; count logged).
+    /// Opens (creating if needed) a store at `dir`. Nothing is listed:
+    /// orphaned temp files are reaped by an executor pass that owns a miss
+    /// (before its first write), by [`Self::fsck`] and by `doctor`.
     ///
     /// # Errors
     ///
@@ -228,19 +233,11 @@ impl ResultStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let store = Self {
+        Ok(Self {
             dir,
             faults: None,
             journal: None,
-        };
-        match store.reap_tmp_older_than(STALE_TMP_AGE) {
-            Ok(0) | Err(_) => {}
-            Ok(n) => eprintln!(
-                "chronus-grid: reaped {n} stale temp file(s) from {} (crash leftovers)",
-                store.dir.display()
-            ),
-        }
-        Ok(store)
+        })
     }
 
     /// Opens the default store: `$CHRONUS_GRID_DIR` or `./grid-cache`.
@@ -345,7 +342,9 @@ impl ResultStore {
 
     /// Reads and fully verifies the entry for `hash`: footer present,
     /// format version current, length exact, checksum matching, record
-    /// parseable, simulator version current.
+    /// parseable, simulator version current. The report is the only part
+    /// of the record built; the key's members other than `sim_version` are
+    /// validated and skipped.
     pub fn verify(&self, hash: &str) -> EntryState {
         let text = match std::fs::read_to_string(self.path_of(hash)) {
             Ok(text) => text,
@@ -353,7 +352,7 @@ impl ResultStore {
             Err(e) => return EntryState::Bad(EntryIssue::Unreadable(e.to_string())),
         };
         match verify_entry_text(&text) {
-            Ok(record) => EntryState::Ok(Box::new(record)),
+            Ok(report) => EntryState::Ok(Box::new(report)),
             Err(issue) => EntryState::Bad(issue),
         }
     }
@@ -369,7 +368,7 @@ impl ResultStore {
             }
         }
         match self.verify(hash) {
-            EntryState::Ok(record) => Some(record.report),
+            EntryState::Ok(report) => Some(*report),
             EntryState::Missing => None,
             EntryState::Bad(issue) => {
                 eprintln!(
@@ -704,8 +703,43 @@ fn tmp_hash(name: &str) -> Option<&str> {
     is_hash(hash).then_some(hash)
 }
 
-/// Splits and checks the footer, then parses the payload.
-fn verify_entry_text(text: &str) -> Result<CellRecord, EntryIssue> {
+/// What a read builds of a [`CellRecord`] payload: the key's `sim_version`
+/// and the report. Every other member, the key's included, goes through
+/// [`JsonReader::skip_value`], which validates its grammar without building
+/// it.
+struct ServedRecord(u32, SimReport);
+
+impl Deserialize for ServedRecord {
+    fn json_read(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let (mut version, mut report) = (None, None);
+        r.obj_begin("CellRecord")?;
+        while let Some(member) = r.obj_key()? {
+            match &*member {
+                "key" => {
+                    r.obj_begin("CellKey")?;
+                    while let Some(field) = r.obj_key()? {
+                        match &*field {
+                            "sim_version" => r.read_field(&mut version, "CellKey.sim_version")?,
+                            _ => r.skip_value()?,
+                        }
+                    }
+                }
+                "report" => r.read_field(&mut report, "CellRecord.report")?,
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |field: &str| DeError::new(format!("missing field {field}"));
+        Ok(Self(
+            version.ok_or_else(|| missing("CellKey.sim_version"))?,
+            report.ok_or_else(|| missing("CellRecord.report"))?,
+        ))
+    }
+}
+
+/// Splits and checks the footer, then parses the payload; the one
+/// verification every read path (`get`, `verify`, `fsck`, `doctor`,
+/// `merge`, the manifest heal) goes through.
+fn verify_entry_text(text: &str) -> Result<SimReport, EntryIssue> {
     let trimmed = text.strip_suffix('\n').unwrap_or(text);
     let Some((payload, footer)) = trimmed.rsplit_once('\n') else {
         return Err(EntryIssue::MissingFooter);
@@ -736,14 +770,12 @@ fn verify_entry_text(text: &str) -> Result<CellRecord, EntryIssue> {
     if digest128(payload.as_bytes()) != fnv {
         return Err(EntryIssue::ChecksumMismatch);
     }
-    let record: CellRecord =
+    let ServedRecord(found, report) =
         serde_json::from_str(payload).map_err(|e| EntryIssue::BadJson(e.to_string()))?;
-    if record.key.sim_version != SIM_VERSION {
-        return Err(EntryIssue::SimVersion {
-            found: record.key.sim_version,
-        });
+    if found != SIM_VERSION {
+        return Err(EntryIssue::SimVersion { found });
     }
-    Ok(record)
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -831,6 +863,46 @@ mod tests {
             store.verify(&hash),
             EntryState::Bad(EntryIssue::FormatVersion { .. })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_lean_reader_still_rejects_bad_keys() {
+        let (dir, store, hash, _) = populated("lean");
+        let path = store.path_of(&hash);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let payload = text.trim_end().rsplit_once('\n').unwrap().0;
+        // Writes `payload` under a freshly computed footer, so only its
+        // content can fail verification.
+        let refooted = |payload: &str| {
+            let (len, fnv) = (payload.len(), digest128(payload.as_bytes()));
+            let footer = format!("{FOOTER_TAG} v{STORE_FORMAT_VERSION} len={len} fnv={fnv}");
+            std::fs::write(&path, format!("{payload}\n{footer}\n")).unwrap();
+            store.verify(&hash)
+        };
+        assert!(refooted(payload).is_ok(), "the untouched payload verifies");
+        let bad_json = |state: EntryState| matches!(state, EntryState::Bad(EntryIssue::BadJson(_)));
+
+        let version = format!("\"sim_version\": {SIM_VERSION},");
+        assert!(payload.contains(&version));
+        let stale = payload.replacen(&version, "\"sim_version\": 2,", 1);
+        assert!(matches!(
+            refooted(&stale),
+            EntryState::Bad(EntryIssue::SimVersion { found: 2 })
+        ));
+        assert!(bad_json(refooted(&payload.replacen(&version, "", 1))));
+        // A skipped key member is still read through the JSON grammar.
+        assert!(payload.contains("\"config\": {"));
+        assert!(bad_json(refooted(&payload.replacen(
+            "\"config\": {",
+            "\"config\": -{",
+            1
+        ))));
+        let report_at = payload.find(",\n  \"report\": ").expect("report member");
+        assert!(bad_json(refooted(&format!(
+            "{}\n}}",
+            &payload[..report_at]
+        ))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
