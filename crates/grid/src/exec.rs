@@ -789,7 +789,7 @@ pub fn run_grid_coordinated(
     let store = journaled_store.as_ref();
 
     // Cache pass. Deduplicate lookups so a hash shared by many cells is
-    // read once; its report is cloned into all but its last position.
+    // read once.
     let mut by_hash: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, h) in hashes.iter().enumerate() {
         by_hash.entry(h.as_str()).or_default().push(i);
@@ -801,11 +801,9 @@ pub fn run_grid_coordinated(
             Some(report) => {
                 stats.cached += indices.len();
                 served.push(hash);
-                let (&last, rest) = indices.split_last().expect("a hash has a position");
-                for &i in rest {
+                for &i in indices {
                     reports[i] = Some(report.clone());
                 }
-                reports[last] = Some(report);
             }
             None => pending.push(indices[0]),
         }
