@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use chronus_sim::SimReport;
-use serde::{DeError, Deserialize, JsonReader, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::cell::{CellKey, CellSpec, SIM_VERSION};
 use crate::exec::FailureManifest;
@@ -65,9 +65,7 @@ const FOOTER_TAG: &str = "#chronus-cell";
 /// within milliseconds, so minutes of margin is conservative.
 pub(crate) const STALE_TMP_AGE: Duration = Duration::from_secs(15 * 60);
 
-/// One stored entry: identity plus result. This is the written format;
-/// a read builds only the report and the key's `sim_version` (see
-/// [`ResultStore::verify`]).
+/// One stored entry: identity plus result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellRecord {
     /// Full cell identity (what was hashed).
@@ -97,8 +95,7 @@ pub enum EntryIssue {
     },
     /// Payload bytes do not hash to the footer digest.
     ChecksumMismatch,
-    /// The payload is not a parseable [`CellRecord`] (or has no
-    /// `key.sim_version` or no `report`).
+    /// The payload is not a parseable [`CellRecord`].
     BadJson(String),
     /// The record was produced by a different simulator version.
     SimVersion {
@@ -342,9 +339,7 @@ impl ResultStore {
 
     /// Reads and fully verifies the entry for `hash`: footer present,
     /// format version current, length exact, checksum matching, record
-    /// parseable, simulator version current. The report is the only part
-    /// of the record built; the key's members other than `sim_version` are
-    /// validated and skipped.
+    /// parseable, simulator version current.
     pub fn verify(&self, hash: &str) -> EntryState {
         let text = match std::fs::read_to_string(self.path_of(hash)) {
             Ok(text) => text,
@@ -703,39 +698,6 @@ fn tmp_hash(name: &str) -> Option<&str> {
     is_hash(hash).then_some(hash)
 }
 
-/// What a read builds of a [`CellRecord`] payload: the key's `sim_version`
-/// and the report. Every other member, the key's included, goes through
-/// [`JsonReader::skip_value`], which validates its grammar without building
-/// it.
-struct ServedRecord(u32, SimReport);
-
-impl Deserialize for ServedRecord {
-    fn json_read(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        let (mut version, mut report) = (None, None);
-        r.obj_begin("CellRecord")?;
-        while let Some(member) = r.obj_key()? {
-            match &*member {
-                "key" => {
-                    r.obj_begin("CellKey")?;
-                    while let Some(field) = r.obj_key()? {
-                        match &*field {
-                            "sim_version" => r.read_field(&mut version, "CellKey.sim_version")?,
-                            _ => r.skip_value()?,
-                        }
-                    }
-                }
-                "report" => r.read_field(&mut report, "CellRecord.report")?,
-                _ => r.skip_value()?,
-            }
-        }
-        let missing = |field: &str| DeError::new(format!("missing field {field}"));
-        Ok(Self(
-            version.ok_or_else(|| missing("CellKey.sim_version"))?,
-            report.ok_or_else(|| missing("CellRecord.report"))?,
-        ))
-    }
-}
-
 /// Splits and checks the footer, then parses the payload; the one
 /// verification every read path (`get`, `verify`, `fsck`, `doctor`,
 /// `merge`, the manifest heal) goes through.
@@ -770,12 +732,14 @@ fn verify_entry_text(text: &str) -> Result<SimReport, EntryIssue> {
     if digest128(payload.as_bytes()) != fnv {
         return Err(EntryIssue::ChecksumMismatch);
     }
-    let ServedRecord(found, report) =
+    let record: CellRecord =
         serde_json::from_str(payload).map_err(|e| EntryIssue::BadJson(e.to_string()))?;
-    if found != SIM_VERSION {
-        return Err(EntryIssue::SimVersion { found });
+    if record.key.sim_version != SIM_VERSION {
+        return Err(EntryIssue::SimVersion {
+            found: record.key.sim_version,
+        });
     }
-    Ok(report)
+    Ok(record.report)
 }
 
 #[cfg(test)]
@@ -866,18 +830,58 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `payload` under a freshly computed footer, so only its content can
+    /// fail verification.
+    fn footed(payload: &str) -> String {
+        let (len, fnv) = (payload.len(), digest128(payload.as_bytes()));
+        format!("{payload}\n{FOOTER_TAG} v{STORE_FORMAT_VERSION} len={len} fnv={fnv}\n")
+    }
+
     #[test]
-    fn the_lean_reader_still_rejects_bad_keys() {
-        let (dir, store, hash, _) = populated("lean");
+    fn a_damaged_payload_under_a_valid_footer_is_bad_never_a_panic() {
+        let (dir, store, hash, report) = populated("damaged");
+        let text = std::fs::read_to_string(store.path_of(&hash)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let payload = text.trim_end().rsplit_once('\n').unwrap().0;
+        assert!(payload.is_ascii(), "flips below assume one byte per char");
+        assert_eq!(verify_entry_text(&footed(payload)).unwrap(), report);
+        let bad_json = |text: &str| matches!(verify_entry_text(text), Err(EntryIssue::BadJson(_)));
+
+        for end in 0..payload.len() {
+            assert!(bad_json(&footed(&payload[..end])), "prefix {end}");
+        }
+        for at in 0..payload.len() {
+            // A NUL is legal nowhere in a JSON document.
+            let mut bytes = payload.as_bytes().to_vec();
+            bytes[at] = 0;
+            assert!(
+                bad_json(&footed(&String::from_utf8(bytes).unwrap())),
+                "NUL at {at}"
+            );
+
+            // A bit flip can leave a valid document (a digit becomes
+            // another digit: what the checksum is for). Whatever verifies
+            // must then be a well-formed JSON document.
+            for mask in [0x01u8, 0x10, 0x20] {
+                let mut bytes = payload.as_bytes().to_vec();
+                bytes[at] ^= mask;
+                let damaged = String::from_utf8(bytes).unwrap();
+                if verify_entry_text(&footed(&damaged)).is_ok() {
+                    let tree = serde::JsonValue::parse(&damaged);
+                    assert!(tree.is_ok(), "flip {mask:#x} at {at}: tree rejects");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_entry_reader_rejects_bad_keys() {
+        let (dir, store, hash, _) = populated("badkey");
         let path = store.path_of(&hash);
         let text = std::fs::read_to_string(&path).unwrap();
         let payload = text.trim_end().rsplit_once('\n').unwrap().0;
-        // Writes `payload` under a freshly computed footer, so only its
-        // content can fail verification.
         let refooted = |payload: &str| {
-            let (len, fnv) = (payload.len(), digest128(payload.as_bytes()));
-            let footer = format!("{FOOTER_TAG} v{STORE_FORMAT_VERSION} len={len} fnv={fnv}");
-            std::fs::write(&path, format!("{payload}\n{footer}\n")).unwrap();
+            std::fs::write(&path, footed(payload)).unwrap();
             store.verify(&hash)
         };
         assert!(refooted(payload).is_ok(), "the untouched payload verifies");
@@ -891,7 +895,7 @@ mod tests {
             EntryState::Bad(EntryIssue::SimVersion { found: 2 })
         ));
         assert!(bad_json(refooted(&payload.replacen(&version, "", 1))));
-        // A skipped key member is still read through the JSON grammar.
+        // Malformed JSON inside a key member the read does not return.
         assert!(payload.contains("\"config\": {"));
         assert!(bad_json(refooted(&payload.replacen(
             "\"config\": {",
