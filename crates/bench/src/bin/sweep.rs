@@ -10,24 +10,22 @@
 //!                                         quarantine corrupt ones
 //! chronus-sweep gc     [flags]            drop store entries no current
 //!                                         grid references
-//! chronus-sweep doctor [flags]            crash recovery: reclaim stale
-//!                                         leases, fsck, replay journal
 //! ```
 //!
 //! Exit codes: `0` clean, `2` usage error, `3` degraded — `run` with
 //! permanently failed cells, `status`/`merge` over corrupt or failed
-//! entries, `fsck` that quarantined anything, `doctor` over a store it
-//! could not fully reconcile (a verified entry whose checksum contradicts
-//! its journaled `Complete`). Quarantined cells re-enter the grid as plain
-//! cache misses: the next `run` re-simulates them; `doctor`-reported
-//! interrupted/missing cells likewise heal on the next `run`.
+//! entries, `fsck` that quarantined anything. Quarantined cells re-enter
+//! the grid as plain cache misses: the next `run` re-simulates them. A run
+//! killed mid-grid needs no recovery step: its finished cells are in the
+//! store, and a plain rerun simulates the rest (reaping stale temp files
+//! before its first write).
 //!
 //! Flags are the shared harness flags (`--instructions`, `--mixes`,
 //! `--seed`, `--nrh`, `--threads`, `--shard`, `--grid-dir`, `--no-cache`,
 //! `--quiet`, `--out`). Grid specs are derived from these flags, so `gc`
 //! keeps exactly the cells the same flags would run.
 //!
-//! The two-machine workflow:
+//! Sharding is the one way to split a grid across processes or machines:
 //!
 //! ```text
 //! machine A$ chronus-sweep run fig8 --shard 1/2 --grid-dir store
@@ -35,20 +33,22 @@
 //! # copy store/ together (files are content-addressed; union is safe)
 //! machine A$ chronus-sweep merge fig8 --grid-dir store --out fig8.json
 //! ```
+//!
+//! Two unsharded runs on one store do not divide the work: each simulates
+//! every miss it finds. The store stays correct (entries are
+//! byte-deterministic and written atomically); only compute is duplicated.
 
 use std::collections::HashSet;
 
 use chronus_bench::grids::{build_spec, GRID_NAMES};
 use chronus_bench::opts::{HarnessOpts, ParseOutcome, VALUELESS_FLAGS};
 use chronus_bench::{format_table, write_json};
-use chronus_grid::{
-    merge, run_doctor, run_grid_coordinated, EntryState, GridSpec, ResultStore, DEGRADED_EXIT,
-};
+use chronus_grid::{merge, run_grid, EntryState, GridSpec, ResultStore, DEGRADED_EXIT};
 
 fn usage() -> String {
     format!(
         "chronus-sweep: experiment-grid console \
-         (list | run | status | merge | fsck | gc | doctor)\n\
+         (list | run | status | merge | fsck | gc)\n\
          grids: {}  (or 'all')\n{}",
         GRID_NAMES.join(" "),
         HarnessOpts::usage("chronus-sweep")
@@ -98,7 +98,6 @@ fn main() {
         "merge" => merge_cmd(grid_arg, &opts),
         "fsck" => fsck(&opts),
         "gc" => gc(&opts),
-        "doctor" => doctor(&opts),
         other => fail(&format!("unknown command '{other}'")),
     }
 }
@@ -172,10 +171,9 @@ fn list(grid_arg: Option<&str>, opts: &HarnessOpts) {
 fn run(grid_arg: Option<&str>, opts: &HarnessOpts) {
     let store = (!opts.no_cache).then(|| store_of(opts));
     let exec = chronus_bench::runs::exec_opts(opts);
-    let coord = chronus_bench::runs::coord_opts(opts);
     let mut degraded = false;
     for spec in specs_for(grid_arg, opts) {
-        let outcome = run_grid_coordinated(&spec, store.as_ref(), &exec, &coord);
+        let outcome = run_grid(&spec, store.as_ref(), &exec);
         println!(
             "chronus-sweep: grid={} shard={} {} wall={:.1}s",
             spec.name,
@@ -360,44 +358,6 @@ fn fsck(opts: &HarnessOpts) {
             }
         }
         Err(e) => fail(&format!("fsck failed: {e}")),
-    }
-}
-
-fn doctor(opts: &HarnessOpts) {
-    let store = store_of(opts);
-    match run_doctor(&store) {
-        Ok(report) => {
-            println!(
-                "chronus-sweep: doctor {} ({})",
-                report.summary(),
-                store.dir().display()
-            );
-            for (hash, holder) in &report.reclaimed_leases {
-                println!("chronus-sweep: reclaimed lease {hash} (holder {holder})");
-            }
-            for (name, issue) in &report.fsck.quarantined {
-                println!("chronus-sweep: quarantined {name}: {issue}");
-            }
-            for (name, issue) in &report.fsck.quarantined_manifests {
-                println!("chronus-sweep: quarantined manifest {name}: {issue}");
-            }
-            for hash in &report.interrupted {
-                println!("chronus-sweep: interrupted {hash} — the next run re-simulates it");
-            }
-            for hash in &report.missing_completed {
-                println!("chronus-sweep: missing {hash} — the next run re-simulates it");
-            }
-            for hash in &report.diverged {
-                eprintln!(
-                    "chronus-sweep: DIVERGED {hash}: verified entry contradicts its \
-                     journaled checksum — investigate by hand"
-                );
-            }
-            if !report.is_healthy() {
-                std::process::exit(DEGRADED_EXIT);
-            }
-        }
-        Err(e) => fail(&format!("doctor failed: {e}")),
     }
 }
 

@@ -38,9 +38,6 @@ pub struct HarnessOpts {
     /// Hard per-cell watchdog deadline (`--cell-timeout SECS`); `None`
     /// derives one adaptively from observed cell wall-clocks.
     pub cell_timeout: Option<std::time::Duration>,
-    /// Work-claim lease time-to-live override (`--lease-ttl SECS`);
-    /// `None` derives one from the adaptive cell-deadline estimator.
-    pub lease_ttl: Option<std::time::Duration>,
 }
 
 impl Default for HarnessOpts {
@@ -61,7 +58,6 @@ impl Default for HarnessOpts {
             obs: false,
             retries: None,
             cell_timeout: None,
-            lease_ttl: None,
         }
     }
 }
@@ -105,9 +101,11 @@ impl HarnessOpts {
             "{tool}: regenerates one artefact of the Chronus paper.\n\
              flags: --instructions N --mixes N --threads N --seed N \
              --nrh a,b,c --out FILE\n\
+             \x20      (--instructions and each --nrh value are at least 1)\n\
              grid:  --shard i/N --grid-dir DIR --no-cache --quiet --obs\n\
-             fault: --retries N --cell-timeout SECS --lease-ttl SECS \
-             (env: CHRONUS_FAULTS)"
+             \x20      (split a grid across processes: --shard i/N, then \
+             `chronus-sweep merge`)\n\
+             fault: --retries N --cell-timeout SECS (env: CHRONUS_FAULTS)"
         )
     }
 
@@ -116,7 +114,8 @@ impl HarnessOpts {
     /// # Errors
     ///
     /// [`ParseOutcome::Help`] on `--help`/`-h`; [`ParseOutcome::Invalid`]
-    /// with a flag-and-value diagnostic on malformed input.
+    /// with a flag-and-value diagnostic on malformed input, including a
+    /// zero `--instructions` or `--nrh` value (no cell could simulate it).
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, ParseOutcome> {
         let mut o = Self::default();
         let mut args = args.into_iter();
@@ -127,7 +126,7 @@ impl HarnessOpts {
             };
             match a.as_str() {
                 "--instructions" => {
-                    o.instructions = parse_flag("--instructions", &value("--instructions")?)?
+                    o.instructions = positive("--instructions", &value("--instructions")?)?
                 }
                 "--mixes" => o.mixes_per_class = parse_flag("--mixes", &value("--mixes")?)?,
                 "--threads" => o.threads = parse_flag("--threads", &value("--threads")?)?,
@@ -136,7 +135,7 @@ impl HarnessOpts {
                     let list = value("--nrh")?;
                     o.nrh_list = list
                         .split(',')
-                        .map(|s| parse_flag("--nrh", s.trim()))
+                        .map(|s| positive("--nrh", s.trim()))
                         .collect::<Result<_, _>>()?;
                 }
                 "--out" => o.out = Some(PathBuf::from(value("--out")?)),
@@ -156,15 +155,6 @@ impl HarnessOpts {
                         )));
                     }
                     o.cell_timeout = Some(std::time::Duration::from_secs_f64(secs));
-                }
-                "--lease-ttl" => {
-                    let secs: f64 = parse_flag("--lease-ttl", &value("--lease-ttl")?)?;
-                    if !(secs > 0.0 && secs.is_finite()) {
-                        return Err(ParseOutcome::Invalid(format!(
-                            "--lease-ttl: '{secs}' is not a positive number of seconds"
-                        )));
-                    }
-                    o.lease_ttl = Some(std::time::Duration::from_secs_f64(secs));
                 }
                 "--no-cache" => o.no_cache = true,
                 "--quiet" => o.quiet = true,
@@ -196,6 +186,23 @@ where
     value
         .parse()
         .map_err(|e| ParseOutcome::Invalid(format!("{flag}: invalid value '{value}' ({e})")))
+}
+
+/// [`parse_flag`] for a count that must be at least 1.
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    flag: &str,
+    value: &str,
+) -> Result<T, ParseOutcome>
+where
+    T::Err: std::fmt::Display,
+{
+    let n: T = parse_flag(flag, value)?;
+    if n == T::default() {
+        return Err(ParseOutcome::Invalid(format!(
+            "{flag}: invalid value '{value}' (must be at least 1)"
+        )));
+    }
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -312,29 +319,45 @@ mod tests {
     }
 
     #[test]
+    fn zero_instructions_and_zero_nrh_are_usage_errors() {
+        // Every cell would fail (an empty trace) or panic (a zero
+        // threshold); the user hears about the flag instead.
+        for args in [
+            &["--instructions", "0"][..],
+            &["--nrh", "0"],
+            &["--nrh", "1024,0,32"],
+        ] {
+            assert_eq!(
+                parse(args).unwrap_err(),
+                ParseOutcome::Invalid(format!(
+                    "{}: invalid value '0' (must be at least 1)",
+                    args[0]
+                )),
+                "{args:?}"
+            );
+        }
+        let o = parse(&["--instructions", "1", "--nrh", "1"]).unwrap();
+        assert_eq!((o.instructions, o.nrh_list), (1, vec![1]));
+    }
+
+    #[test]
+    fn lease_ttl_is_no_longer_a_flag() {
+        assert_eq!(
+            parse(&["--lease-ttl", "9"]).unwrap_err(),
+            ParseOutcome::Invalid("unknown flag '--lease-ttl'".into())
+        );
+    }
+
+    #[test]
     fn parses_fault_tolerance_flags() {
-        let o = parse(&[
-            "--retries",
-            "0",
-            "--cell-timeout",
-            "2.5",
-            "--lease-ttl",
-            "9",
-        ])
-        .unwrap();
+        let o = parse(&["--retries", "0", "--cell-timeout", "2.5"]).unwrap();
         assert_eq!(o.retries, Some(0));
         assert_eq!(
             o.cell_timeout,
             Some(std::time::Duration::from_millis(2_500))
         );
-        assert_eq!(o.lease_ttl, Some(std::time::Duration::from_secs(9)));
         assert_eq!(HarnessOpts::default().retries, None);
         assert_eq!(HarnessOpts::default().cell_timeout, None);
-        assert_eq!(HarnessOpts::default().lease_ttl, None);
-        assert!(matches!(
-            parse(&["--lease-ttl", "0"]),
-            Err(ParseOutcome::Invalid(msg)) if msg.contains("--lease-ttl")
-        ));
         assert!(matches!(
             parse(&["--cell-timeout", "-3"]),
             Err(ParseOutcome::Invalid(msg)) if msg.contains("--cell-timeout")

@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use chronus_core::MechanismKind;
 use chronus_cpu::Trace;
 use chronus_grid::{
-    run_grid_coordinated, AppTrace, CellSpec, CoordOpts, ExecOpts, FaultInjector, FaultPlan,
-    GridOutcome, GridSpec, ResultStore, RetryPolicy, WorkloadSpec, DEGRADED_EXIT,
+    run_grid, AppTrace, CellSpec, ExecOpts, FaultInjector, FaultPlan, GridOutcome, GridSpec,
+    ResultStore, RetryPolicy, WorkloadSpec, DEGRADED_EXIT,
 };
 use chronus_sim::{SimConfig, SimReport, System};
 use chronus_workloads::{four_core_mixes, generator::synthetic_from_profile, AppProfile, Mix};
@@ -156,14 +156,6 @@ pub fn exec_opts(opts: &HarnessOpts) -> ExecOpts {
     }
 }
 
-/// Cross-process coordination options derived from the harness options.
-pub fn coord_opts(opts: &HarnessOpts) -> CoordOpts {
-    CoordOpts {
-        lease_ttl: opts.lease_ttl,
-        ..CoordOpts::default()
-    }
-}
-
 /// Executes a spec with the harness options and prints the cache/shard
 /// accounting line on stderr. `--no-cache` runs without a store — no
 /// directory is created or read.
@@ -174,7 +166,7 @@ pub fn coord_opts(opts: &HarnessOpts) -> CoordOpts {
 /// every healthy cell.
 pub fn execute(spec: &GridSpec, opts: &HarnessOpts) -> GridOutcome {
     let store = (!opts.no_cache).then(|| open_store(opts));
-    let outcome = run_grid_coordinated(spec, store.as_ref(), &exec_opts(opts), &coord_opts(opts));
+    let outcome = run_grid(spec, store.as_ref(), &exec_opts(opts));
     if !opts.quiet {
         let where_ = match &store {
             Some(s) => format!(" (store: {})", s.dir().display()),

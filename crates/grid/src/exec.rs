@@ -5,8 +5,8 @@
 //! workload and a [`SimConfig::cohort_key`] simulate cycle-identically, so
 //! one unit generates their traces once and runs them as one
 //! [`System::run_batch`] (a unit of one is a batch of one). Every member
-//! keeps its own hash, store entry, lease and journal events, and its entry
-//! is byte-identical to a solo fill. A Monte-Carlo sweep over oracle-only
+//! keeps its own hash, store entry and wall sidecar, and its entry is
+//! byte-identical to a solo fill. A Monte-Carlo sweep over oracle-only
 //! parameters (VRD seeds) fills as one simulation; any other grid runs one
 //! unit per distinct cell.
 //!
@@ -19,28 +19,22 @@
 //! and reports the casualties — the contract multi-hour, multi-machine
 //! sweeps depend on.
 //!
-//! Store-backed runs are additionally *coordinated* (see [`CoordOpts`]):
-//! each miss is claimed through a heartbeat-refreshed lease before
-//! simulating, so N concurrent processes sharing one store partition the
-//! grid dynamically with zero duplicate simulation — a cell leased by a
-//! live holder is waited on, not recomputed. Every claim, completion and
-//! failure is appended to the store's operations journal, and the failure
-//! manifest is merged under the advisory store lock instead of
-//! last-writer-wins. Coordination failures (lease I/O errors) degrade to
-//! uncoordinated execution: store entries are byte-deterministic and
-//! written atomically, so the worst case is duplicate compute, never
-//! corruption.
+//! Processes split a grid with `--shard i/N` ([`Shard`]) and assemble it
+//! with [`merge`]; they never coordinate. Entries are byte-deterministic
+//! and written through a temp file and a rename, so two unsharded runs
+//! racing on one store both simulate every miss they find: duplicate
+//! compute, never corruption. The failure manifest is merged under the
+//! store lock, so racing writers keep each other's records.
 //!
 //! A pass served entirely from the store reads its entries and writes
-//! nothing: stale temp files are reaped and the lease plane is opened only
-//! once the pass owns a miss, before its first write, and the store lock
-//! is taken only for a failure to record or a manifest file to heal.
+//! nothing: stale temp files are reaped and wall sidecars read only once
+//! the pass owns a miss, before its first write, and the store lock is
+//! taken only for a failure to record or a manifest file to heal.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use chronus_sim::{try_run_parallel, SimConfig, SimReport, System};
@@ -49,8 +43,6 @@ use serde::{Deserialize, Serialize};
 use crate::cell::CellSpec;
 use crate::faults::{ExecFault, FaultInjector};
 use crate::hash::{cell_hash, mix64};
-use crate::journal::{EventKind, Journal};
-use crate::lease::{self, ClaimOutcome, LeaseManager};
 use crate::progress::Progress;
 use crate::retry::RetryPolicy;
 use crate::shard::Shard;
@@ -62,27 +54,6 @@ use crate::store::{ManifestState, ResultStore, STALE_TMP_AGE};
 /// from `2` (usage errors) so scripts can tell "rerun me" from "fix the
 /// invocation".
 pub const DEGRADED_EXIT: i32 = 3;
-
-/// Smallest lease TTL the executor will stamp. Short grids heartbeat well
-/// under this; the watchdog deadline raises it once armed.
-const LEASE_TTL_FLOOR: Duration = Duration::from_secs(15);
-
-/// How long a waiter sleeps between polls of a cell leased elsewhere.
-const LEASE_WAIT_POLL: Duration = Duration::from_millis(150);
-
-/// Inter-process coordination options for store-backed runs. Defaults are
-/// what every CLI entry point uses; tests shrink `lease_ttl` to exercise
-/// stale-lease reclamation quickly.
-#[derive(Debug, Clone, Default)]
-pub struct CoordOpts {
-    /// Override the lease time-to-live. `None` derives it from the
-    /// watchdog deadline estimator (20× observed mean wall-clock), floored
-    /// at 15 s — a lease always outlives its heartbeat interval by 4×.
-    pub lease_ttl: Option<Duration>,
-    /// Override the holder identity recorded in leases and the journal.
-    /// `None` mints a process-unique `host-pid-instance` id.
-    pub holder: Option<String>,
-}
 
 /// Execution options.
 #[derive(Debug, Clone)]
@@ -133,18 +104,19 @@ pub struct ExecStats {
     /// Cells that failed permanently (retries exhausted) and have no
     /// report.
     pub failed: usize,
-    /// Cells resolved by waiting on another process's lease (its result
-    /// was read back instead of recomputed).
+    /// Always 0: an executor never waits on another process's work (racing
+    /// runs each simulate their misses). Kept because the benchmark harness
+    /// reads it.
     pub waited: usize,
 }
 
 impl ExecStats {
-    /// `cells=N cached=C simulated=S skipped=K failed=F waited=W` — the
+    /// `cells=N cached=C simulated=S skipped=K failed=F` — the
     /// machine-readable form the CI smoke jobs grep.
     pub fn summary(&self) -> String {
         format!(
-            "cells={} cached={} simulated={} skipped={} failed={} waited={}",
-            self.total, self.cached, self.simulated, self.skipped, self.failed, self.waited
+            "cells={} cached={} simulated={} skipped={} failed={}",
+            self.total, self.cached, self.simulated, self.skipped, self.failed
         )
     }
 }
@@ -305,7 +277,10 @@ fn simulate_cohort(cells: &[CellSpec]) -> Vec<SimReport> {
 /// this (worker) thread waits on a channel with the deadline. A panic comes
 /// back as [`FailureKind::Panic`]; a deadline overrun as
 /// [`FailureKind::Timeout`] — the stuck thread is abandoned (it holds only
-/// cloned data and its late result is dropped with the channel).
+/// cloned data and its late result is dropped with the channel). A thread
+/// that answered is joined before the next attempt spawns, so the
+/// allocator can hand its arena to that attempt instead of opening a new
+/// one.
 fn run_unit_guarded(
     cells: Vec<CellSpec>,
     hashes: Vec<String>,
@@ -333,9 +308,10 @@ fn run_unit_guarded(
             }));
             let _ = tx.send(outcome.map_err(panic_message));
         });
-    if let Err(e) = spawned {
-        return Err((FailureKind::Panic, format!("spawning cell thread: {e}")));
-    }
+    let thread = match spawned {
+        Ok(thread) => thread,
+        Err(e) => return Err((FailureKind::Panic, format!("spawning cell thread: {e}"))),
+    };
     let received = match deadline {
         Some(limit) => rx.recv_timeout(limit).map_err(|_| {
             (
@@ -347,151 +323,8 @@ fn run_unit_guarded(
             .recv()
             .map_err(|_| (FailureKind::Panic, "cell thread died silently".to_string()))?,
     };
+    let _ = thread.join();
     received.map_err(|msg| (FailureKind::Panic, msg))
-}
-
-/// The per-run coordination plane: lease manager + journal + the set of
-/// hashes this run currently holds leases on (kept fresh by the heartbeat
-/// thread).
-struct CoordPlane {
-    leases: LeaseManager,
-    journal: Arc<Journal>,
-    grid: String,
-    ttl_override: Option<Duration>,
-    active: Mutex<HashSet<String>>,
-}
-
-impl CoordPlane {
-    /// The TTL to stamp into (and refresh onto) leases right now.
-    fn ttl(&self, estimator: &DeadlineEstimator) -> Duration {
-        self.ttl_override.unwrap_or_else(|| {
-            estimator
-                .deadline()
-                .map_or(LEASE_TTL_FLOOR, |d| d.max(LEASE_TTL_FLOOR))
-        })
-    }
-
-    /// Heartbeat period: a quarter of the TTL, clamped to [50 ms, 2 s].
-    fn heartbeat_interval(&self, estimator: &DeadlineEstimator) -> Duration {
-        (self.ttl(estimator) / 4).clamp(Duration::from_millis(50), Duration::from_secs(2))
-    }
-
-    fn register(&self, hash: &str) {
-        self.active
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(hash.to_string());
-    }
-
-    fn release(&self, hash: &str) {
-        self.active
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(hash);
-        self.leases.release(hash);
-    }
-
-    /// Refreshes every lease this run holds (heartbeat-thread body).
-    fn refresh_active(&self, estimator: &DeadlineEstimator) {
-        let held: Vec<String> = self
-            .active
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .cloned()
-            .collect();
-        let ttl = self.ttl(estimator);
-        for hash in held {
-            match self.leases.refresh(&hash, ttl) {
-                Ok(true) => {}
-                Ok(false) => eprintln!(
-                    "chronus-grid: lease on cell {hash} was lost (reclaimed as stale); \
-                     continuing — a duplicate computation is possible but harmless"
-                ),
-                Err(e) => eprintln!("chronus-grid: lease heartbeat for {hash} failed: {e}"),
-            }
-        }
-    }
-
-    /// Plane-open hook: sweep leases abandoned by crashed holders so no
-    /// cell stays blocked longer than one TTL (and, on this host, no
-    /// longer than the next pass that owns a miss).
-    fn reclaim_stale_on_open(&self) {
-        match self.leases.reclaim_stale() {
-            Ok(reclaimed) if !reclaimed.is_empty() => {
-                eprintln!(
-                    "chronus-grid: reclaimed {} stale lease(s) left by crashed holder(s)",
-                    reclaimed.len()
-                );
-                for (hash, holder) in reclaimed {
-                    self.journal.record(
-                        EventKind::Fail,
-                        &self.grid,
-                        &hash,
-                        0,
-                        0.0,
-                        "",
-                        &format!("reclaimed stale lease from {holder}"),
-                    );
-                }
-            }
-            Ok(_) => {}
-            Err(e) => eprintln!("chronus-grid: stale-lease sweep failed: {e}"),
-        }
-    }
-}
-
-/// How a worker obtained the right to produce a cell's report.
-enum ClaimResult {
-    /// We hold the lease; simulate.
-    Claimed,
-    /// Another process completed the cell while we waited; here is its
-    /// verified result (boxed: a report dwarfs the other variants).
-    Resolved(Box<SimReport>),
-    /// Lease I/O failed; proceed without coordination (duplicate compute
-    /// possible, corruption not).
-    Uncoordinated,
-}
-
-/// Claims `hash` or waits out the live holder. Stale leases (crashed
-/// holders) are reclaimed inside `try_claim`, so a waiter never blocks
-/// longer than one TTL past the holder's death.
-fn claim_or_wait(
-    plane: &CoordPlane,
-    store: &ResultStore,
-    hash: &str,
-    ttl: Duration,
-) -> ClaimResult {
-    loop {
-        match plane.leases.try_claim(hash, ttl) {
-            Ok(ClaimOutcome::Claimed) => {
-                // Double-check under the lease: the entry may have landed
-                // between the cache pass and this claim.
-                if let Some(report) = store.get(hash) {
-                    plane.leases.release(hash);
-                    return ClaimResult::Resolved(Box::new(report));
-                }
-                plane.register(hash);
-                return ClaimResult::Claimed;
-            }
-            Ok(ClaimOutcome::Held(_)) => {
-                std::thread::sleep(LEASE_WAIT_POLL);
-                if let Some(report) = store.get(hash) {
-                    return ClaimResult::Resolved(Box::new(report));
-                }
-                // Not there yet: the holder is still computing (wait more)
-                // or failed/died (the next try_claim reclaims or surfaces
-                // its release).
-            }
-            Err(e) => {
-                eprintln!(
-                    "chronus-grid: lease claim for cell {hash} failed ({e}); continuing \
-                     uncoordinated (worst case: duplicate compute)"
-                );
-                return ClaimResult::Uncoordinated;
-            }
-        }
-    }
 }
 
 /// What one worker produced for one owned cell.
@@ -499,14 +332,12 @@ struct CellDone {
     report: SimReport,
     /// Persistence failed (the report itself is still good).
     store_failure: Option<CellFailure>,
-    /// The report came from another process's computation.
-    waited: bool,
 }
 
-/// A simulated member's report, the attempt that produced it, and that
-/// attempt's wall-clock (a cohort is one simulation: every member records
-/// the whole unit's wall, so deadlines derived from it stay per-simulation).
-type Simulated = Result<(SimReport, u32, f64), CellFailure>;
+/// A simulated member's report and the wall-clock of the attempt that
+/// produced it (a cohort is one simulation: every member records the whole
+/// unit's wall, so deadlines derived from it stay per-simulation).
+type Simulated = Result<(SimReport, f64), CellFailure>;
 
 /// Groups the owned misses (representative spec indices, ascending) into
 /// units of work, one per timing cohort: cells sharing a workload and a
@@ -533,58 +364,22 @@ fn plan_units(cells: &[CellSpec], owned: &[usize]) -> Vec<Vec<usize>> {
     units
 }
 
-/// What every unit's worker shares: the run's spec, store, coordination
-/// plane, deadline estimator and progress line.
+/// What every unit's worker shares: the run's spec, store, deadline
+/// estimator and progress line.
 struct UnitRunner<'a> {
     cells: &'a [CellSpec],
     hashes: &'a [String],
     store: Option<&'a ResultStore>,
-    plane: Option<&'a CoordPlane>,
     estimator: &'a DeadlineEstimator,
     progress: &'a Progress,
     opts: &'a ExecOpts,
 }
 
 impl UnitRunner<'_> {
-    /// Runs one unit: claims its members in increasing spec index (a member
-    /// resolved by waiting on another holder leaves the unit), simulates the
-    /// rest as one cohort, and persists each member. A cohort attempt that
-    /// panics or times out (an injected fault of any member included) falls
-    /// back to running each member alone. The members' `Claim` events are
-    /// fsync'd once before simulating and their `Complete`/`Fail` events
-    /// once after persisting; only then are their leases released.
-    fn run(&self, unit: Vec<usize>) -> Vec<(usize, Result<CellDone, CellFailure>)> {
-        let mut out = Vec::with_capacity(unit.len());
-        let mut live: Vec<(usize, bool)> = Vec::with_capacity(unit.len());
-        for i in unit {
-            let claim = match (self.store, self.plane) {
-                (Some(store), Some(plane)) => {
-                    claim_or_wait(plane, store, &self.hashes[i], plane.ttl(self.estimator))
-                }
-                _ => ClaimResult::Uncoordinated,
-            };
-            match claim {
-                ClaimResult::Resolved(report) => {
-                    self.progress.cell_done(&self.cells[i].label);
-                    out.push((
-                        i,
-                        Ok(CellDone {
-                            report: *report,
-                            store_failure: None,
-                            waited: true,
-                        }),
-                    ));
-                }
-                claim => {
-                    let claimed = matches!(claim, ClaimResult::Claimed);
-                    let note = if claimed { "" } else { "uncoordinated" };
-                    self.journal(EventKind::Claim, i, 0, 0.0, "", note);
-                    live.push((i, claimed));
-                }
-            }
-        }
-        self.sync_journal();
-        let members: Vec<usize> = live.iter().map(|&(i, _)| i).collect();
+    /// Runs one unit: simulates its members as one cohort and persists each
+    /// member. A cohort attempt that panics or times out (an injected fault
+    /// of any member included) falls back to running each member alone.
+    fn run(&self, members: Vec<usize>) -> Vec<(usize, Result<CellDone, CellFailure>)> {
         let n = members.len();
         let simulated: Vec<Simulated> = match (n > 1).then(|| self.attempt(&members, 0)) {
             Some(Ok((reports, wall))) => reports
@@ -592,7 +387,7 @@ impl UnitRunner<'_> {
                 .zip(&members)
                 .map(|(report, &i)| {
                     self.progress.cell_done(&self.cells[i].label);
-                    Ok((report, 0, wall))
+                    Ok((report, wall))
                 })
                 .collect(),
             failed => {
@@ -604,39 +399,11 @@ impl UnitRunner<'_> {
                 members.iter().map(|&i| self.simulate_alone(i)).collect()
             }
         };
-        for (&i, result) in members.iter().zip(simulated) {
-            out.push((i, self.persist(i, result)));
-        }
-        self.sync_journal();
-        if let Some(plane) = self.plane {
-            for (i, _) in live.into_iter().filter(|&(_, holds_lease)| holds_lease) {
-                plane.release(&self.hashes[i]);
-            }
-        }
-        out
-    }
-
-    /// Writes an event about cell `i` to the journal (store-backed runs
-    /// only); it is durable after the next [`Self::sync_journal`].
-    fn journal(&self, kind: EventKind, i: usize, attempt: u32, wall: f64, sum: &str, note: &str) {
-        let Some(plane) = self.plane else { return };
-        let hash = &self.hashes[i];
-        if let Err(e) = plane
-            .journal
-            .write(kind, &plane.grid, hash, attempt, wall, sum, note)
-        {
-            eprintln!(
-                "chronus-grid: journal append failed for {hash} ({kind:?}): {e} (run continues; \
-                 audit trail incomplete)"
-            );
-        }
-    }
-
-    /// Fsyncs the events this unit wrote.
-    fn sync_journal(&self) {
-        if let Err(e) = self.plane.map_or(Ok(()), |plane| plane.journal.sync()) {
-            eprintln!("chronus-grid: journal fsync failed: {e} (run continues)");
-        }
+        members
+            .iter()
+            .zip(simulated)
+            .map(|(&i, result)| (i, self.persist(i, result)))
+            .collect()
     }
 
     /// One watchdog-guarded attempt at `members` as one cohort; returns the
@@ -669,7 +436,7 @@ impl UnitRunner<'_> {
             match self.attempt(&[i], attempt) {
                 Ok((mut reports, wall)) => {
                     self.progress.cell_done(&cell.label);
-                    return Ok((reports.remove(0), attempt, wall));
+                    return Ok((reports.remove(0), wall));
                 }
                 Err((kind, error)) => {
                     self.progress.cell_failed(&cell.label, attempt, &error);
@@ -690,36 +457,22 @@ impl UnitRunner<'_> {
         }
     }
 
-    /// Persists a simulated member (entry, wall sidecar) and writes the
-    /// journal event that settles it.
+    /// Persists a simulated member: its entry, then its wall sidecar.
     fn persist(&self, i: usize, simulated: Simulated) -> Result<CellDone, CellFailure> {
-        let cell = &self.cells[i];
-        let hash = self.hashes[i].as_str();
-        let (report, attempt, wall) = match simulated {
-            Ok(done) => done,
-            Err(failure) => {
-                let detail = format!("{:?}: {}", failure.kind, failure.error);
-                self.journal(EventKind::Fail, i, failure.attempts, 0.0, "", &detail);
-                return Err(failure);
-            }
-        };
+        let (report, wall) = simulated?;
         let mut store_failure = None;
         if let Some(store) = self.store {
-            match put_with_retry(store, hash, cell, &report, &self.opts.retry) {
-                Ok(checksum) => {
-                    store.record_wall(hash, wall);
-                    self.journal(EventKind::Complete, i, attempt, wall, &checksum, "");
-                }
+            let hash = self.hashes[i].as_str();
+            match put_with_retry(store, hash, &self.cells[i], &report, &self.opts.retry) {
+                Ok(()) => store.record_wall(hash, wall),
                 Err(e) => {
                     eprintln!(
                         "chronus-grid: failed to persist cell {hash} to {}: {e}",
                         store.dir().display()
                     );
-                    let detail = format!("store-write: {e}");
-                    self.journal(EventKind::Fail, i, attempt, wall, "", &detail);
                     store_failure = Some(CellFailure {
                         index: i,
-                        label: cell.label.clone(),
+                        label: self.cells[i].label.clone(),
                         hash: hash.to_string(),
                         kind: FailureKind::StoreWrite,
                         attempts: self.opts.retry.attempts(),
@@ -731,7 +484,6 @@ impl UnitRunner<'_> {
         Ok(CellDone {
             report,
             store_failure,
-            waited: false,
         })
     }
 }
@@ -753,20 +505,7 @@ impl UnitRunner<'_> {
 /// included) runs as units of one, each retried from attempt 0; faults are
 /// pure in `(cell, attempt)`, so every cell's outcome equals its solo
 /// outcome.
-///
-/// Store-backed runs coordinate through leases and the operations journal
-/// with default [`CoordOpts`]; see [`run_grid_coordinated`].
 pub fn run_grid(spec: &GridSpec, store: Option<&ResultStore>, opts: &ExecOpts) -> GridOutcome {
-    run_grid_coordinated(spec, store, opts, &CoordOpts::default())
-}
-
-/// [`run_grid`] with explicit inter-process coordination options.
-pub fn run_grid_coordinated(
-    spec: &GridSpec,
-    store: Option<&ResultStore>,
-    opts: &ExecOpts,
-    coord: &CoordOpts,
-) -> GridOutcome {
     let started = Instant::now();
     let hashes = spec.hashes();
     let mut reports: Vec<Option<SimReport>> = vec![None; spec.cells.len()];
@@ -774,19 +513,7 @@ pub fn run_grid_coordinated(
         total: spec.cells.len(),
         ..ExecStats::default()
     };
-    let estimator = Arc::new(DeadlineEstimator::new(opts.cell_timeout));
-
-    // The journal exists from the start but does no I/O until it records,
-    // so a demote during the cache pass is journaled. Store-level events go
-    // through it unless the store already carries one.
-    let holder = coord.holder.clone().unwrap_or_else(lease::unique_holder);
-    let journal = store
-        .map(|s| Arc::new(Journal::open(s.dir(), holder.clone()).with_faults(opts.faults.clone())));
-    let journaled_store: Option<ResultStore> = match (store, &journal) {
-        (Some(s), Some(j)) if s.journal().is_none() => Some(s.clone().with_journal(j.clone())),
-        (s, _) => s.cloned(),
-    };
-    let store = journaled_store.as_ref();
+    let estimator = DeadlineEstimator::new(opts.cell_timeout);
 
     // Cache pass. Deduplicate lookups so a hash shared by many cells is
     // read once.
@@ -818,94 +545,38 @@ pub fn run_grid_coordinated(
         stats.skipped += by_hash[hashes[i].as_str()].len();
     }
 
-    // The temp-file reap, the lease plane, the deadline estimator and the
-    // heartbeat exist for the cells this run simulates; a pass that owns no
-    // miss lists no directory, opens no `leases/`, reads no wall sidecar and
-    // starts no thread. Lease I/O failure at open degrades to uncoordinated
-    // execution.
-    let has_work = !owned.is_empty();
-    let plane: Option<Arc<CoordPlane>> = match (store.filter(|_| has_work), journal) {
-        (Some(s), Some(journal)) => {
-            match s.reap_tmp_older_than(STALE_TMP_AGE) {
-                Ok(0) | Err(_) => {}
-                Ok(n) => eprintln!(
-                    "chronus-grid: reaped {n} stale temp file(s) from {} (crash leftovers)",
-                    s.dir().display()
-                ),
-            }
-            for hash in &served {
-                if let Some(wall) = s.recorded_wall(hash) {
-                    estimator.record(wall);
-                }
-            }
-            let leases = LeaseManager::open(s.dir(), holder).map_err(|e| {
-                eprintln!("chronus-grid: could not open lease plane ({e}); running uncoordinated")
-            });
-            leases.ok().map(|leases| {
-                let plane = CoordPlane {
-                    leases: leases.with_faults(opts.faults.clone()),
-                    journal,
-                    grid: spec.name.clone(),
-                    ttl_override: coord.lease_ttl,
-                    active: Mutex::new(HashSet::new()),
-                };
-                plane.reclaim_stale_on_open();
-                Arc::new(plane)
-            })
+    // The temp-file reap and the deadline estimator's seed exist for the
+    // cells this run simulates; a pass that owns no miss lists no directory
+    // and reads no wall sidecar.
+    if let Some(s) = store.filter(|_| !owned.is_empty()) {
+        match s.reap_tmp_older_than(STALE_TMP_AGE) {
+            Ok(0) | Err(_) => {}
+            Ok(n) => eprintln!(
+                "chronus-grid: reaped {n} stale temp file(s) from {} (crash leftovers)",
+                s.dir().display()
+            ),
         }
-        _ => None,
-    };
-
-    // Heartbeat thread: keeps every held lease's deadline ahead of the
-    // clock while cells compute. Stopped (and joined) before returning.
-    let hb_stop = Arc::new(AtomicBool::new(false));
-    let heartbeat = plane.as_ref().map(|p| {
-        let plane = Arc::clone(p);
-        let estimator = Arc::clone(&estimator);
-        let stop = Arc::clone(&hb_stop);
-        std::thread::Builder::new()
-            .name("lease-heartbeat".into())
-            .spawn(move || {
-                // Parked, not sleeping, between beats: the stop below is an
-                // `unpark`, so the join never waits out a sleep. `unpark`
-                // synchronizes with the return of `park_timeout`, which
-                // makes the relaxed `stop` store visible here.
-                let mut due = Instant::now() + plane.heartbeat_interval(&estimator);
-                while !stop.load(Ordering::Relaxed) {
-                    let now = Instant::now();
-                    if now < due {
-                        std::thread::park_timeout(due - now);
-                        continue;
-                    }
-                    plane.refresh_active(&estimator);
-                    due = Instant::now() + plane.heartbeat_interval(&estimator);
-                }
-            })
-            .expect("spawn heartbeat thread")
-    });
+        for hash in &served {
+            if let Some(wall) = s.recorded_wall(hash) {
+                estimator.record(wall);
+            }
+        }
+    }
 
     // Simulate the owned misses, one timing cohort per unit of work, each
-    // attempt isolated and retried. Claims, store writes and journal events
-    // all happen inside the worker, so a cell's lease is released the
-    // moment its unit's entries land — not at the end-of-grid barrier.
+    // attempt isolated and retried. Store writes happen inside the worker,
+    // so a unit's entries land as soon as it finishes.
     let units = plan_units(&spec.cells, &owned);
     let progress = Progress::new(&spec.name, owned.len(), opts.progress);
     let runner = UnitRunner {
         cells: &spec.cells,
         hashes: &hashes,
         store,
-        plane: plane.as_deref(),
         estimator: &estimator,
         progress: &progress,
         opts,
     };
     let worker_results = try_run_parallel(units.clone(), opts.threads, |unit| runner.run(unit));
-
-    if let Some(handle) = heartbeat {
-        hb_stop.store(true, Ordering::Relaxed);
-        handle.thread().unpark();
-        let _ = handle.join();
-    }
 
     // Fan-out and accounting. Worker-level panics (outside the per-attempt
     // guard) are demoted to failures of the unit's cells: one bad worker
@@ -931,11 +602,7 @@ pub fn run_grid_coordinated(
             let indices = &by_hash[hashes[i].as_str()];
             match member {
                 Ok(done) => {
-                    if done.waited {
-                        stats.waited += indices.len();
-                    } else {
-                        stats.simulated += indices.len();
-                    }
+                    stats.simulated += indices.len();
                     if let Some(failure) = done.store_failure {
                         failures.push(failure);
                     }
@@ -977,7 +644,7 @@ pub fn run_grid_coordinated(
 /// file to heal). Prior failures whose cells now verify in the store are
 /// dropped (any shard's rerun heals them); failures re-observed this run
 /// replace their prior record; an empty result removes the manifest.
-pub(crate) fn update_manifest(
+fn update_manifest(
     store: &ResultStore,
     spec: &GridSpec,
     shard: &Shard,
@@ -1028,19 +695,18 @@ pub(crate) fn update_manifest(
 }
 
 /// Persists one cell, retrying transient write failures under `retry`.
-/// Returns the entry's footer digest.
 fn put_with_retry(
     store: &ResultStore,
     hash: &str,
     cell: &CellSpec,
     report: &SimReport,
     retry: &RetryPolicy,
-) -> std::io::Result<String> {
+) -> std::io::Result<()> {
     let token = mix64(format!("put|{hash}").as_bytes());
     let mut attempt: u32 = 0;
     loop {
         match store.put(hash, cell, report) {
-            Ok(checksum) => return Ok(checksum),
+            Ok(()) => return Ok(()),
             Err(e) if attempt >= retry.max_retries => return Err(e),
             Err(_) => {
                 retry.sleep_before_retry(attempt, token);
@@ -1183,49 +849,46 @@ mod tests {
     fn a_cached_pass_leaves_no_footprint() {
         let dir = scratch("footprint");
         let spec = tiny_spec();
-        // Filled with `put` alone: no `leases/`, no `journal/`, no lock file.
+        // Filled with `put` alone: no wall sidecar, no lock file.
         let store = ResultStore::open(&dir).unwrap();
         for (cell, hash) in spec.cells.iter().zip(spec.hashes()) {
             store.put(&hash, cell, &simulate_cell(cell)).unwrap();
         }
-        // An orphaned temp file past the reap age, and a stale lease left
-        // by a holder on another host.
+        // An orphaned temp file past the reap age.
         let tmp = dir.join(format!(".{}.999.tmp", "e".repeat(32)));
         let old = std::time::SystemTime::now() - STALE_TMP_AGE - Duration::from_secs(60);
         std::fs::File::create(&tmp)
             .unwrap()
             .set_modified(old)
             .unwrap();
-        let stale = crate::lease::LeaseInfo {
-            holder: "elsewhere-7-0".into(),
-            deadline_ms: 1,
-            refreshes: 0,
-        };
-        let lease = LeaseManager::open(&dir, "planter")
-            .unwrap()
-            .lease_path(&"f".repeat(32));
-        std::fs::write(&lease, serde_json::to_string(&stale).unwrap()).unwrap();
         let before = tree(&dir);
-        assert!(!before.iter().any(|p| p == ".store.lock" || p == "journal"));
+        assert!(!before.iter().any(|p| p == ".store.lock"));
 
         // Every pass opens the store afresh, as each figure binary does.
         let pass = |spec: &GridSpec| {
             let store = ResultStore::open(&dir).unwrap();
-            run_grid_coordinated(spec, Some(&store), &quiet_opts(), &CoordOpts::default())
+            run_grid(spec, Some(&store), &quiet_opts())
         };
         let cached = pass(&spec);
         assert_eq!((cached.stats.cached, cached.stats.simulated), (3, 0));
         assert_eq!(tree(&dir), before, "a fully cached pass must touch nothing");
 
-        // A pass that owns a miss reaps the orphan and reclaims the lease.
+        // A pass that owns a miss reaps the orphan and adds exactly the new
+        // cell's entry and wall sidecar.
         let mut grown = spec.clone();
         let mut extra = spec.cells[2].clone();
         extra.config.nrh = 16;
         grown.push(extra);
         let out = pass(&grown);
         assert_eq!((out.stats.cached, out.stats.simulated), (3, 1));
-        assert!(!tmp.exists(), "stale temp file reaped");
-        assert!(!lease.exists(), "stale lease reclaimed");
+        let fresh = &grown.hashes()[3];
+        let mut expected: Vec<String> = before
+            .into_iter()
+            .filter(|p| !p.ends_with(".tmp"))
+            .chain([format!("{fresh}.json"), format!("{fresh}.wall")])
+            .collect();
+        expected.sort();
+        assert_eq!(tree(&dir), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1256,7 +919,7 @@ mod tests {
         };
         assert_eq!(
             stats.summary(),
-            "cells=4 cached=1 simulated=2 skipped=0 failed=1 waited=0"
+            "cells=4 cached=1 simulated=2 skipped=0 failed=1"
         );
     }
 
@@ -1393,7 +1056,7 @@ mod tests {
     }
 
     /// `(file name, bytes)` of the store's top-level entries — the
-    /// byte-identity surface (sidecars and journals are not part of it).
+    /// byte-identity surface (sidecars are not part of it).
     fn entry_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
         let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
             .unwrap()
@@ -1490,15 +1153,6 @@ mod tests {
             .collect();
         assert!(walls.iter().all(|&w| w >= 0.160), "{walls:?}");
         assert!(walls.iter().all(|&w| w == walls[0]), "{walls:?}");
-        let completes: Vec<f64> = crate::journal::read_events(&dir)
-            .unwrap()
-            .events
-            .into_iter()
-            .filter(|e| e.kind == EventKind::Complete)
-            .map(|e| e.wall)
-            .collect();
-        assert_eq!(completes.len(), 4);
-        assert!(completes.iter().all(|&w| (w - walls[0]).abs() < 1e-6));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

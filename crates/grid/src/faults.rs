@@ -11,11 +11,6 @@
 //! * `io:P` — a store read/write fails with an injected `io::Error`;
 //! * `stall:P` — a cell simulation sleeps `stall_ms` (default 120 000 ms)
 //!   before starting, long enough to trip the watchdog deadline;
-//! * `lease:P` — a lease claim/refresh fails with an injected `io::Error`
-//!   (the executor degrades to uncoordinated mode: duplicate compute is
-//!   possible, corruption is not);
-//! * `journal:P` — a journal append fails (the run continues with an
-//!   incomplete audit trail);
 //! * `seed:N` — decorrelates runs; every decision is a pure function of
 //!   `(seed, site, key, attempt)`, so one seed replays identically on every
 //!   machine — which is what lets integration tests and CI assert exact
@@ -47,10 +42,6 @@ pub struct FaultPlan {
     pub io_p: f64,
     /// Probability a cell simulation stalls before starting.
     pub stall_p: f64,
-    /// Probability a lease operation fails with an injected I/O error.
-    pub lease_p: f64,
-    /// Probability a journal append fails with an injected I/O error.
-    pub journal_p: f64,
     /// How long an injected stall sleeps.
     pub stall_ms: u64,
     /// Decision seed; every draw is pure in `(seed, site, key, attempt)`.
@@ -65,8 +56,6 @@ impl Default for FaultPlan {
             panic_p: 0.0,
             io_p: 0.0,
             stall_p: 0.0,
-            lease_p: 0.0,
-            journal_p: 0.0,
             stall_ms: 120_000,
             seed: 0,
             max_attempt: None,
@@ -111,15 +100,13 @@ impl FaultPlan {
                 "panic" => plan.panic_p = prob(value)?,
                 "io" => plan.io_p = prob(value)?,
                 "stall" => plan.stall_p = prob(value)?,
-                "lease" => plan.lease_p = prob(value)?,
-                "journal" => plan.journal_p = prob(value)?,
                 "stall_ms" => plan.stall_ms = int(value)?,
                 "seed" => plan.seed = int(value)?,
                 "attempts" => plan.max_attempt = Some(int(value)? as u32),
                 other => {
                     return Err(format!(
-                        "unknown fault key '{other}' (known: panic, io, stall, lease, \
-                         journal, stall_ms, seed, attempts)"
+                        "unknown fault key '{other}' (known: panic, io, stall, stall_ms, \
+                         seed, attempts)"
                     ))
                 }
             }
@@ -141,11 +128,7 @@ impl FaultPlan {
 
     /// Whether any fault can ever fire under this plan.
     pub fn is_active(&self) -> bool {
-        self.panic_p > 0.0
-            || self.io_p > 0.0
-            || self.stall_p > 0.0
-            || self.lease_p > 0.0
-            || self.journal_p > 0.0
+        self.panic_p > 0.0 || self.io_p > 0.0 || self.stall_p > 0.0
     }
 
     /// Builds the injector for this plan.
@@ -227,44 +210,6 @@ impl FaultInjector {
         }
         None
     }
-
-    /// The injected error (if any) for the next lease `op` (`"claim"`,
-    /// `"refresh"`) on cell `key`. Counted per `(op, key)` like store I/O,
-    /// so `attempts:N` gating heals retries deterministically.
-    pub fn lease_fault(&self, op: &str, key: &str) -> Option<io::Error> {
-        let site = format!("lease-{op}|{key}");
-        let attempt = {
-            let mut counts = self.io_attempts.lock().expect("io counter lock");
-            let slot = counts.entry(site.clone()).or_insert(0);
-            let attempt = *slot;
-            *slot += 1;
-            attempt
-        };
-        if self.gated(attempt) && self.draw("lease", &site, attempt) < self.plan.lease_p {
-            return Some(io::Error::other(format!(
-                "injected lease fault ({op} {key}, attempt {attempt})"
-            )));
-        }
-        None
-    }
-
-    /// The injected error (if any) for the next journal append about `key`.
-    pub fn journal_fault(&self, key: &str) -> Option<io::Error> {
-        let site = format!("journal|{key}");
-        let attempt = {
-            let mut counts = self.io_attempts.lock().expect("io counter lock");
-            let slot = counts.entry(site.clone()).or_insert(0);
-            let attempt = *slot;
-            *slot += 1;
-            attempt
-        };
-        if self.gated(attempt) && self.draw("journal", &site, attempt) < self.plan.journal_p {
-            return Some(io::Error::other(format!(
-                "injected journal fault ({key}, attempt {attempt})"
-            )));
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -273,18 +218,14 @@ mod tests {
 
     #[test]
     fn parses_the_full_syntax() {
-        let plan = FaultPlan::parse(
-            "panic:0.5, io:0.25,stall:0.1,lease:0.2,journal:0.15,stall_ms:50,seed:9,attempts:2",
-        )
-        .unwrap();
+        let plan =
+            FaultPlan::parse("panic:0.5, io:0.25,stall:0.1,stall_ms:50,seed:9,attempts:2").unwrap();
         assert_eq!(
             plan,
             FaultPlan {
                 panic_p: 0.5,
                 io_p: 0.25,
                 stall_p: 0.1,
-                lease_p: 0.2,
-                journal_p: 0.15,
                 stall_ms: 50,
                 seed: 9,
                 max_attempt: Some(2),
@@ -400,25 +341,15 @@ mod tests {
     }
 
     #[test]
-    fn lease_and_journal_faults_count_attempts_per_site() {
-        let inj = FaultPlan {
-            lease_p: 1.0,
-            journal_p: 1.0,
-            max_attempt: Some(1),
-            ..FaultPlan::default()
+    fn lease_and_journal_keys_are_unknown() {
+        // No layer reads these keys: a plan naming them must fail loudly
+        // rather than run without the faults it asks for.
+        for key in ["lease", "journal"] {
+            let err = FaultPlan::parse(&format!("{key}:1.0,seed:7")).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown fault key '{key}'")),
+                "{err}"
+            );
         }
-        .injector();
-        assert!(
-            inj.lease_fault("claim", "h1").is_some(),
-            "first claim injects"
-        );
-        assert!(inj.lease_fault("claim", "h1").is_none(), "retry is clean");
-        assert!(inj.lease_fault("refresh", "h1").is_some(), "ops separate");
-        assert!(inj.journal_fault("h1").is_some(), "first append injects");
-        assert!(inj.journal_fault("h1").is_none(), "second append is clean");
-        // Inactive plans never fire.
-        let off = FaultPlan::default().injector();
-        assert!(off.lease_fault("claim", "h1").is_none());
-        assert!(off.journal_fault("h1").is_none());
     }
 }

@@ -17,7 +17,10 @@
 //! * **sharded** — `--shard i/N` deterministically partitions the cells of
 //!   a grid across processes or machines; [`exec::merge`] then assembles
 //!   results from the shared (or copied-together) store byte-identically
-//!   to an unsharded run.
+//!   to an unsharded run. Sharding is the one way to split a grid: the
+//!   store needs no coordination beyond atomic, byte-deterministic writes,
+//!   so two unsharded runs racing on one store duplicate compute but never
+//!   corrupt it.
 //!
 //! ```no_run
 //! use chronus_grid::{AppTrace, CellSpec, ExecOpts, GridSpec, ResultStore, WorkloadSpec};
@@ -40,12 +43,9 @@
 //! ```
 
 pub mod cell;
-pub mod doctor;
 pub mod exec;
 pub mod faults;
 pub mod hash;
-pub mod journal;
-pub mod lease;
 pub mod progress;
 pub mod retry;
 pub mod shard;
@@ -53,15 +53,12 @@ pub mod spec;
 pub mod store;
 
 pub use cell::{AppTrace, AttackSpec, CellKey, CellSpec, WorkloadSpec, SIM_VERSION};
-pub use doctor::{run_doctor, DoctorReport};
 pub use exec::{
-    merge, run_grid, run_grid_coordinated, simulate_cell, CellFailure, CoordOpts, ExecOpts,
-    ExecStats, FailureKind, FailureManifest, GridOutcome, DEGRADED_EXIT,
+    merge, run_grid, simulate_cell, CellFailure, ExecOpts, ExecStats, FailureKind, FailureManifest,
+    GridOutcome, DEGRADED_EXIT,
 };
 pub use faults::{ExecFault, FaultInjector, FaultPlan, FAULTS_ENV};
 pub use hash::cell_hash;
-pub use journal::{EventKind, Journal, JournalEvent, JournalScan};
-pub use lease::{ClaimOutcome, LeaseInfo, LeaseManager};
 pub use progress::Progress;
 pub use retry::RetryPolicy;
 pub use shard::Shard;

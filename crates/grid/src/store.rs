@@ -16,13 +16,15 @@
 //! function of the payload, which preserves the byte-identity invariant:
 //! two stores that simulated the same cells hold identical files.
 //!
-//! Writes go through a temp file + rename so concurrent sharded processes
-//! sharing one directory never observe torn entries; temp files orphaned
-//! by killed processes are reaped by an executor pass that owns a miss,
-//! before its first write (when stale), and by [`ResultStore::fsck`] and
-//! `doctor` (unconditionally); opening a store lists nothing. `fsck` moves
-//! entries that fail verification into `quarantine/`, which re-enqueues
-//! them: the next run misses on the quarantined hash and re-simulates it.
+//! Writes go through a temp file + rename so processes sharing one
+//! directory never observe torn entries; temp files orphaned by killed
+//! processes are reaped by an executor pass that owns a miss, before its
+//! first write (when stale), and by [`ResultStore::fsck`]
+//! (unconditionally); opening a store lists nothing. An unconditional reap
+//! can remove a live writer's temp file: that write's rename then fails and
+//! the executor writes the entry again. `fsck` moves entries that fail
+//! verification into `quarantine/`, which re-enqueues them: the next run
+//! misses on the quarantined hash and re-simulates it.
 //!
 //! Two kinds of non-authoritative sidecar live next to the entries:
 //! `<hash>.wall` records the wall-clock seconds the cell cost (feeding the
@@ -33,7 +35,6 @@
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 use chronus_sim::SimReport;
@@ -43,8 +44,6 @@ use crate::cell::{CellKey, CellSpec, SIM_VERSION};
 use crate::exec::FailureManifest;
 use crate::faults::FaultInjector;
 use crate::hash::digest128;
-use crate::journal::{EventKind, Journal};
-use crate::lease;
 
 /// Environment variable overriding the default store directory.
 pub const GRID_DIR_ENV: &str = "CHRONUS_GRID_DIR";
@@ -163,9 +162,6 @@ pub struct FsckReport {
     pub reaped_tmp: usize,
     /// Wall-clock sidecars whose entry no longer exists, removed.
     pub reaped_sidecars: usize,
-    /// Entries (and temp files) left untouched because a live lease
-    /// protects them.
-    pub leased_skipped: usize,
 }
 
 impl FsckReport {
@@ -178,14 +174,13 @@ impl FsckReport {
     /// One machine-greppable line.
     pub fn summary(&self) -> String {
         format!(
-            "scanned={} ok={} quarantined={} reaped_tmp={} reaped_sidecars={} manifests={} leased={}",
+            "scanned={} ok={} quarantined={} reaped_tmp={} reaped_sidecars={} manifests={}",
             self.scanned,
             self.ok,
             self.quarantined.len(),
             self.reaped_tmp,
             self.reaped_sidecars,
-            self.quarantined_manifests.len(),
-            self.leased_skipped
+            self.quarantined_manifests.len()
         )
     }
 }
@@ -205,7 +200,7 @@ pub enum ManifestState {
 /// Holds the advisory whole-store lock while in scope (dropped = released;
 /// the kernel also releases it if the holder dies). Serializes the
 /// multi-step read-modify-write paths that atomic rename alone cannot
-/// protect: failure-manifest merges, `gc`, `fsck`, and `doctor`.
+/// protect: failure-manifest merges, `gc` and `fsck`.
 #[derive(Debug)]
 pub struct StoreLock {
     _file: std::fs::File,
@@ -216,13 +211,12 @@ pub struct StoreLock {
 pub struct ResultStore {
     dir: PathBuf,
     faults: Option<FaultInjector>,
-    journal: Option<Arc<Journal>>,
 }
 
 impl ResultStore {
     /// Opens (creating if needed) a store at `dir`. Nothing is listed:
     /// orphaned temp files are reaped by an executor pass that owns a miss
-    /// (before its first write), by [`Self::fsck`] and by `doctor`.
+    /// (before its first write) and by [`Self::fsck`].
     ///
     /// # Errors
     ///
@@ -230,11 +224,7 @@ impl ResultStore {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        Ok(Self {
-            dir,
-            faults: None,
-            journal: None,
-        })
+        Ok(Self { dir, faults: None })
     }
 
     /// Opens the default store: `$CHRONUS_GRID_DIR` or `./grid-cache`.
@@ -259,21 +249,6 @@ impl ResultStore {
     pub fn with_faults(mut self, faults: Option<FaultInjector>) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// Attaches an operations journal: store-level mutations (demotes,
-    /// quarantines, gc) are recorded through it. Cell-level events (claim,
-    /// complete, fail) are the executor's responsibility — it has the grid
-    /// context.
-    #[must_use]
-    pub fn with_journal(mut self, journal: Arc<Journal>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// The attached journal, if any.
-    pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.as_ref()
     }
 
     /// The attached fault injector, if any.
@@ -302,13 +277,6 @@ impl ResultStore {
             .open(self.dir.join(".store.lock"))?;
         file.lock()?;
         Ok(StoreLock { _file: file })
-    }
-
-    /// Records a store-level journal event, if a journal is attached.
-    fn journal_event(&self, kind: EventKind, target: &str, detail: &str) {
-        if let Some(journal) = &self.journal {
-            journal.record(kind, "-", target, 0, 0.0, "", detail);
-        }
     }
 
     /// The file path of a hash.
@@ -371,21 +339,18 @@ impl ResultStore {
                      to quarantine it",
                     self.path_of(hash).display()
                 );
-                self.journal_event(EventKind::Demote, hash, &issue.to_string());
                 None
             }
         }
     }
 
     /// Persists a completed cell atomically (write temp file, rename),
-    /// appending the integrity footer. Returns the footer digest, which
-    /// the executor journals with the `Complete` event so `doctor` can
-    /// later match journal against store contents.
+    /// appending the integrity footer.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures (including injected ones).
-    pub fn put(&self, hash: &str, cell: &CellSpec, report: &SimReport) -> io::Result<String> {
+    pub fn put(&self, hash: &str, cell: &CellSpec, report: &SimReport) -> io::Result<()> {
         if let Some(faults) = &self.faults {
             if let Some(e) = faults.io_fault("put", hash) {
                 return Err(e);
@@ -403,20 +368,7 @@ impl ResultStore {
         );
         let tmp = self.dir.join(format!(".{hash}.{}.tmp", std::process::id()));
         std::fs::write(&tmp, full)?;
-        std::fs::rename(&tmp, self.path_of(hash))?;
-        Ok(digest)
-    }
-
-    /// The footer digest of a fully verified entry; `None` when the entry
-    /// is missing or fails verification.
-    pub fn verified_digest(&self, hash: &str) -> Option<String> {
-        let text = std::fs::read_to_string(self.path_of(hash)).ok()?;
-        verify_entry_text(&text).ok()?;
-        let trimmed = text.strip_suffix('\n').unwrap_or(&text);
-        let (_, footer) = trimmed.rsplit_once('\n')?;
-        footer
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix("fnv=").map(str::to_string))
+        std::fs::rename(&tmp, self.path_of(hash))
     }
 
     /// Records the wall-clock cost of a completed cell (best-effort
@@ -454,39 +406,33 @@ impl ResultStore {
 
     /// Deletes every entry (and its wall sidecar) whose hash is not in
     /// `keep`; returns how many entries were removed. Takes the store
-    /// lock; entries protected by a live lease are skipped (a concurrent
-    /// executor is computing them right now).
+    /// lock.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn gc(&self, keep: &HashSet<String>) -> io::Result<usize> {
         let _lock = self.lock()?;
-        let leased = lease::live_hashes(&self.dir);
         let mut removed = 0;
         for hash in self.list()? {
-            if keep.contains(&hash) || leased.contains(&hash) {
+            if keep.contains(&hash) {
                 continue;
             }
             std::fs::remove_file(self.path_of(&hash))?;
             let _ = std::fs::remove_file(self.wall_path(&hash));
-            self.journal_event(EventKind::Gc, &hash, "outside keep-set");
             removed += 1;
         }
         Ok(removed)
     }
 
     /// Removes temp files older than `age`; returns how many were reaped.
-    /// `Duration::ZERO` reaps unconditionally (what `fsck` uses). Temp
-    /// files of cells protected by a live lease are always left alone —
-    /// their writer is mid-flight.
+    /// `Duration::ZERO` reaps unconditionally (what `fsck` uses).
     ///
     /// # Errors
     ///
     /// Propagates directory-read failures (individual file races are
     /// ignored).
     pub fn reap_tmp_older_than(&self, age: Duration) -> io::Result<usize> {
-        let leased = lease::live_hashes(&self.dir);
         let now = std::time::SystemTime::now();
         let mut reaped = 0;
         for entry in std::fs::read_dir(&self.dir)? {
@@ -494,9 +440,6 @@ impl ResultStore {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             if !name.ends_with(".tmp") {
-                continue;
-            }
-            if tmp_hash(&name).is_some_and(|h| leased.contains(h)) {
                 continue;
             }
             let stale = age.is_zero()
@@ -516,22 +459,13 @@ impl ResultStore {
     /// Scans the whole store: verifies every entry, moves the ones that
     /// fail into `quarantine/` (re-enqueueing them — the next run misses
     /// and re-simulates), quarantines corrupt failure manifests, reaps
-    /// temp files and orphaned wall sidecars. Takes the store lock; cells
-    /// protected by a live lease are skipped, not judged.
+    /// temp files and orphaned wall sidecars. Takes the store lock.
     ///
     /// # Errors
     ///
     /// Propagates directory-read and quarantine-move failures.
     pub fn fsck(&self) -> io::Result<FsckReport> {
         let _lock = self.lock()?;
-        self.fsck_inner()
-    }
-
-    /// [`Self::fsck`] without taking the store lock — for callers (the
-    /// `doctor` pass) that already hold it. `flock` does not nest across
-    /// descriptors within one process, so re-locking would self-deadlock.
-    pub(crate) fn fsck_inner(&self) -> io::Result<FsckReport> {
-        let leased = lease::live_hashes(&self.dir);
         let mut report = FsckReport {
             reaped_tmp: self.reap_tmp_older_than(Duration::ZERO)?,
             ..FsckReport::default()
@@ -555,25 +489,17 @@ impl ResultStore {
             if !is_hash(hash) {
                 continue;
             }
-            if leased.contains(hash) {
-                report.leased_skipped += 1;
-                continue;
-            }
             report.scanned += 1;
             match self.verify(hash) {
                 EntryState::Ok(_) => report.ok += 1,
                 EntryState::Missing => {}
                 EntryState::Bad(issue) => {
                     self.quarantine(&name)?;
-                    self.journal_event(EventKind::Quarantine, hash, &issue.to_string());
                     report.quarantined.push((name, issue.to_string()));
                 }
             }
         }
         for hash in sidecars {
-            if leased.contains(&hash) {
-                continue;
-            }
             if !self.contains(&hash) && std::fs::remove_file(self.wall_path(&hash)).is_ok() {
                 report.reaped_sidecars += 1;
             }
@@ -609,7 +535,6 @@ impl ResultStore {
                 let dest = qdir.join(&name);
                 let _ = std::fs::remove_file(&dest);
                 std::fs::rename(entry.path(), dest)?;
-                self.journal_event(EventKind::Quarantine, &format!("failures/{name}"), &reason);
                 report.quarantined_manifests.push((name, reason));
             }
         }
@@ -654,8 +579,7 @@ impl ResultStore {
     }
 
     /// The verified state of a grid's failure manifest. A `Bad` state is
-    /// reported and journaled (demote path) — corrupt failure history must
-    /// never vanish silently.
+    /// reported — corrupt failure history must never vanish silently.
     pub fn manifest_state(&self, grid: &str) -> ManifestState {
         let state = self.manifest_state_raw(grid);
         if let ManifestState::Bad(reason) = &state {
@@ -664,14 +588,12 @@ impl ResultStore {
                  run `chronus-sweep fsck` to quarantine it",
                 self.manifest_path(grid).display()
             );
-            let name = format!("failures/{grid}.json");
-            self.journal_event(EventKind::Demote, &name, reason);
         }
         state
     }
 
     /// Loads a grid's failure manifest; `None` when absent. A corrupt
-    /// manifest is reported and journaled (see [`Self::manifest_state`])
+    /// manifest is reported (see [`Self::manifest_state`])
     /// before behaving as absent.
     pub fn load_manifest(&self, grid: &str) -> Option<FailureManifest> {
         match self.manifest_state(grid) {
@@ -691,16 +613,9 @@ fn is_hash(s: &str) -> bool {
     s.len() == 32 && s.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
-/// The cell hash embedded in a temp-file name (`.{hash}.{pid}.tmp`).
-fn tmp_hash(name: &str) -> Option<&str> {
-    let stem = name.strip_prefix('.')?.strip_suffix(".tmp")?;
-    let (hash, _pid) = stem.split_once('.')?;
-    is_hash(hash).then_some(hash)
-}
-
 /// Splits and checks the footer, then parses the payload; the one
-/// verification every read path (`get`, `verify`, `fsck`, `doctor`,
-/// `merge`, the manifest heal) goes through.
+/// verification every read path (`get`, `verify`, `fsck`, `merge`, the
+/// manifest heal) goes through.
 fn verify_entry_text(text: &str) -> Result<SimReport, EntryIssue> {
     let trimmed = text.strip_suffix('\n').unwrap_or(text);
     let Some((payload, footer)) = trimmed.rsplit_once('\n') else {
@@ -1036,18 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn put_returns_the_footer_digest() {
-        let (dir, store, hash, _) = populated("digest");
-        let digest = store.verified_digest(&hash).expect("entry verifies");
-        let text = std::fs::read_to_string(store.path_of(&hash)).unwrap();
-        assert!(text.contains(&format!("fnv={digest}")));
-        // A corrupt entry yields no digest.
-        std::fs::write(store.path_of(&hash), "{oops").unwrap();
-        assert_eq!(store.verified_digest(&hash), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn corrupt_manifests_are_reported_not_swallowed() {
         let (dir, store, _, _) = populated("manifest-bad");
         let path = store.manifest_path("g");
@@ -1077,37 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_and_fsck_skip_live_leased_cells() {
-        let (dir, store, hash, _) = populated("leased");
-        // A live lease on a second, *corrupt* cell: neither gc nor fsck
-        // may touch it (its writer could be mid-flight), and its pending
-        // temp file survives reaping.
-        let leased = "d".repeat(32);
-        std::fs::write(store.path_of(&leased), "{torn").unwrap();
-        std::fs::write(dir.join(format!(".{leased}.77.tmp")), "pending").unwrap();
-        let mgr = crate::lease::LeaseManager::open(&dir, "host-1-0").unwrap();
-        mgr.try_claim(&leased, Duration::from_secs(60)).unwrap();
-
-        let keep: HashSet<String> = HashSet::new();
-        assert_eq!(store.gc(&keep).unwrap(), 1, "only the unleased entry goes");
-        assert!(!store.contains(&hash));
-        assert!(store.contains(&leased), "leased cell survives gc");
-
-        let report = store.fsck().unwrap();
-        assert_eq!(report.leased_skipped, 1);
-        assert!(report.quarantined.is_empty(), "leased cell is not judged");
-        assert_eq!(report.reaped_tmp, 0, "leased tmp survives");
-        assert!(dir.join(format!(".{leased}.77.tmp")).exists());
-
-        // Once the lease is released, fsck reaps and quarantines normally.
-        mgr.release(&leased);
-        let report = store.fsck().unwrap();
-        assert_eq!(report.quarantined.len(), 1);
-        assert_eq!(report.reaped_tmp, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn store_lock_is_exclusive_across_descriptors() {
         let dir = scratch("lock");
         let store = ResultStore::open(&dir).unwrap();
@@ -1122,24 +994,6 @@ mod tests {
         assert!(file.try_lock().is_err(), "lock must be held");
         drop(guard);
         assert!(file.try_lock().is_ok(), "drop must release the lock");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn store_mutations_are_journaled() {
-        let (dir, store, hash, _) = populated("journaled");
-        let journal = Arc::new(crate::journal::Journal::open(&dir, "host-1-9"));
-        let store = store.with_journal(journal);
-        // Demote: a corrupt entry read through `get`.
-        std::fs::write(store.path_of(&hash), "{oops").unwrap();
-        assert!(store.get(&hash).is_none());
-        // Quarantine: fsck moves it out.
-        store.fsck().unwrap();
-        let scan = crate::journal::read_events(&dir).unwrap();
-        let kinds: Vec<EventKind> = scan.events.iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&EventKind::Demote));
-        assert!(kinds.contains(&EventKind::Quarantine));
-        assert!(scan.events.iter().all(|e| e.hash == hash));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

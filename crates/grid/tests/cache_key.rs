@@ -3,8 +3,9 @@
 //!
 //! Also pins what keeps an existing store addressable and readable: the
 //! key and digest are computed exactly as they were when its entries were
-//! written, and everything the store, leases and journal read back goes
-//! through the single-pass reader with the `JsonValue` tree as witness.
+//! written, and everything the store reads back (entries and failure
+//! manifests) goes through the single-pass reader with the `JsonValue` tree
+//! as witness.
 
 use chronus_core::MechanismKind;
 use chronus_ctrl::AddressMapping;
@@ -12,7 +13,7 @@ use chronus_dram::TimingMode;
 use chronus_grid::hash::digest128;
 use chronus_grid::{
     cell_hash, simulate_cell, AppTrace, AttackSpec, CellFailure, CellKey, CellRecord, CellSpec,
-    EventKind, FailureKind, FailureManifest, JournalEvent, LeaseInfo, ResultStore, WorkloadSpec,
+    FailureKind, FailureManifest, ResultStore, WorkloadSpec,
 };
 use chronus_sim::SimConfig;
 use proptest::prelude::*;
@@ -241,40 +242,14 @@ proptest! {
     }
 
     #[test]
-    fn coordination_records_roundtrip(
-        nums in (0u64..=u64::MAX, 0u64..=u64::MAX, 0u32..=u32::MAX),
-        wall in 0.0f64..1e6,
+    fn failure_manifests_roundtrip(
+        nums in (0u64..=u64::MAX, 0u32..=u32::MAX),
         kind in 0usize..6,
         text in prop::collection::vec(0usize..10, 0..12),
     ) {
-        const KINDS: [EventKind; 6] = [
-            EventKind::Claim,
-            EventKind::Complete,
-            EventKind::Fail,
-            EventKind::Demote,
-            EventKind::Quarantine,
-            EventKind::Gc,
-        ];
         const FAILURES: [FailureKind; 3] =
             [FailureKind::Panic, FailureKind::Timeout, FailureKind::StoreWrite];
-        let (a, b, attempt) = nums;
-        assert_witnessed(&LeaseInfo {
-            holder: nasty(&text),
-            deadline_ms: a,
-            refreshes: b,
-        });
-        assert_witnessed(&JournalEvent {
-            seq: a,
-            at_ms: b,
-            holder: nasty(&text),
-            grid: "fig7".into(),
-            kind: KINDS[kind],
-            hash: digest128(&a.to_le_bytes()),
-            attempt,
-            wall,
-            checksum: digest128(&b.to_le_bytes()),
-            detail: nasty(&text),
-        });
+        let (a, attempt) = nums;
         assert_witnessed(&FailureManifest {
             grid: nasty(&text),
             shard: "2/3".into(),
@@ -386,25 +361,18 @@ fn a_damaged_entry_payload_is_an_error_never_a_panic() {
 
 #[test]
 fn unchecksummed_files_cannot_overflow_the_stack() {
-    // Leases and journal lines carry no checksum: whatever is on disk
-    // reaches the reader. A file of brackets must be a parse error (the
-    // lease then counts as stale, the line as torn), not an abort.
+    // Failure manifests carry no checksum: whatever is on disk reaches the
+    // reader. A file of brackets must be a parse error (the manifest then
+    // reads as corrupt), not an abort.
     let brackets = "[".repeat(200_000);
     let unknown_member = format!("{{\"later\":{brackets}");
     for bomb in [&brackets, &unknown_member, &"{\"k\":".repeat(200_000)] {
-        assert!(serde_json::from_str::<LeaseInfo>(bomb).is_err());
-        assert!(serde_json::from_str::<JournalEvent>(bomb).is_err());
         assert!(serde_json::from_str::<FailureManifest>(bomb).is_err());
         assert!(JsonValue::parse(bomb).is_err());
     }
-    // The typed readers descend only through a member they do not know;
+    // The typed reader descends only through a member it does not know;
     // one object and 127 arrays are allowed, the next bracket is named.
-    let err = serde_json::from_str::<LeaseInfo>(&unknown_member).unwrap_err();
-    assert_eq!(
-        err.to_string(),
-        "nesting deeper than 128 levels at byte 136"
-    );
-    let err = serde_json::from_str::<JournalEvent>(&unknown_member).unwrap_err();
+    let err = serde_json::from_str::<FailureManifest>(&unknown_member).unwrap_err();
     assert_eq!(
         err.to_string(),
         "nesting deeper than 128 levels at byte 136"

@@ -267,23 +267,6 @@ fn a_faulted_cohort_gives_every_member_its_solo_outcome() {
         assert_eq!(out.failures, manifest);
         assert_eq!(out.stats.failed, expected_failed.len());
         assert_eq!(out.stats.simulated, 8 - expected_failed.len());
-
-        // Every success is journaled once, at the attempt its solo
-        // decisions give.
-        let scan = chronus_grid::journal::read_events(&dir).unwrap();
-        for (i, s) in solo.iter().enumerate() {
-            let completes: Vec<u32> = scan
-                .events
-                .iter()
-                .filter(|e| e.kind == chronus_grid::EventKind::Complete && e.hash == hashes[i])
-                .map(|e| e.attempt)
-                .collect();
-            assert_eq!(
-                completes,
-                s.iter().copied().collect::<Vec<_>>(),
-                "{text}: cell {i}"
-            );
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,10 +2,13 @@
 //!
 //! * running `--shard 1/2` then `--shard 2/2` and merging is byte-identical
 //!   to one unsharded run;
+//! * two unsharded runs racing on one store leave it byte-identical to a
+//!   solo fill (they may duplicate compute, never corrupt);
 //! * a repeated run completes entirely from the result store with zero
 //!   simulations.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 
 use chronus_core::MechanismKind;
 use chronus_grid::{
@@ -96,6 +99,78 @@ fn sharded_runs_merge_byte_identical_to_unsharded() {
 
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// 16 VRD variants of one unmitigated workload: one timing cohort.
+fn cohort_grid() -> GridSpec {
+    let mut spec = GridSpec::new("it-cohort");
+    for seed in 0..16u64 {
+        let mut cfg = SimConfig::single_core();
+        cfg.instructions_per_core = 2_000;
+        cfg.nrh = 1024;
+        cfg.oracle = true;
+        cfg.vrd = Some(chronus_sim::VrdSpec { min_pct: 50, seed });
+        cfg.max_mem_cycles = 1 << 22;
+        let workload = WorkloadSpec::Apps {
+            apps: vec![AppTrace::new("429.mcf", 0, 42)],
+            trace_instructions: 2_400,
+        };
+        spec.push(CellSpec::new(format!("vrd#{seed}"), workload, cfg));
+    }
+    spec
+}
+
+/// `(file name, bytes)` of the store's `<hash>.json` entries, sorted.
+fn entries(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_type().unwrap().is_file())
+        .map(|e| (e.file_name().into_string().unwrap(), e.path()))
+        .filter(|(name, _)| name.ends_with(".json"))
+        .map(|(name, path)| (name, std::fs::read(path).unwrap()))
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn racing_unsharded_runs_fill_byte_identically_to_a_solo_fill() {
+    // Two unsharded executors on one store do not coordinate: each
+    // simulates whatever misses it finds. How much they duplicate is a
+    // race, so it is not asserted; what they leave behind is.
+    for spec in [sample_grid(), cohort_grid()] {
+        let dir_solo = scratch(&format!("solo-{}", spec.name));
+        let store_solo = ResultStore::open(&dir_solo).unwrap();
+        let solo = run_grid(&spec, Some(&store_solo), &opts(Shard::full()));
+        assert!(solo.is_complete() && !solo.is_degraded());
+
+        let dir = scratch(&format!("race-{}", spec.name));
+        let start = Barrier::new(2);
+        let (a, b) = std::thread::scope(|scope| {
+            let run = || {
+                let (spec, dir, start) = (&spec, &dir, &start);
+                scope.spawn(move || {
+                    // Its own store handle, as a second process would hold.
+                    let store = ResultStore::open(dir).unwrap();
+                    start.wait();
+                    run_grid(spec, Some(&store), &opts(Shard::full()))
+                })
+            };
+            let (a, b) = (run(), run());
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for out in [&a, &b] {
+            assert!(out.is_complete() && !out.is_degraded(), "{:?}", out.stats);
+            assert_eq!(out.reports, solo.reports);
+            assert_eq!(out.stats.waited, 0);
+        }
+        assert_eq!(entries(&dir).len(), spec.len());
+        assert_eq!(entries(&dir), entries(&dir_solo), "{}", spec.name);
+
+        let _ = std::fs::remove_dir_all(&dir_solo);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -10,9 +10,11 @@
 # benchmark/run.sh and this tree's, both with `--workload W --seed S
 # --seconds T --trace 0` (T defaults to 10); the parent runs first in odd
 # pairs and second in even ones, so the first run is the parent's and
-# neither side always runs first. scripts/bench_record.sh appends every run
-# to this tree's BENCH_history.jsonl, under its own tree's git SHA. The
-# runs' own output is discarded.
+# neither side always runs first. scripts/bench_record.sh records every run,
+# under its own tree's git SHA; the records are held aside and appended to
+# this tree's BENCH_history.jsonl once, when the script exits, so the tree
+# stays as committed while it runs and a committed tree's runs read `<sha>`,
+# not `<sha>-dirty`. The runs' own output is discarded.
 #
 # Then, for each of the seven end-to-end metrics, it prints the parent's and
 # the change's median [q1, q3] over the per-run medians (quartiles by
@@ -49,10 +51,16 @@ if [ ! -x "$parent/benchmark/run.sh" ]; then
 fi
 
 trajectory="$root/BENCH_history.jsonl"
-before=0
+records=$(mktemp)
+pristine=$(mktemp)
 if [ -f "$trajectory" ]; then
-    before=$(wc -l < "$trajectory")
+    cp "$trajectory" "$pristine"
 fi
+finish() {
+    cat "$records" >> "$trajectory"
+    rm -f "$records" "$pristine"
+}
+trap finish EXIT
 
 args=(--workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
 order=""
@@ -63,6 +71,9 @@ run() {
     else
         "$root/scripts/bench_record.sh" "${args[@]}" > /dev/null
     fi
+    # Move the record the run appended aside, restoring the trajectory.
+    tail -n 1 "$trajectory" >> "$records"
+    cp "$pristine" "$trajectory"
     order="$order ${2:0:1}"
 }
 for i in $(seq 1 "$pairs"); do
@@ -75,8 +86,8 @@ for i in $(seq 1 "$pairs"); do
     fi
 done
 
-# One line per run, appended in the order recorded in $order (p or c).
-tail -n +"$((before + 1))" "$trajectory" | python3 -c '
+# One line per run, in the order recorded in $order (p or c).
+python3 -c '
 import json, statistics, sys
 
 workload, order = sys.argv[1], sys.argv[2].split()
@@ -112,4 +123,4 @@ for side in sides:
     print("%s: failed %d of %d attempted; sim_digest %s" % (
         side, sum(values(side, "failed")), sum(values(side, "attempted")),
         " ".join(sorted(set(values(side, "sim_digest"))))))
-' "$workload" "$order"
+' "$workload" "$order" < "$records"
