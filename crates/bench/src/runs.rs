@@ -6,7 +6,9 @@
 //! invocations complete from the content-addressed result store and
 //! `--shard i/N` splits any figure across processes or machines.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 use chronus_core::MechanismKind;
 use chronus_cpu::Trace;
@@ -115,17 +117,27 @@ pub(crate) fn mix_workload(apps: &[AppProfile], opts: &HarnessOpts) -> WorkloadS
 /// in between.
 static DEGRADED: AtomicBool = AtomicBool::new(false);
 
-/// Parses `CHRONUS_FAULTS` into an injector. A malformed spec is a usage
-/// error (exit 2) — silently running *without* the faults the user asked
-/// for would invalidate whatever they were testing.
-pub fn env_faults(tool: &str) -> Option<FaultInjector> {
-    match FaultPlan::from_env() {
-        Ok(plan) => plan.filter(FaultPlan::is_active).map(FaultPlan::injector),
-        Err(msg) => {
-            eprintln!("{tool}: ${}: {msg}", chronus_grid::FAULTS_ENV);
-            std::process::exit(2);
-        }
-    }
+/// The process's fault injector: `CHRONUS_FAULTS`, parsed on the first
+/// call. Every call returns a clone of that one injector, so the store and
+/// the executor share its I/O attempt counters. A malformed spec is a
+/// usage error (exit 2) naming the running binary — silently running
+/// *without* the faults the user asked for would invalidate whatever they
+/// were testing.
+pub fn env_faults() -> Option<FaultInjector> {
+    static FAULTS: OnceLock<Option<FaultInjector>> = OnceLock::new();
+    FAULTS
+        .get_or_init(|| match FaultPlan::from_env() {
+            Ok(plan) => plan.filter(FaultPlan::is_active).map(FaultPlan::injector),
+            Err(msg) => {
+                let arg0 = std::env::args_os().next().unwrap_or_default();
+                let tool = Path::new(&arg0)
+                    .file_stem()
+                    .map_or("chronus-bench".into(), |s| s.to_string_lossy());
+                eprintln!("{tool}: ${}: {msg}", chronus_grid::FAULTS_ENV);
+                std::process::exit(2);
+            }
+        })
+        .clone()
 }
 
 /// Opens the result store the harness options point at, wiring any
@@ -137,7 +149,7 @@ pub fn open_store(opts: &HarnessOpts) -> ResultStore {
     };
     store
         .unwrap_or_else(|e| panic!("opening grid result store: {e}"))
-        .with_faults(env_faults("chronus-bench"))
+        .with_faults(env_faults())
 }
 
 /// Grid execution options derived from the harness options (including the
@@ -152,7 +164,7 @@ pub fn exec_opts(opts: &HarnessOpts) -> ExecOpts {
             None => RetryPolicy::default(),
         },
         cell_timeout: opts.cell_timeout,
-        faults: env_faults("chronus-bench"),
+        faults: env_faults(),
     }
 }
 

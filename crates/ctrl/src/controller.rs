@@ -127,6 +127,38 @@ enum Rescan {
     RefreshPending,
 }
 
+/// A step of the tick ladder that takes the bus ahead of demand, in
+/// priority order. A rank step first precharges the rank (`PREab` while
+/// any bank is open), then issues `RFMab` (recovery, RAA) or `REFab`
+/// (urgent, opportunistic); a VRR first precharges its bank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Service {
+    /// 1. Back-off recovery of the rank.
+    Recovery(usize),
+    /// 2. The rank's refresh debt reached the postponement limit.
+    Urgent(usize),
+    /// 3. PRFM: a bank of the rank crossed the RAA threshold. The rank
+    /// takes no demand until the RFM (the DDR5 RAA maximum-limit rule), so
+    /// its banks drain and precharge.
+    Raa(usize),
+    /// 4. A refresh is due and the rank has no demand.
+    Opportunistic(usize),
+    /// 5. The victim-row refresh at this `vrrq` index.
+    Vrr(usize),
+}
+
+impl Service {
+    /// The mitigation pause this step opens while demand waits.
+    fn cause(self) -> PauseCause {
+        match self {
+            Service::Recovery(_) => PauseCause::BackOff,
+            Service::Urgent(_) | Service::Opportunistic(_) => PauseCause::Refresh,
+            Service::Raa(_) => PauseCause::Raa,
+            Service::Vrr(_) => PauseCause::Vrr,
+        }
+    }
+}
+
 /// Tombstones beyond which the VRR queue is compacted in one `retain`
 /// sweep (middle removals are tombstoned to stay O(1); issue order is
 /// unaffected because tombstones are invisible to the scan).
@@ -378,24 +410,25 @@ impl MemoryController {
     /// arrive in the meantime. Called right after a tick; the simulation
     /// loop may skip every cycle before the returned one.
     ///
-    /// The verdict is the min over every action the tick priority ladder
-    /// could take — back-off window deadlines and visible-alert times,
-    /// refresh due times, recovery / urgent-refresh / RAA-hot / idle-rank
-    /// refresh service (`PREab` → `REFab`/`RFMab`), the first eight
-    /// pending VRRs, and both demand queues' per-bank candidates via
-    /// `demand_event`, the scan step 6 of the tick also uses — each at its
-    /// [`DramDevice::earliest_issue_at`]. Every quantity consulted only
-    /// changes when a command issues, a request arrives, or one of the
-    /// included timers fires, so the result is memoized behind a dirty
-    /// flag set on issue and reused until `now` catches up to it.
+    /// The verdict is the min over the timers that change what the ladder
+    /// owes (refresh due times, back-off window deadlines, visible-alert
+    /// times), the ladder's steps 1–5 via `service_event`, and both demand
+    /// queues' per-bank candidates via `demand_event` — the two functions
+    /// the tick itself acts on, asked here from `now + 1`, so "what issues
+    /// now" and "when can anything issue next" are one statement. Every
+    /// quantity consulted only changes when a command issues, a request
+    /// arrives, or one of the included timers fires, so the result is
+    /// memoized behind a dirty flag set on issue and reused until `now`
+    /// catches up to it.
     ///
     /// When the wake is decided *strictly* by a demand candidate (every
-    /// refresh/back-off/VRR source is later), the fused scan also caches
-    /// the exact [`Decision`] the scheduler will take at the wake cycle, so
-    /// the tick there skips its own queue scan
-    /// ([`MemoryController::tick`]'s step 6 applies the cached verdict
-    /// directly). The same discipline guards it: any issue invalidates,
-    /// and the verdict is only honoured at exactly the cached cycle.
+    /// timer and ladder step is later), the fused scan also caches the
+    /// exact [`Decision`] the scheduler will take at the wake cycle, so the
+    /// tick there skips the ladder and its own queue scan and applies the
+    /// cached verdict directly. The same discipline guards it: any issue
+    /// invalidates, and the verdict is only honoured at exactly the cached
+    /// cycle; debug builds and strict mode assert that no ladder step could
+    /// issue there.
     ///
     /// A request arrival only *adds* a candidate, so when arrivals are all
     /// that happened since the last recompute they are folded into the
@@ -473,78 +506,29 @@ impl MemoryController {
         Ok((wake, decision))
     }
 
-    /// Earliest cycle at which `rank` could take its next refresh-service
-    /// step: `PREab` while any bank is open, otherwise `REFab`/`RFMab`
-    /// (both gated by the same all-idle ACT frontier).
-    fn rank_service_ready(dram: &DramDevice, rank: usize) -> Cycle {
-        if dram.rank_all_idle(rank) {
-            dram.refresh_ready_at(rank)
-        } else {
-            dram.preall_ready_at(rank)
-        }
-    }
-
     fn compute_wake(&self, dram: &DramDevice, now: Cycle) -> Wake {
-        let ranks = dram.geometry().ranks;
-        // Wake sources from the ladder's steps 1–5 (timers, refresh/RFM
-        // service, VRRs). Demand is folded in afterwards so that a wake
-        // decided strictly by demand can carry its scheduling verdict.
+        // The timers that change what the ladder owes: a REF falling due
+        // (pending/urgent), a back-off window's deadline (recovery), a
+        // latched alert becoming visible (honoured: a window opens). Delay
+        // only advances on demand activations, which are issues (they
+        // invalidate the cache themselves).
         let mut wake = Cycle::MAX;
-        for r in 0..ranks {
-            let engine = &self.refresh[r];
-            // A REF becoming due can flip the pending/urgent verdicts.
-            wake = wake.min(engine.next_due());
+        for r in 0..dram.geometry().ranks {
+            wake = wake.min(self.refresh[r].next_due());
             let fsm = &self.fsm[r];
             match fsm.state {
                 BackOffState::Window { deadline } => wake = wake.min(deadline),
-                // A latched alert matters once visible (and honoured).
                 BackOffState::Normal if fsm.policy().honours_alert() => {
                     if let Some(at) = dram.alert_latched_at(r) {
                         wake = wake.min(at);
                     }
                 }
-                // Delay only advances on demand activations, which are
-                // issues (they invalidate the cache themselves).
                 _ => {}
             }
-            if fsm.in_recovery() {
-                // Only recovery PREab/RFMab may touch this rank; demand and
-                // VRR scans below skip it.
-                wake = wake.min(Self::rank_service_ready(dram, r));
-                continue;
-            }
-            if engine.urgent() {
-                wake = wake.min(Self::rank_service_ready(dram, r));
-            }
-            if self.cfg.raa_threshold.is_some() && self.raa_hot[r] {
-                wake = wake.min(Self::rank_service_ready(dram, r));
-            }
-            if engine.pending() && self.reads.rank_len(r) + self.writes.rank_len(r) == 0 {
-                // Opportunistic refresh: due, and the rank has no demand.
-                wake = wake.min(Self::rank_service_ready(dram, r));
-            }
         }
-        // The first eight live VRRs (the tick's service window).
-        let mut considered = 0;
-        for v in &self.vrrq {
-            let Some(v) = v else { continue };
-            if considered >= 8 {
-                break;
-            }
-            considered += 1;
-            if self.fsm[v.bank.rank as usize].in_recovery() {
-                continue;
-            }
-            let cmd = if dram.open_row(v.bank).is_some() {
-                Command::Pre { bank: v.bank }
-            } else {
-                Command::Vrr {
-                    bank: v.bank,
-                    row: v.row,
-                }
-            };
-            wake = wake.min(dram.earliest_issue_at(&cmd, now));
-        }
+        // Steps 1–5. Demand is folded in afterwards so that a wake decided
+        // strictly by demand can carry its scheduling verdict.
+        wake = wake.min(self.service_event(dram, now + 1).0);
         // Demand, with the queue preference the *wake-cycle* tick will
         // compute: its `drain_mode_next` sees today's queue lengths (they
         // move on issues, which invalidate this, and on arrivals, checked).
@@ -553,6 +537,73 @@ impl MemoryController {
         // wake: on a tie with any step-1..5 source that step acts first.
         let decision = if t_d < wake { d_d } else { None };
         (wake.min(t_d).max(now + 1), decision)
+    }
+
+    /// Steps 1–5 of the tick ladder, the service that takes the bus ahead
+    /// of demand: the first cycle `>= from` at which a step can issue, and
+    /// the step and command issued there. The walk is in priority order —
+    /// back-off recovery, urgent refresh, RAA-hot RFM and opportunistic
+    /// refresh, each over every rank, then the first eight live VRRs,
+    /// oldest first — and a later candidate wins only when strictly
+    /// earlier, so the first one issuable at `from` ends it. A rank in
+    /// recovery takes nothing but its recovery service.
+    fn service_event(&self, dram: &DramDevice, from: Cycle) -> (Cycle, Option<(Service, Command)>) {
+        let free = |r: usize| !self.fsm[r].in_recovery();
+        let no_demand = |r: usize| self.reads.rank_len(r) + self.writes.rank_len(r) == 0;
+        let rank_steps = [
+            Service::Recovery,
+            Service::Urgent,
+            Service::Raa,
+            Service::Opportunistic,
+        ]
+        .into_iter()
+        .flat_map(|step| (0..dram.geometry().ranks).map(step))
+        .filter_map(|service| {
+            let (rank, owed, refresh) = match service {
+                Service::Recovery(r) => (r, !free(r), false),
+                Service::Urgent(r) => (r, free(r) && self.refresh[r].urgent(), true),
+                Service::Raa(r) => (r, free(r) && self.raa_hot[r], false),
+                Service::Opportunistic(r) => (
+                    r,
+                    free(r) && self.refresh[r].pending() && no_demand(r),
+                    true,
+                ),
+                Service::Vrr(_) => unreachable!("not a rank step"),
+            };
+            owed.then(|| {
+                let cmd = if !dram.rank_all_idle(rank) {
+                    Command::PreAll { rank }
+                } else if refresh {
+                    Command::RefAll { rank }
+                } else {
+                    Command::RfmAll { rank }
+                };
+                (service, cmd)
+            })
+        });
+        let vrrs = (self.vrrq.iter().enumerate())
+            .filter_map(|(i, v)| v.map(|v| (i, v)))
+            .take(8)
+            .filter(|(_, v)| free(v.bank.rank as usize))
+            .map(|(i, PendingVrr { bank, row, .. })| {
+                let cmd = if dram.open_row(bank).is_some() {
+                    Command::Pre { bank }
+                } else {
+                    Command::Vrr { bank, row }
+                };
+                (Service::Vrr(i), cmd)
+            });
+        let mut best = (Cycle::MAX, None);
+        for (service, cmd) in rank_steps.chain(vrrs) {
+            let t = dram.earliest_issue_at(&cmd, from);
+            if t < best.0 {
+                best = (t, Some((service, cmd)));
+                if t == from {
+                    break;
+                }
+            }
+        }
+        best
     }
 
     /// The demand step of the tick ladder: the first cycle `>= from` at
@@ -611,150 +662,34 @@ impl MemoryController {
             }
         }
 
-        // 1. Back-off recovery: PREab then RFMab until the period ends.
-        for r in 0..ranks {
-            if !self.fsm[r].in_recovery() {
-                continue;
-            }
-            if !dram.rank_all_idle(r) {
-                let cmd = Command::PreAll { rank: r };
-                if dram.can_issue(&cmd, now) {
-                    dram.issue(&cmd, now);
-                    self.obs_block(PauseCause::BackOff, now);
-                    return true;
-                }
-                // Wait for tRAS etc.; nothing else may touch this rank.
-                continue;
-            }
-            let cmd = Command::RfmAll { rank: r };
-            if dram.can_issue(&cmd, now) {
-                dram.issue(&cmd, now);
-                self.obs_block(PauseCause::BackOff, now);
-                self.stats.recovery_rfms += 1;
-                let still = dram.alert_still_needed(r);
-                if self.fsm[r].on_recovery_rfm(still) {
-                    dram.clear_alert(r);
-                }
-                return true;
-            }
-            // RFM blocked (previous RFM/REF in flight): hold the rank.
-        }
-
-        // 2. Urgent refresh (postponement limit reached).
-        for r in 0..ranks {
-            if !self.refresh[r].urgent() || self.fsm[r].in_recovery() {
-                continue;
-            }
-            if self.try_refresh(dram, r, now) {
-                return true;
-            }
-        }
-
-        // 3. PRFM: RAA threshold crossed somewhere in the rank. A hot rank
-        // blocks further demand (the DDR5 RAA maximum-limit rule) so its
-        // banks drain, precharge, and the RFM can issue.
-        if let Some(th) = self.cfg.raa_threshold {
-            for r in 0..ranks {
-                if self.fsm[r].in_recovery() || !self.raa_hot[r] {
-                    continue;
-                }
-                if !dram.rank_all_idle(r) {
-                    let cmd = Command::PreAll { rank: r };
-                    if dram.can_issue(&cmd, now) {
-                        dram.issue(&cmd, now);
-                        self.obs_block(PauseCause::Raa, now);
-                        return true;
-                    }
-                    continue;
-                }
-                let cmd = Command::RfmAll { rank: r };
-                if dram.can_issue(&cmd, now) {
-                    dram.issue(&cmd, now);
-                    self.obs_block(PauseCause::Raa, now);
-                    self.stats.raa_rfms += 1;
-                    let base = r * dram.geometry().banks_per_rank();
-                    for i in 0..dram.geometry().banks_per_rank() {
-                        let c = &mut self.raa[base + i];
-                        *c = c.saturating_sub(th);
-                    }
-                    self.raa_hot[r] =
-                        (0..dram.geometry().banks_per_rank()).any(|i| self.raa[base + i] >= th);
-                    return true;
-                }
-            }
-        }
-
-        // 4. Opportunistic refresh: due, and the rank has no demand traffic.
-        for r in 0..ranks {
-            if !self.refresh[r].pending() || self.fsm[r].in_recovery() {
-                continue;
-            }
-            if self.reads.rank_len(r) + self.writes.rank_len(r) > 0 {
-                continue;
-            }
-            if self.try_refresh(dram, r, now) {
-                return true;
-            }
-        }
-
-        // 5. Victim-row refreshes (strict priority over demand): the first
-        // eight live entries, oldest first (tombstones are invisible).
-        let mut considered = 0;
-        let mut idx = 0;
-        while idx < self.vrrq.len() && considered < 8 {
-            let Some(PendingVrr {
-                bank,
-                row,
-                completes_service_of,
-            }) = self.vrrq[idx]
-            else {
-                idx += 1;
-                continue;
-            };
-            considered += 1;
-            idx += 1;
-            if self.fsm[bank.rank as usize].in_recovery() {
-                continue;
-            }
-            if dram.open_row(bank).is_some() {
-                let cmd = Command::Pre { bank };
-                if dram.can_issue(&cmd, now) {
-                    dram.issue(&cmd, now);
-                    self.obs_block(PauseCause::Vrr, now);
-                    self.hit_streak[bank.flat(dram.geometry())] = 0;
-                    return true;
-                }
-                continue;
-            }
-            let cmd = Command::Vrr { bank, row };
-            if dram.can_issue(&cmd, now) {
-                dram.issue(&cmd, now);
-                self.obs_block(PauseCause::Vrr, now);
-                self.vrrq[idx - 1] = None;
-                self.vrr_tombstones += 1;
-                self.vrr_compact();
-                self.stats.vrrs_issued += 1;
-                if let Some(aggressor) = completes_service_of {
-                    dram.note_aggressor_serviced(bank, aggressor);
-                }
-                return true;
-            }
-        }
-
-        // 6. Demand traffic under FR-FCFS+Cap with write draining.
-        self.drain_mode = self.drain_mode_next();
-        // Fused-scan fast path: `compute_wake` already decided what this
-        // exact cycle's demand verdict is, and nothing invalidated it (no
-        // issue since, and every arrival folded in). Steps 1–5 above
-        // were all enumerated as strictly-later wake sources, so they
-        // cannot have acted; skip the queue scans and apply the verdict.
+        // Fused-scan fast path: `compute_wake` already decided this exact
+        // cycle's demand verdict, with every ladder step strictly later, and
+        // nothing invalidated it (no issue since, and every arrival folded
+        // in). Skip the ladder and the queue scans and apply the verdict.
         if !self.wake_dirty && self.wake_arrivals.is_empty() && now == self.wake_cache {
             if let Some((decision, is_write_queue)) = self.wake_decision.take() {
+                if cfg!(debug_assertions) || dram.config().strict {
+                    let (at, _) = self.service_event(dram, now);
+                    assert!(at > now, "shortcut over a ladder step at cycle {now}");
+                }
                 self.wake_shortcuts += 1;
+                self.drain_mode = self.drain_mode_next();
                 self.apply(decision, is_write_queue, dram, now);
                 return true;
             }
         }
+
+        // 1–5. Back-off recovery, refresh, RFM and VRR service.
+        if let (at, Some((service, cmd))) = self.service_event(dram, now) {
+            if at == now {
+                self.apply_service(service, cmd, dram, now);
+                return true;
+            }
+        }
+
+        // 6. Demand traffic under FR-FCFS+Cap with write draining. Only a
+        // tick that reaches this step settles the drain mode.
+        self.drain_mode = self.drain_mode_next();
         let serve_writes = self.drain_mode || self.reads.is_empty();
         match self.demand_event(dram, serve_writes, now) {
             (at, Some((decision, is_write_queue))) if at == now => {
@@ -779,24 +714,49 @@ impl MemoryController {
         }
     }
 
-    fn try_refresh(&mut self, dram: &mut DramDevice, rank: usize, now: Cycle) -> bool {
-        if !dram.rank_all_idle(rank) {
-            let cmd = Command::PreAll { rank };
-            if dram.can_issue(&cmd, now) {
-                dram.issue(&cmd, now);
-                self.obs_block(PauseCause::Refresh, now);
-                return true;
+    /// Issues the command a ladder step chose and does that step's
+    /// bookkeeping.
+    fn apply_service(&mut self, service: Service, cmd: Command, dram: &mut DramDevice, now: Cycle) {
+        dram.issue(&cmd, now);
+        self.obs_block(service.cause(), now);
+        match (service, cmd) {
+            (Service::Recovery(r), Command::RfmAll { .. }) => {
+                self.stats.recovery_rfms += 1;
+                if self.fsm[r].on_recovery_rfm(dram.alert_still_needed(r)) {
+                    dram.clear_alert(r);
+                }
             }
-            return false;
+            (Service::Urgent(r) | Service::Opportunistic(r), Command::RefAll { .. }) => {
+                self.refresh[r].refreshed();
+            }
+            (Service::Raa(r), Command::RfmAll { .. }) => {
+                let th = self
+                    .cfg
+                    .raa_threshold
+                    .expect("a rank runs hot only under PRFM");
+                self.stats.raa_rfms += 1;
+                let banks = dram.geometry().banks_per_rank();
+                let raa = &mut self.raa[r * banks..(r + 1) * banks];
+                for c in raa.iter_mut() {
+                    *c = c.saturating_sub(th);
+                }
+                self.raa_hot[r] = raa.iter().any(|&c| c >= th);
+            }
+            (Service::Vrr(_), Command::Pre { bank }) => {
+                self.hit_streak[bank.flat(dram.geometry())] = 0;
+            }
+            (Service::Vrr(i), Command::Vrr { bank, .. }) => {
+                let completes_service_of = self.vrrq[i].take().and_then(|v| v.completes_service_of);
+                self.vrr_tombstones += 1;
+                self.vrr_compact();
+                self.stats.vrrs_issued += 1;
+                if let Some(aggressor) = completes_service_of {
+                    dram.note_aggressor_serviced(bank, aggressor);
+                }
+            }
+            // A rank step's PREab has nothing to record.
+            _ => {}
         }
-        let cmd = Command::RefAll { rank };
-        if dram.can_issue(&cmd, now) {
-            dram.issue(&cmd, now);
-            self.obs_block(PauseCause::Refresh, now);
-            self.refresh[rank].refreshed();
-            return true;
-        }
-        false
     }
 
     /// Write-drain hysteresis: the drain mode a tick settles on, given the
@@ -1173,13 +1133,37 @@ mod tests {
         }
     }
 
+    /// A controller-side stand-in for a tracker: asks for the victims of
+    /// every `every`-th demand activation to be refreshed.
+    struct VictimsEvery {
+        every: u32,
+        acts: u32,
+    }
+
+    impl CtrlMitigation for VictimsEvery {
+        fn on_activate(&mut self, addr: DramAddr, _now: Cycle, out: &mut Vec<MitigationAction>) {
+            self.acts += 1;
+            if self.acts.is_multiple_of(self.every) {
+                out.push(MitigationAction::RefreshVictims {
+                    bank: addr.bank,
+                    aggressor: addr.row,
+                });
+            }
+        }
+
+        fn kind_name(&self) -> &'static str {
+            "victims-every"
+        }
+    }
+
     #[test]
     fn folded_wakes_equal_rescans_under_random_traffic() {
         // `tiny()` widened to two ranks, so one rank can sit in back-off
         // recovery (or owe a refresh) while the other serves demand, with
         // refreshes due four times as often so that many fall due under
         // traffic; drain thresholds low enough for writeback bursts to
-        // cross them.
+        // cross them; and an RAA threshold and a VRR-issuing mechanism, so
+        // that every ladder step takes the bus.
         let mut dram_cfg = DramConfig::tiny();
         dram_cfg.geometry.ranks = 2;
         dram_cfg.timings.refi /= 4;
@@ -1192,9 +1176,11 @@ mod tests {
                 n_ref: 2,
                 n_delay: 0,
             },
+            raa_threshold: Some(24),
             ..CtrlConfig::default()
         };
-        let mut ctrl = MemoryController::new(cfg, &dram);
+        let victims = Box::new(VictimsEvery { every: 32, acts: 0 });
+        let mut ctrl = MemoryController::with_mitigation(cfg, &dram, victims);
         let geo = *dram.geometry();
         let mut state = 0x5eed_u64;
         let mut rng = move |m: u64| {
@@ -1212,18 +1198,34 @@ mod tests {
         };
         // Keep, earlier, tie, preference flip, refresh pending.
         let mut seen = [0u32; 5];
+        // Ladder steps issued: recovery, urgent, RAA, opportunistic, VRR.
+        let mut served = [0u64; 5];
         let (mut now, mut wake, mut id) = (0, 0, 0);
         let mut done = Vec::new();
         for step in 0..12_000u64 {
             if now >= wake {
+                let before = *ctrl.stats();
+                // The tick's refresh timers, replayed on copies: a REF to a
+                // rank that was not urgent is opportunistic.
+                let owed: Vec<(u64, bool)> = (ctrl.refresh.iter())
+                    .map(|e| {
+                        let mut e = e.clone();
+                        e.tick(now);
+                        (e.completed(), e.urgent())
+                    })
+                    .collect();
                 ctrl.tick(&mut dram, now);
+                let after = ctrl.stats();
+                served[0] += after.recovery_rfms - before.recovery_rfms;
+                served[2] += after.raa_rfms - before.raa_rfms;
+                served[4] += after.vrrs_issued - before.vrrs_issued;
+                for (e, &(refs, urgent)) in ctrl.refresh.iter().zip(&owed) {
+                    served[if urgent { 1 } else { 3 }] += e.completed() - refs;
+                }
                 wake = ctrl.next_wake(&dram, now);
                 rescanned(&ctrl, &dram, now);
             }
             ctrl.drain_completions(now, &mut done);
-            // Four phases: mixed traffic; none (the queues drain); a trickle
-            // (reads come and go while writes wait); reads under
-            // writeback bursts that cross the drain thresholds.
             // Four phases: mixed traffic; a sparse one that steps from
             // wake to wake (the queues drain, and an arrival can land
             // between a refresh's PREab and its REF); a trickle (reads
@@ -1270,8 +1272,78 @@ mod tests {
             };
         }
         assert!(seen.iter().all(|&n| n > 0), "outcomes {seen:?}");
+        assert!(served.iter().all(|&n| n > 0), "ladder steps {served:?}");
         assert_eq!(ctrl.wake_folds(), u64::from(seen[0] + seen[1]));
         assert!(ctrl.stats().back_offs > 0 && dram.stats().refs > 0);
+    }
+
+    #[test]
+    fn the_ladder_serves_steps_in_priority_order() {
+        // Two ranks, each with row 5 of its first bank open since cycle 0,
+        // so a rank step's PREab and a VRR's or demand request's PRE to
+        // either rank all become issuable at tRAS. Each case makes rank 1
+        // owe a step and rank 0 the next-lower one (so a walk that took
+        // the ranks one by one would pick wrong too). Asked from the cycle
+        // before the tie, the ladder names rank 1's step; the tick at the
+        // tie precharges rank 1 and leaves rank 0 open.
+        let mut dram_cfg = DramConfig::tiny();
+        dram_cfg.geometry.ranks = 2;
+        let banks = [BankId::new(0, 0, 0), BankId::new(1, 0, 0)];
+        let cfg = CtrlConfig {
+            rfm_policy: RfmPolicy::PracBackOff {
+                n_ref: 1,
+                n_delay: 0,
+            },
+            raa_threshold: Some(8),
+            ..CtrlConfig::default()
+        };
+        // Makes `rank` owe ladder step `step` (1–5), or queues demand (6).
+        let owe = |ctrl: &mut MemoryController, step: usize, rank: usize, refi: Cycle| {
+            let bank = banks[rank];
+            match step {
+                1 => ctrl.fsm[rank].state = BackOffState::Recovery { remaining: 1 },
+                2 => _ = ctrl.refresh[rank].tick(4 * refi),
+                3 => ctrl.raa_hot[rank] = true,
+                4 => _ = ctrl.refresh[rank].tick(refi),
+                5 => ctrl.vrrq.push_back(Some(PendingVrr {
+                    bank,
+                    row: 9,
+                    completes_service_of: None,
+                })),
+                _ => assert!(ctrl.push_request(read_req(1, bank, 9, 0, 0))),
+            }
+        };
+        let expected = [
+            (Service::Recovery(1), Command::PreAll { rank: 1 }),
+            (Service::Urgent(1), Command::PreAll { rank: 1 }),
+            (Service::Raa(1), Command::PreAll { rank: 1 }),
+            (Service::Opportunistic(1), Command::PreAll { rank: 1 }),
+            (Service::Vrr(0), Command::Pre { bank: banks[1] }),
+        ];
+        for (step, expect) in (1..).zip(expected) {
+            let mut dram = DramDevice::new(dram_cfg.clone());
+            let mut ctrl = MemoryController::new(cfg, &dram);
+            let t = *dram.timings();
+            for bank in banks {
+                dram.issue(&Command::Act { bank, row: 5 }, 0);
+            }
+            owe(&mut ctrl, step, 1, t.refi);
+            owe(&mut ctrl, step + 1, 0, t.refi);
+            let tie = t.ras;
+            assert_eq!(
+                ctrl.service_event(&dram, tie - 1),
+                (tie, Some(expect)),
+                "step {step}"
+            );
+            assert_eq!(ctrl.next_wake(&dram, tie - 1), tie, "step {step}");
+            ctrl.tick(&mut dram, tie);
+            assert_eq!(
+                banks.map(|b| dram.open_row(b)),
+                [Some(5), None],
+                "step {step} against step {}",
+                step + 1
+            );
+        }
     }
 
     #[test]

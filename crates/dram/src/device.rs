@@ -167,11 +167,6 @@ impl DramDevice {
         self.ranks[rank].all_idle()
     }
 
-    /// Cycle until which `rank` is blocked by REF/RFM.
-    pub fn rank_blocked_until(&self, rank: usize) -> Cycle {
-        self.ranks[rank].blocked_until
-    }
-
     /// True if the rank's back-off signal is asserted and already visible at
     /// `now` (assertions propagate with `tALERT`).
     pub fn alert_visible(&self, rank: usize, now: Cycle) -> bool {
@@ -188,7 +183,7 @@ impl DramDevice {
     /// Earliest cycle at which an all-bank REF/RFM could be accepted by
     /// `rank` assuming every bank is (or stays) precharged: the rank-block
     /// frontier joined with every bank's ACT frontier.
-    pub fn refresh_ready_at(&self, rank: usize) -> Cycle {
+    fn refresh_ready_at(&self, rank: usize) -> Cycle {
         let r = &self.ranks[rank];
         let banks_ready = r.banks.iter().map(|b| b.next_act).max().unwrap_or(0);
         r.blocked_until.max(banks_ready)
@@ -197,7 +192,7 @@ impl DramDevice {
     /// Earliest cycle at which `PREab` could be accepted by `rank` (the
     /// rank-block frontier joined with the PRE frontier of every open
     /// bank); legal immediately if every bank is already idle.
-    pub fn preall_ready_at(&self, rank: usize) -> Cycle {
+    fn preall_ready_at(&self, rank: usize) -> Cycle {
         let r = &self.ranks[rank];
         let open_ready = r
             .banks
@@ -727,7 +722,7 @@ mod tests {
         let mut d = dev();
         let t = *d.timings();
         d.issue(&Command::RefAll { rank: 0 }, 0);
-        assert_eq!(d.rank_blocked_until(0), t.rfc);
+        assert_eq!(d.ranks[0].blocked_until, t.rfc);
         assert!(!d.can_issue(&Command::Act { bank: B0, row: 0 }, t.rfc - 1));
         assert!(d.can_issue(&Command::Act { bank: B0, row: 0 }, t.rfc));
         assert_eq!(d.stats().refs, 1);
@@ -745,7 +740,7 @@ mod tests {
         let mut d = dev();
         let t = *d.timings();
         d.issue(&Command::RfmAll { rank: 0 }, 0);
-        assert_eq!(d.rank_blocked_until(0), t.rfm);
+        assert_eq!(d.ranks[0].blocked_until, t.rfm);
         assert_eq!(d.stats().rfms, 1);
     }
 
