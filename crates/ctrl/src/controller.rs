@@ -133,17 +133,17 @@ enum Rescan {
 /// (urgent, opportunistic); a VRR first precharges its bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Service {
-    /// 1. Back-off recovery of the rank.
+    /// Step 1: back-off recovery of the rank.
     Recovery(usize),
-    /// 2. The rank's refresh debt reached the postponement limit.
+    /// Step 2: the rank's refresh debt reached the postponement limit.
     Urgent(usize),
-    /// 3. PRFM: a bank of the rank crossed the RAA threshold. The rank
+    /// Step 3, PRFM: a bank of the rank crossed the RAA threshold. The rank
     /// takes no demand until the RFM (the DDR5 RAA maximum-limit rule), so
     /// its banks drain and precharge.
     Raa(usize),
-    /// 4. A refresh is due and the rank has no demand.
+    /// Step 4: a refresh is due and the rank has no demand.
     Opportunistic(usize),
-    /// 5. The victim-row refresh at this `vrrq` index.
+    /// Step 5: the victim-row refresh at this `vrrq` index.
     Vrr(usize),
 }
 
@@ -548,58 +548,61 @@ impl MemoryController {
     /// earlier, so the first one issuable at `from` ends it. A rank in
     /// recovery takes nothing but its recovery service.
     fn service_event(&self, dram: &DramDevice, from: Cycle) -> (Cycle, Option<(Service, Command)>) {
+        let mut best = (Cycle::MAX, None);
+        // Times a candidate; `true` when it issues at `from`: unbeatable.
+        let mut offer = |service: Service, cmd: Command| {
+            let t = dram.earliest_issue_at(&cmd, from);
+            if t < best.0 {
+                best = (t, Some((service, cmd)));
+            }
+            t == from
+        };
         let free = |r: usize| !self.fsm[r].in_recovery();
         let no_demand = |r: usize| self.reads.rank_len(r) + self.writes.rank_len(r) == 0;
-        let rank_steps = [
-            Service::Recovery,
-            Service::Urgent,
-            Service::Raa,
-            Service::Opportunistic,
-        ]
-        .into_iter()
-        .flat_map(|step| (0..dram.geometry().ranks).map(step))
-        .filter_map(|service| {
-            let (rank, owed, refresh) = match service {
-                Service::Recovery(r) => (r, !free(r), false),
-                Service::Urgent(r) => (r, free(r) && self.refresh[r].urgent(), true),
-                Service::Raa(r) => (r, free(r) && self.raa_hot[r], false),
-                Service::Opportunistic(r) => (
-                    r,
-                    free(r) && self.refresh[r].pending() && no_demand(r),
-                    true,
-                ),
-                Service::Vrr(_) => unreachable!("not a rank step"),
-            };
-            owed.then(|| {
-                let cmd = if !dram.rank_all_idle(rank) {
-                    Command::PreAll { rank }
-                } else if refresh {
-                    Command::RefAll { rank }
-                } else {
-                    Command::RfmAll { rank }
-                };
-                (service, cmd)
-            })
-        });
-        let vrrs = (self.vrrq.iter().enumerate())
-            .filter_map(|(i, v)| v.map(|v| (i, v)))
-            .take(8)
-            .filter(|(_, v)| free(v.bank.rank as usize))
-            .map(|(i, PendingVrr { bank, row, .. })| {
+        'walk: {
+            // Steps 1–4, each over every rank: the step, whether the rank
+            // owes it, and whether it ends in `REFab` (else `RFMab`).
+            for step in 0..4 {
+                for r in 0..dram.geometry().ranks {
+                    let (service, owed, refresh) = match step {
+                        0 => (Service::Recovery(r), !free(r), false),
+                        1 => (
+                            Service::Urgent(r),
+                            free(r) && self.refresh[r].urgent(),
+                            true,
+                        ),
+                        2 => (Service::Raa(r), free(r) && self.raa_hot[r], false),
+                        _ => (
+                            Service::Opportunistic(r),
+                            free(r) && self.refresh[r].pending() && no_demand(r),
+                            true,
+                        ),
+                    };
+                    if !owed {
+                        continue;
+                    }
+                    let cmd = match (dram.rank_all_idle(r), refresh) {
+                        (false, _) => Command::PreAll { rank: r },
+                        (true, true) => Command::RefAll { rank: r },
+                        (true, false) => Command::RfmAll { rank: r },
+                    };
+                    if offer(service, cmd) {
+                        break 'walk;
+                    }
+                }
+            }
+            let live = (self.vrrq.iter().enumerate()).filter_map(|(i, v)| Some((i, (*v)?)));
+            for (i, PendingVrr { bank, row, .. }) in live.take(8) {
+                if !free(bank.rank as usize) {
+                    continue;
+                }
                 let cmd = if dram.open_row(bank).is_some() {
                     Command::Pre { bank }
                 } else {
                     Command::Vrr { bank, row }
                 };
-                (Service::Vrr(i), cmd)
-            });
-        let mut best = (Cycle::MAX, None);
-        for (service, cmd) in rank_steps.chain(vrrs) {
-            let t = dram.earliest_issue_at(&cmd, from);
-            if t < best.0 {
-                best = (t, Some((service, cmd)));
-                if t == from {
-                    break;
+                if offer(Service::Vrr(i), cmd) {
+                    break 'walk;
                 }
             }
         }
