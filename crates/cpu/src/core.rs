@@ -70,6 +70,15 @@ pub enum CoreState {
 /// - [`CoreWake::Busy`] ⇒ the very next tick changes core or LLC state,
 ///   so a core never asks to be polled through cycles in which nothing
 ///   can happen.
+///
+/// The report holds while *other* cores tick: they can only take MSHRs
+/// and probe lines, and a stalled core's answer changes only when an MSHR
+/// frees or a line installs, both of which happen in
+/// [`SharedLlc::on_fill`] alone. So the simulation loop skips one core's
+/// ticks on its own — after a tick that retired and dispatched nothing it
+/// sleeps that core until `At(c)`, or until the next fill for `Blocked` —
+/// while the others keep ticking, and any delivered fill wakes every
+/// core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreWake {
     /// Retires or dispatches on the very next cycle: tick every cycle.
@@ -535,11 +544,14 @@ impl SimpleO3Core {
     }
 
     /// Advances one CPU cycle: retire from the window head, then dispatch
-    /// new instructions, issuing LLC accesses as needed.
-    pub fn tick(&mut self, now: u64, llc: &mut SharedLlc) {
+    /// new instructions, issuing LLC accesses as needed. Returns whether it
+    /// retired or dispatched anything; after a tick that did neither, the
+    /// simulation loop asks [`SimpleO3Core::next_event_cycle`] how long the
+    /// core's ticks stay no-ops.
+    pub fn tick(&mut self, now: u64, llc: &mut SharedLlc) -> bool {
         if now < self.ff_until {
             // A sprint already accounted for this cycle.
-            return;
+            return false;
         }
         // Any fill sprint has fully elapsed once a tick executes.
         self.fill_appended = 0;
@@ -624,6 +636,7 @@ impl SimpleO3Core {
         }
         self.try_bubble_sprint(now);
         self.try_fill_sprint(now);
+        retired_now > 0 || dispatched > 0
     }
 }
 
@@ -1180,10 +1193,11 @@ mod tests {
                 }
                 for (c, core) in cores.iter_mut().enumerate() {
                     let before = (fingerprint(core, 0), llc.fingerprint());
-                    core.tick(now, &mut llc);
+                    let progressed = core.tick(now, &mut llc);
                     let changed = before != (fingerprint(core, 0), llc.fingerprint());
                     let what =
                         format!("case {case} core {c} cycle {now}: after {:?}", last_wake[c]);
+                    assert!(changed || !progressed, "{what} progress without a change");
                     match last_wake[c] {
                         // Cycle 0 has no report behind it.
                         CoreWake::Busy => assert!(changed || now == 0, "{what} the tick was inert"),

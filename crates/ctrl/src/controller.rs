@@ -119,8 +119,6 @@ type Wake = (Cycle, Option<(Decision, bool)>);
 /// Why [`MemoryController::fold_arrivals`] leaves the pending arrivals
 /// to a full recompute.
 enum Rescan {
-    /// An arrival's candidate ties the wake.
-    Tie,
     /// The queue preference changed under a cached demand verdict.
     Preference,
     /// An arrival's rank owes a refresh and may have had no demand.
@@ -468,11 +466,15 @@ impl MemoryController {
     /// a capped bypassing hit, nor in a rank in recovery or RAA-hot), and
     /// displaces none. One strictly later than the wake changes nothing;
     /// one strictly earlier is the unique minimum, so it is the new wake
-    /// and verdict whatever its class, age or queue. A tie needs the full
-    /// rule, as does a queue preference that moved under a demand verdict
-    /// (it breaks cross-queue ties among the old candidates) and an
-    /// arrival that may end its rank's opportunistic refresh, the one wake
-    /// source that depends on the queues.
+    /// and verdict whatever its class, age or queue. One that ties the
+    /// wake takes the verdict only if it comes first in the order
+    /// `demand_event` applies ([`MemoryController::tie_rank`]); against no
+    /// verdict it changes nothing, because a timer or ladder step acts
+    /// first at that cycle. A queue preference that moved under a demand
+    /// verdict needs the full rule (it breaks cross-queue ties among the
+    /// old candidates), as does an arrival that may end its rank's
+    /// opportunistic refresh, the one wake source that depends on the
+    /// queues.
     fn fold_arrivals(&self, dram: &DramDevice, now: Cycle) -> Result<Wake, Rescan> {
         if self.wake_decision.is_some() && self.prefers_writes() != self.wake_prefers_writes {
             return Err(Rescan::Preference);
@@ -498,12 +500,30 @@ impl MemoryController {
             if let Some((t, _, d)) = candidates.into_iter().flatten().find(|c| c.1 == entry.seq) {
                 match t.cmp(&wake) {
                     Ordering::Less => (wake, decision) = (t, Some((d, write))),
-                    Ordering::Equal => return Err(Rescan::Tie),
+                    Ordering::Equal => {
+                        if decision
+                            .is_some_and(|held| self.tie_rank((d, write)) < self.tie_rank(held))
+                        {
+                            decision = Some((d, write));
+                        }
+                    }
                     Ordering::Greater => {}
                 }
             }
         }
         Ok((wake, decision))
+    }
+
+    /// Where a demand candidate stands among those issuable at one cycle,
+    /// in the order `demand_event` applies: the preferred queue first,
+    /// then a row hit before a non-hit, then the older request.
+    fn tie_rank(&self, (decision, write): (Decision, bool)) -> (bool, bool, u64) {
+        let queue = if write { &self.writes } else { &self.reads };
+        let (slot, hit) = match decision {
+            Decision::Cas(slot, _) => (slot, true),
+            Decision::Act(slot) | Decision::Pre(slot) => (slot, false),
+        };
+        (write != self.prefers_writes(), !hit, queue.get(slot).seq)
     }
 
     fn compute_wake(&self, dram: &DramDevice, now: Cycle) -> Wake {
@@ -546,8 +566,13 @@ impl MemoryController {
     /// refresh, each over every rank, then the first eight live VRRs,
     /// oldest first — and a later candidate wins only when strictly
     /// earlier, so the first one issuable at `from` ends it. A rank in
-    /// recovery takes nothing but its recovery service.
+    /// recovery takes nothing but its recovery service. When no rank owes
+    /// a step and no VRR waits — most ticks — it answers before the walk.
     fn service_event(&self, dram: &DramDevice, from: Cycle) -> (Cycle, Option<(Service, Command)>) {
+        let ranks = dram.geometry().ranks;
+        if self.pending_vrrs() == 0 && !(0..ranks).any(|r| (0..4).any(|step| self.owes(step, r))) {
+            return (Cycle::MAX, None);
+        }
         let mut best = (Cycle::MAX, None);
         // Times a candidate; `true` when it issues at `from`: unbeatable.
         let mut offer = |service: Service, cmd: Command| {
@@ -557,30 +582,20 @@ impl MemoryController {
             }
             t == from
         };
-        let free = |r: usize| !self.fsm[r].in_recovery();
-        let no_demand = |r: usize| self.reads.rank_len(r) + self.writes.rank_len(r) == 0;
         'walk: {
-            // Steps 1–4, each over every rank: the step, whether the rank
-            // owes it, and whether it ends in `REFab` (else `RFMab`).
+            // Steps 1–4, each over every rank: the step, and whether it
+            // ends in `REFab` (else `RFMab`).
             for step in 0..4 {
-                for r in 0..dram.geometry().ranks {
-                    let (service, owed, refresh) = match step {
-                        0 => (Service::Recovery(r), !free(r), false),
-                        1 => (
-                            Service::Urgent(r),
-                            free(r) && self.refresh[r].urgent(),
-                            true,
-                        ),
-                        2 => (Service::Raa(r), free(r) && self.raa_hot[r], false),
-                        _ => (
-                            Service::Opportunistic(r),
-                            free(r) && self.refresh[r].pending() && no_demand(r),
-                            true,
-                        ),
-                    };
-                    if !owed {
+                for r in 0..ranks {
+                    if !self.owes(step, r) {
                         continue;
                     }
+                    let (service, refresh) = match step {
+                        0 => (Service::Recovery(r), false),
+                        1 => (Service::Urgent(r), true),
+                        2 => (Service::Raa(r), false),
+                        _ => (Service::Opportunistic(r), true),
+                    };
                     let cmd = match (dram.rank_all_idle(r), refresh) {
                         (false, _) => Command::PreAll { rank: r },
                         (true, true) => Command::RefAll { rank: r },
@@ -593,7 +608,7 @@ impl MemoryController {
             }
             let live = (self.vrrq.iter().enumerate()).filter_map(|(i, v)| Some((i, (*v)?)));
             for (i, PendingVrr { bank, row, .. }) in live.take(8) {
-                if !free(bank.rank as usize) {
+                if self.fsm[bank.rank as usize].in_recovery() {
                     continue;
                 }
                 let cmd = if dram.open_row(bank).is_some() {
@@ -607,6 +622,22 @@ impl MemoryController {
             }
         }
         best
+    }
+
+    /// Whether rank `r` owes ladder step `step` (0–3: back-off recovery,
+    /// urgent refresh, RAA-hot RFM, opportunistic refresh). A rank in
+    /// recovery owes nothing else.
+    fn owes(&self, step: usize, r: usize) -> bool {
+        let free = !self.fsm[r].in_recovery();
+        match step {
+            0 => !free,
+            1 => free && self.refresh[r].urgent(),
+            2 => free && self.raa_hot[r],
+            _ => {
+                free && self.refresh[r].pending()
+                    && self.reads.rank_len(r) + self.writes.rank_len(r) == 0
+            }
+        }
     }
 
     /// The demand step of the tick ladder: the first cycle `>= from` at
@@ -1199,8 +1230,32 @@ mod tests {
                 "memoized wake at cycle {now} differs from a rescan"
             );
         };
-        // Keep, earlier, tie, preference flip, refresh pending.
-        let mut seen = [0u32; 5];
+        // Whether an arrival's own candidate ties the memoized wake.
+        let ties = |ctrl: &MemoryController, dram: &DramDevice, now: Cycle| {
+            ctrl.wake_arrivals.iter().any(|&(write, slot)| {
+                let queue = if write { &ctrl.writes } else { &ctrl.reads };
+                let (entry, geo) = (queue.get(slot), dram.geometry());
+                let bank = entry.req.addr.bank;
+                let (cap, streak) = (ctrl.cfg.cap, &ctrl.hit_streak);
+                ctrl.rank_usable(bank.rank as usize)
+                    && scheduler::bank_candidates(
+                        queue,
+                        dram,
+                        bank.flat(geo),
+                        write,
+                        now + 1,
+                        cap,
+                        streak,
+                    )
+                    .into_iter()
+                    .flatten()
+                    .any(|(t, seq, _)| seq == entry.seq && t == ctrl.wake_cache)
+            })
+        };
+        // Folded: keep, earlier, a tie taken, a tie lost to the held
+        // verdict, a tie under no verdict; rescanned: preference flip,
+        // refresh pending.
+        let mut seen = [0u32; 7];
         // Ladder steps issued: recovery, urgent, RAA, opportunistic, VRR.
         let mut served = [0u64; 5];
         let (mut now, mut wake, mut id) = (0, 0, 0);
@@ -1256,12 +1311,15 @@ mod tests {
             }
             if pushed {
                 if !ctrl.wake_dirty && ctrl.wake_cache > now {
+                    let tied = ties(&ctrl, &dram, now);
                     let outcome = match ctrl.fold_arrivals(&dram, now) {
-                        Ok((w, _)) if w == ctrl.wake_cache => 0,
-                        Ok(_) => 1,
-                        Err(Rescan::Tie) => 2,
-                        Err(Rescan::Preference) => 3,
-                        Err(Rescan::RefreshPending) => 4,
+                        Ok((w, _)) if w < ctrl.wake_cache => 1,
+                        Ok((_, d)) if d != ctrl.wake_decision => 2,
+                        Ok(_) if tied && ctrl.wake_decision.is_some() => 3,
+                        Ok(_) if tied => 4,
+                        Ok(_) => 0,
+                        Err(Rescan::Preference) => 5,
+                        Err(Rescan::RefreshPending) => 6,
                     };
                     seen[outcome] += 1;
                 }
@@ -1276,7 +1334,10 @@ mod tests {
         }
         assert!(seen.iter().all(|&n| n > 0), "outcomes {seen:?}");
         assert!(served.iter().all(|&n| n > 0), "ladder steps {served:?}");
-        assert_eq!(ctrl.wake_folds(), u64::from(seen[0] + seen[1]));
+        assert_eq!(
+            ctrl.wake_folds(),
+            seen[..5].iter().map(|&n| u64::from(n)).sum()
+        );
         assert!(ctrl.stats().back_offs > 0 && dram.stats().refs > 0);
     }
 

@@ -190,12 +190,11 @@ pub fn next_demand_event<F: Fn(usize) -> bool>(
         return (Cycle::MAX, None);
     }
     let (mut best_hit, mut best_other): (Option<Candidate>, Option<Candidate>) = (None, None);
-    let earliest = |&(t, seq, _): &Candidate| (t, seq);
     for flat in queue.occupied_banks() {
         if rank_usable(queue.bank_id(flat).rank as usize) {
             let [hit, other] = bank_candidates(queue, dram, flat, write, from, cap, hit_streak);
-            best_hit = best_hit.into_iter().chain(hit).min_by_key(earliest);
-            best_other = best_other.into_iter().chain(other).min_by_key(earliest);
+            keep_earliest(&mut best_hit, hit);
+            keep_earliest(&mut best_other, other);
         }
     }
     // At the event cycle any ready admissible hit wins pass 1, so hits beat
@@ -204,6 +203,18 @@ pub fn next_demand_event<F: Fn(usize) -> bool>(
         (Some((t, _, d)), o) if o.is_none_or(|(t_o, _, _)| t <= t_o) => (t, Some(d)),
         (_, Some((t, _, d))) => (t, Some(d)),
         _ => (Cycle::MAX, None),
+    }
+}
+
+/// Replaces `best` with `candidate` when the candidate is earlier by
+/// `(t, seq)`. Sequence numbers are unique within a queue, so no two
+/// candidates tie.
+#[inline]
+fn keep_earliest(best: &mut Option<Candidate>, candidate: Option<Candidate>) {
+    if let Some((t, seq, _)) = candidate {
+        if best.is_none_or(|(t_b, seq_b, _)| (t, seq) < (t_b, seq_b)) {
+            *best = candidate;
+        }
     }
 }
 

@@ -3,7 +3,8 @@
 //! One loop body serves every entry point, in one of two steppings.
 //! [`System::run`] steps it event-driven: fast-forwarding both clock
 //! domains over provably inert stretches (empty controller queues,
-//! memory-blocked or bubble-sprinting cores), allocation-free on its
+//! memory-blocked or bubble-sprinting cores), skipping one core's ticks
+//! while it waits for a fill or a timed event, allocation-free on its
 //! per-cycle paths. [`System::run_reference`] steps it strictly cycle by
 //! cycle, with no controller wake, no core sprints and no jumps; the two
 //! are kept bit-identical in their [`SimReport`] output (see
@@ -138,11 +139,16 @@ impl System {
     /// The one loop body, behind [`System::run`], [`System::run_batch`]
     /// and [`System::run_reference`]: drives `cores` to completion, counting
     /// what it does into `stats`, and returns `(mem_cycle, cpu_cycle,
-    /// truncated)` for [`System::finish`]. `EVERY_CYCLE` picks the
+    /// truncated)` for [`System::finish`]. The event-driven stepping also
+    /// skips the ticks of a core that cannot change: after a tick that
+    /// retired and dispatched nothing it asks the core's
+    /// [`SimpleO3Core::next_event_cycle`] and sleeps it until `At(c)`, or
+    /// until the next delivered fill for `Blocked`; any delivered fill
+    /// wakes every core (see [`CoreWake`]). `EVERY_CYCLE` picks the
     /// reference stepping: the controller ticks every memory cycle and is
     /// never asked for `next_wake` (so its cached verdict cannot fire),
-    /// core sprints are off and nothing is jumped — it re-derives all that
-    /// the event-driven stepping skips.
+    /// every core ticks every CPU cycle, core sprints are off and nothing
+    /// is jumped — it re-derives all that the event-driven stepping skips.
     fn run_loop<const EVERY_CYCLE: bool>(
         &mut self,
         cores: &mut [SimpleO3Core],
@@ -164,6 +170,9 @@ impl System {
         // First cycle at which the controller could act again; recomputed
         // whenever new work reaches it.
         let mut ctrl_wake: u64 = 0;
+        // Per core, the first CPU cycle whose tick can change it: ticks
+        // before it are skipped (never set in the reference stepping).
+        let mut asleep_until: Vec<u64> = vec![0; cores.len()];
 
         loop {
             stats.iterations += 1;
@@ -179,6 +188,9 @@ impl System {
             completions.clear();
             self.ctrl.drain_completions(mem_cycle, &mut completions);
             if !completions.is_empty() {
+                // A fill is the one event that frees an MSHR or readies a
+                // slot, for any core: it voids every sleep.
+                asleep_until.fill(0);
                 pushed |= deliver_fills(
                     &mut self.ctrl,
                     &mut self.llc,
@@ -214,10 +226,15 @@ impl System {
             cpu_credit += CLOCK_CPU;
             while cpu_credit >= CLOCK_MEM {
                 cpu_credit -= CLOCK_MEM;
-                for core in cores.iter_mut() {
-                    core.tick(cpu_cycle, &mut self.llc);
+                for (core, until) in cores.iter_mut().zip(asleep_until.iter_mut()) {
+                    if !EVERY_CYCLE && cpu_cycle < *until {
+                        continue;
+                    }
+                    stats.core_ticks += 1;
+                    if !core.tick(cpu_cycle, &mut self.llc) && !EVERY_CYCLE {
+                        *until = horizon(core.next_event_cycle(cpu_cycle));
+                    }
                 }
-                stats.core_ticks += cores.len() as u64;
                 cpu_cycle += 1;
             }
 
@@ -261,24 +278,21 @@ impl System {
             if target <= mem_cycle {
                 continue;
             }
-            let mut skippable = true;
-            for core in cores.iter() {
-                match core.next_event_cycle(last_cpu) {
-                    CoreWake::Busy => {
-                        skippable = false;
-                        break;
-                    }
-                    CoreWake::At(c) => {
-                        // Iteration executing CPU cycle `c`: the credit
-                        // accumulator runs cycle c once total CPU cycles
-                        // exceed c, i.e. at iteration ceil(8(c+1)/21) - 1.
-                        let m = (CLOCK_MEM * (c + 1)).div_ceil(CLOCK_CPU) - 1;
-                        target = target.min(m);
-                    }
-                    CoreWake::Blocked => {}
+            for (core, until) in cores.iter().zip(asleep_until.iter_mut()) {
+                if *until <= cpu_cycle {
+                    // Awake: ask, and keep the answer as its sleep.
+                    *until = horizon(core.next_event_cycle(last_cpu));
+                }
+                if *until != u64::MAX {
+                    // Iteration executing CPU cycle `until`: the credit
+                    // accumulator runs cycle c once total CPU cycles exceed
+                    // c, i.e. at iteration ceil(8(c+1)/21) - 1 (0 for a
+                    // busy core, which rules the jump out).
+                    let m = (CLOCK_MEM * (*until + 1)).div_ceil(CLOCK_CPU) - 1;
+                    target = target.min(m);
                 }
             }
-            if !skippable || target <= mem_cycle {
+            if target <= mem_cycle {
                 continue;
             }
             if self.cfg.max_mem_cycles > 0 {
@@ -444,6 +458,17 @@ impl System {
             truncated,
             obs,
         }
+    }
+}
+
+/// The first CPU cycle whose tick can change a core that reported `wake`
+/// after its last tick: 0 for a busy core, `u64::MAX` for one that waits
+/// for a fill.
+fn horizon(wake: CoreWake) -> u64 {
+    match wake {
+        CoreWake::Busy => 0,
+        CoreWake::At(c) => c,
+        CoreWake::Blocked => u64::MAX,
     }
 }
 
@@ -701,7 +726,11 @@ mod tests {
         // little more than the cycles where the controller acts or data
         // returns. Measured 1.30 iterations per such event (84 171 for
         // 411 028 memory cycles); when a rejected core re-polled the LLC
-        // every cycle it was 6.33 (409 769: every cycle visited).
+        // every cycle it was 6.33 (409 769: every cycle visited). And the
+        // core, asleep until a fill, should tick little more than once a
+        // fill: measured 0.64 core ticks per event (41 678 for 64 754);
+        // when it ticked in every visited iteration, 2–3 of them each, it
+        // was 3.4 (220 948).
         let mut cfg = quick_cfg(MechanismKind::Prac4, 32);
         cfg.mapping = Some(chronus_ctrl::AddressMapping::Mop);
         cfg.oracle = true;
@@ -721,8 +750,12 @@ mod tests {
              something polls again ({stats:?})",
             stats.iterations
         );
-        // 21 CPU cycles per 8 memory cycles: 2 or 3 core ticks an iteration.
-        assert!(stats.jumps > 0 && stats.core_ticks >= 2 * stats.iterations);
+        assert!(
+            stats.jumps > 0 && stats.core_ticks <= events,
+            "{} core ticks for {events} controller ticks + reads served: \
+             a fill-gated core is ticked ({stats:?})",
+            stats.core_ticks
+        );
     }
 
     #[test]
@@ -730,9 +763,10 @@ mod tests {
         // 511.povray: every memory access follows ≈ 10 k bubbles, so a
         // miss lands behind a window of ready ones. The bubble sprint drains that prefix in
         // closed form, so the loop visits little beyond the miss's own
-        // round trip. Measured 6.0 iterations and 15.8 core ticks per read
-        // served (1 253 and 3 292 for 208 reads); while the core ticked the
-        // window dry cycle by cycle it was 12.7 and 33.3.
+        // round trip. Measured 6.0 iterations and 5.1 core ticks per read
+        // served (1 253 and 1 055 for 208 reads); while the core ticked the
+        // window dry cycle by cycle it was 12.7 and 33.3, and while it
+        // ticked in every visited iteration, 6.0 and 15.8.
         let mut cfg = quick_cfg(MechanismKind::None, 1024);
         cfg.instructions_per_core = 2_000_000;
         let trace = synthetic_app("511.povray", 0)
@@ -743,9 +777,47 @@ mod tests {
         let reads = r.ctrl.reads_served;
         assert!(reads > 0, "povray must miss now and then");
         assert!(
-            stats.iterations <= 8 * reads && stats.core_ticks <= 20 * reads,
+            stats.iterations <= 8 * reads && stats.core_ticks <= 6 * reads,
             "{reads} reads served: the core is polled through its drain ({stats:?})"
         );
+    }
+
+    #[test]
+    fn sleeping_cores_wake_on_any_fill() {
+        // A §11 attacker and three benign cores over one or two MSHRs: a
+        // benign core the LLC rejects sleeps until a fill, and the fill
+        // that frees the entry it needs is usually another core's. Waking
+        // only the cores whose tokens completed leaves such a core asleep,
+        // and the fast report leaves the reference's.
+        let mapping = chronus_ctrl::AddressMapping::Mop;
+        let mut cfg = SimConfig::four_core();
+        cfg.instructions_per_core = 2_000;
+        cfg.mechanism = MechanismKind::Prac4;
+        cfg.nrh = 64;
+        cfg.mapping = Some(mapping);
+        cfg.max_mem_cycles = 4_000_000;
+        let traces = vec![
+            chronus_workloads::perf_attack_trace(mapping, &cfg.geometry, 4, 8, 2_400),
+            trace_for("429.mcf", 1),
+            trace_for("470.lbm", 2),
+            trace_for("429.mcf", 3),
+        ];
+        for mshrs in [1, 2] {
+            cfg.llc.mshrs = mshrs;
+            let (fast, stats) = System::build(&cfg).run_with_stats(traces.clone());
+            let reference = System::build(&cfg).run_reference(traces.clone());
+            assert!(
+                !reference.truncated,
+                "mshrs {mshrs}: the reference truncated"
+            );
+            assert_eq!(fast, reference, "mshrs {mshrs}");
+            // Every core ticking in every visited iteration: 21/8 each.
+            let every_iteration = stats.iterations * CLOCK_CPU * cfg.num_cores as u64;
+            assert!(
+                stats.core_ticks * CLOCK_MEM < every_iteration,
+                "mshrs {mshrs}: no core slept ({stats:?})"
+            );
+        }
     }
 
     #[test]

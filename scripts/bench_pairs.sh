@@ -2,40 +2,43 @@
 # Measures this tree against another checkout in alternating pairs, records
 # every run in the tracked trajectory and prints the comparison.
 #
-#   scripts/bench_pairs.sh --parent DIR --workload W --pairs N --seed S [--seconds T]
+#   scripts/bench_pairs.sh --parent DIR --workload W [--workload W2 ...] --pairs N --seed S [--seconds T]
 #
 # DIR is a checkout of the commit to compare against (for a perf claim, the
 # parent: `git clone` the repository into DIR and check the parent out;
-# `--parent .` compares this tree with itself). Each pair runs DIR's
-# benchmark/run.sh and this tree's, both with `--workload W --seed S
-# --seconds T --trace 0` (T defaults to 10); the parent runs first in odd
-# pairs and second in even ones, so the first run is the parent's and
-# neither side always runs first. scripts/bench_record.sh records every run,
-# under its own tree's git SHA; the records are held aside and appended to
-# this tree's BENCH_history.jsonl once, when the script exits, so the tree
-# stays as committed while it runs and a committed tree's runs read `<sha>`,
-# not `<sha>-dirty`. The runs' own output is discarded.
+# `--parent .` compares this tree with itself). `--workload` may repeat, so
+# one call runs a whole campaign: the workloads run one after another, in
+# the order given, N pairs each. Each pair runs DIR's benchmark/run.sh and
+# this tree's, both with `--workload W --seed S --seconds T --trace 0` (T
+# defaults to 10); the parent runs first in odd pairs and second in even
+# ones, so the first run is the parent's and neither side always runs
+# first. scripts/bench_record.sh records every run, under its own tree's
+# git SHA; the records are held aside and appended to this tree's
+# BENCH_history.jsonl once, when the script exits, so the tree stays as
+# committed for the whole campaign and a committed tree's runs read
+# `<sha>`, not `<sha>-dirty`. The runs' own output is discarded.
 #
-# Then, for each of the seven end-to-end metrics, it prints the parent's and
-# the change's median [q1, q3] over the per-run medians (quartiles by
-# Python's `statistics.quantiles(n=4)`, the rule benchmark/src/stats.rs
-# follows), the change in the median, and the pairs in which the change was
-# better; and per side, the failed operations and the distinct sim digests.
+# Then, per workload, for each of the seven end-to-end metrics, it prints
+# the parent's and the change's median [q1, q3] over the per-run medians
+# (quartiles by Python's `statistics.quantiles(n=4)`, the rule
+# benchmark/src/stats.rs follows), the change in the median, and the pairs
+# in which the change was better; and per side, the failed operations and
+# the distinct sim digests.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 usage() {
-    echo "usage: scripts/bench_pairs.sh --parent DIR --workload W --pairs N --seed S [--seconds T]" >&2
+    echo "usage: scripts/bench_pairs.sh --parent DIR --workload W [--workload W2 ...] --pairs N --seed S [--seconds T]" >&2
     exit 2
 }
 
-parent="" workload="" pairs="" seed="" seconds=10
+parent="" workloads=() pairs="" seed="" seconds=10
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case "$1" in
         --parent) parent="$2" ;;
-        --workload) workload="$2" ;;
+        --workload) workloads+=("$2") ;;
         --pairs) pairs="$2" ;;
         --seed) seed="$2" ;;
         --seconds) seconds="$2" ;;
@@ -43,7 +46,7 @@ while [ $# -gt 0 ]; do
     esac
     shift 2
 done
-[ -n "$parent" ] && [ -n "$workload" ] && [ -n "$seed" ] || usage
+[ -n "$parent" ] && [ ${#workloads[@]} -gt 0 ] && [ -n "$seed" ] || usage
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
 if [ ! -x "$parent/benchmark/run.sh" ]; then
     echo "bench_pairs.sh: $parent/benchmark/run.sh not found" >&2
@@ -62,32 +65,10 @@ finish() {
 }
 trap finish EXIT
 
-args=(--workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
-order=""
-run() {
-    echo "bench_pairs.sh: pair $1/$pairs: $2" >&2
-    if [ "$2" = parent ]; then
-        "$root/scripts/bench_record.sh" --tree "$parent" "${args[@]}" > /dev/null
-    else
-        "$root/scripts/bench_record.sh" "${args[@]}" > /dev/null
-    fi
-    # Move the record the run appended aside, restoring the trajectory.
-    tail -n 1 "$trajectory" >> "$records"
-    cp "$pristine" "$trajectory"
-    order="$order ${2:0:1}"
-}
-for i in $(seq 1 "$pairs"); do
-    if [ $((i % 2)) -eq 1 ]; then
-        run "$i" parent
-        run "$i" change
-    else
-        run "$i" change
-        run "$i" parent
-    fi
-done
-
-# One line per run, in the order recorded in $order (p or c).
-python3 -c '
+# One table per workload, from its runs' records in the order recorded in
+# $2 (p or c per run).
+report() {
+    python3 -c '
 import json, statistics, sys
 
 workload, order = sys.argv[1], sys.argv[2].split()
@@ -123,4 +104,33 @@ for side in sides:
     print("%s: failed %d of %d attempted; sim_digest %s" % (
         side, sum(values(side, "failed")), sum(values(side, "attempted")),
         " ".join(sorted(set(values(side, "sim_digest"))))))
-' "$workload" "$order" < "$records"
+' "$1" "$2"
+}
+
+run() {
+    echo "bench_pairs.sh: $workload: pair $1/$pairs: $2" >&2
+    if [ "$2" = parent ]; then
+        "$root/scripts/bench_record.sh" --tree "$parent" "${args[@]}" > /dev/null
+    else
+        "$root/scripts/bench_record.sh" "${args[@]}" > /dev/null
+    fi
+    # Move the record the run appended aside, restoring the trajectory.
+    tail -n 1 "$trajectory" >> "$records"
+    cp "$pristine" "$trajectory"
+    order="$order ${2:0:1}"
+}
+for workload in "${workloads[@]}"; do
+    args=(--workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
+    order=""
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            run "$i" parent
+            run "$i" change
+        else
+            run "$i" change
+            run "$i" parent
+        fi
+    done
+    # This workload's records are the last 2N lines held aside.
+    tail -n $((2 * pairs)) "$records" | report "$workload" "$order"
+done
