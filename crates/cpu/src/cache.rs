@@ -87,14 +87,11 @@ impl Hasher for LineHasher {
 /// A map keyed by line address.
 type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    dirty: bool,
-    /// LRU stamp (bigger = more recent).
-    lru: u64,
-    valid: bool,
-}
+/// Tag-word flag: the way holds a line. Line addresses are line-aligned,
+/// so a tag word's two low bits are free for the flags.
+const VALID: u64 = 1;
+/// Tag-word flag: the line is dirty.
+const DIRTY: u64 = 2;
 
 /// Result of a load probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,11 +137,16 @@ struct Mshr {
 #[derive(Debug)]
 pub struct SharedLlc {
     cfg: CacheConfig,
-    /// All lines in one flat allocation, set-major: set `s` occupies
-    /// `lines[s * ways .. (s + 1) * ways]`. One contiguous block keeps the
-    /// per-access way scan on a single cache line instead of chasing a
-    /// per-set `Vec` pointer.
-    lines: Vec<Line>,
+    /// Per set, the number of its block in `blocks`, counting from 1; 0
+    /// while the set has never installed a line. Zero-initialised, so a
+    /// fresh cache writes none of it: a run pays for the sets it touches.
+    block_of: Vec<u32>,
+    /// The touched sets' blocks, in first-install order: block `b` is
+    /// `blocks[(b - 1) * 2 * ways..][..2 * ways]`, its `ways` tag words
+    /// (line address | [`VALID`] | [`DIRTY`]) then its `ways` LRU stamps
+    /// (bigger = more recent; 0 = never filled). A lookup scans only the
+    /// tag words: 64 B at 8 ways.
+    blocks: Vec<u64>,
     /// `line_bytes - 1` complement, precomputed (line alignment mask).
     line_mask: u64,
     /// `log2(line_bytes)`, precomputed (line → line-index shift).
@@ -171,26 +173,25 @@ impl SharedLlc {
     ///
     /// # Panics
     ///
-    /// If the line size is not a power of two, or `mshrs` is zero (no miss
-    /// could ever issue, so the run would never finish).
+    /// If the line size is not a power of two of at least 4 bytes (a tag
+    /// word keeps its flags in the line offset's two low bits), if there
+    /// are more sets than a `u32` block number can count, or if `mshrs` is
+    /// zero (no miss could ever issue, so the run would never finish).
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(
-            cfg.line_bytes.is_power_of_two(),
-            "line size must be a power of two"
+            cfg.line_bytes.is_power_of_two() && cfg.line_bytes >= 4,
+            "line size must be a power of two of at least 4 bytes"
         );
         assert!(cfg.mshrs > 0, "LLC needs at least one MSHR (mshrs 0)");
         let sets = cfg.sets();
+        assert!(
+            u32::try_from(sets).is_ok(),
+            "{sets} LLC sets exceed u32 block numbers"
+        );
         Self {
             cfg,
-            lines: vec![
-                Line {
-                    tag: 0,
-                    dirty: false,
-                    lru: 0,
-                    valid: false,
-                };
-                sets * cfg.ways
-            ],
+            block_of: vec![0; sets],
+            blocks: Vec::new(),
             line_mask: !(cfg.line_bytes as u64 - 1),
             line_shift: cfg.line_bytes.trailing_zeros(),
             num_sets: sets as u64,
@@ -217,23 +218,32 @@ impl SharedLlc {
         ((line_addr >> self.line_shift) % self.num_sets) as usize
     }
 
-    /// The ways of the set holding `line_addr`, as one contiguous slice.
-    fn set_ways(&mut self, line_addr: u64) -> &mut [Line] {
-        let base = self.set_of(line_addr) * self.cfg.ways;
-        &mut self.lines[base..base + self.cfg.ways]
+    /// Where the block of the set holding `line_addr` starts in `blocks`,
+    /// allocating it (all ways never filled) on the set's first install.
+    fn block_for_install(&mut self, line_addr: u64) -> usize {
+        let (set, len) = (self.set_of(line_addr), 2 * self.cfg.ways);
+        if self.block_of[set] == 0 {
+            self.blocks.resize(self.blocks.len() + len, 0);
+            self.block_of[set] = (self.blocks.len() / len) as u32;
+        }
+        (self.block_of[set] as usize - 1) * len
     }
 
-    /// Looks `line_addr` up and, on a hit, stamps it most recently used.
-    /// A miss leaves the LRU clock alone — stamps only need to be ordered,
-    /// and a miss the MSHR file then rejects must not change anything.
-    fn probe(&mut self, line_addr: u64) -> Option<&mut Line> {
-        let base = self.set_of(line_addr) * self.cfg.ways;
-        let line = self.lines[base..base + self.cfg.ways]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == line_addr)?;
+    /// Looks `line_addr` up and, on a hit, stamps it most recently used
+    /// and returns its tag word's index in `blocks`. A set that never
+    /// installed a line misses without allocating. A miss leaves the LRU
+    /// clock alone — stamps only need to be ordered, and a miss the MSHR
+    /// file then rejects must not change anything.
+    fn probe(&mut self, line_addr: u64) -> Option<usize> {
+        let ways = self.cfg.ways;
+        let block = self.block_of[self.set_of(line_addr)].checked_sub(1)?;
+        let base = block as usize * 2 * ways;
+        let way = self.blocks[base..base + ways]
+            .iter()
+            .position(|&tag| tag & !DIRTY == line_addr | VALID)?;
         self.lru_clock += 1;
-        line.lru = self.lru_clock;
-        Some(line)
+        self.blocks[base + ways + way] = self.lru_clock;
+        Some(base + way)
     }
 
     /// Probes for a cacheable load. On a miss, `token` is parked on the
@@ -282,8 +292,8 @@ impl SharedLlc {
     /// the store must retry (MSHR pressure).
     pub fn store(&mut self, addr: u64, core: u8) -> bool {
         let line = self.line_addr(addr);
-        if let Some(l) = self.probe(line) {
-            l.dirty = true;
+        if let Some(tag) = self.probe(line) {
+            self.blocks[tag] |= DIRTY;
             self.hits += 1;
             return true;
         }
@@ -321,8 +331,8 @@ impl SharedLlc {
     /// RFO fill). No-op if the line is absent.
     pub fn mark_dirty(&mut self, addr: u64) {
         let line = self.line_addr(addr);
-        if let Some(l) = self.probe(line) {
-            l.dirty = true;
+        if let Some(tag) = self.probe(line) {
+            self.blocks[tag] |= DIRTY;
         }
     }
 
@@ -386,22 +396,16 @@ impl SharedLlc {
         waiters.extend_from_slice(&m.waiters);
         let mut writeback = None;
         if m.fill {
-            self.lru_clock += 1;
-            let clock = self.lru_clock;
-            let victim = self
-                .set_ways(line_addr)
-                .iter_mut()
-                .min_by_key(|l| if l.valid { l.lru } else { 0 })
-                .expect("ways >= 1");
-            if victim.valid && victim.dirty {
-                writeback = Some(victim.tag);
+            let (base, ways) = (self.block_for_install(line_addr), self.cfg.ways);
+            let (tags, stamps) = self.blocks[base..base + 2 * ways].split_at_mut(ways);
+            // The first never-filled way (stamp 0), else the least recent.
+            let way = (0..ways).min_by_key(|&w| stamps[w]).expect("ways >= 1");
+            if tags[way] & DIRTY != 0 {
+                writeback = Some(tags[way] & !(VALID | DIRTY));
             }
-            *victim = Line {
-                tag: line_addr,
-                dirty: m.dirty,
-                lru: clock,
-                valid: true,
-            };
+            self.lru_clock += 1;
+            tags[way] = line_addr | VALID | if m.dirty { DIRTY } else { 0 };
+            stamps[way] = self.lru_clock;
         }
         writeback
     }
@@ -416,7 +420,13 @@ impl SharedLlc {
         self.mshr.len() + self.uncached_outstanding
     }
 
-    /// Everything an access can change, short of the line array itself
+    /// Sets that have installed a line (each holds one block).
+    #[cfg(test)]
+    pub(crate) fn allocated_sets(&self) -> usize {
+        self.blocks.len() / (2 * self.cfg.ways)
+    }
+
+    /// Everything an access can change, short of the blocks themselves
     /// (whose every write also moves `lru_clock` or a counter).
     #[cfg(test)]
     pub(crate) fn fingerprint(&self) -> impl PartialEq + std::fmt::Debug {
@@ -657,6 +667,281 @@ mod tests {
             mshrs: 0,
             ..CacheConfig::default()
         });
+    }
+
+    /// One way of [`LineArrayLlc`].
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Line {
+        tag: u64,
+        dirty: bool,
+        /// LRU stamp (bigger = more recent).
+        lru: u64,
+        valid: bool,
+    }
+
+    /// The LLC that the lazily allocated set blocks replaced: every line
+    /// of every set in one dense, set-major array built up front. Kept as
+    /// the reference the product cache is checked against.
+    struct LineArrayLlc {
+        cfg: CacheConfig,
+        lines: Vec<Line>,
+        mshr: HashMap<u64, Mshr>,
+        uncached: HashMap<u64, VecDeque<u64>>,
+        uncached_outstanding: usize,
+        outbox: VecDeque<UncoreRequest>,
+        lru_clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl LineArrayLlc {
+        fn new(cfg: CacheConfig) -> Self {
+            Self {
+                cfg,
+                lines: vec![Line::default(); cfg.sets() * cfg.ways],
+                mshr: HashMap::new(),
+                uncached: HashMap::new(),
+                uncached_outstanding: 0,
+                outbox: VecDeque::new(),
+                lru_clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn set_ways(&mut self, line: u64) -> &mut [Line] {
+            let base = self.set_base(line);
+            &mut self.lines[base..base + self.cfg.ways]
+        }
+
+        fn set_base(&self, line: u64) -> usize {
+            let set = line / self.cfg.line_bytes as u64 % self.cfg.sets() as u64;
+            set as usize * self.cfg.ways
+        }
+
+        fn probe(&mut self, line: u64) -> Option<&mut Line> {
+            let base = self.set_base(line);
+            let hit = self.lines[base..base + self.cfg.ways]
+                .iter_mut()
+                .find(|l| l.valid && l.tag == line)?;
+            self.lru_clock += 1;
+            hit.lru = self.lru_clock;
+            Some(hit)
+        }
+
+        /// A cacheable miss of `line`: merged, allocated or refused.
+        fn miss(&mut self, line: u64, waiter: Option<u64>, dirty: bool, core: u8) -> bool {
+            if let Some(m) = self.mshr.get_mut(&line) {
+                m.waiters.extend(waiter);
+                m.fill = true;
+                m.dirty |= dirty;
+            } else if self.mshr.len() >= self.cfg.mshrs {
+                return false;
+            } else {
+                let waiters = waiter.into_iter().collect();
+                self.mshr.insert(
+                    line,
+                    Mshr {
+                        waiters,
+                        fill: true,
+                        dirty,
+                    },
+                );
+                let write = false;
+                let uncached = false;
+                self.outbox.push_back(UncoreRequest {
+                    line_addr: line,
+                    write,
+                    uncached,
+                    core,
+                });
+            }
+            self.misses += 1;
+            true
+        }
+
+        fn load(&mut self, addr: u64, token: u64) -> LoadResult {
+            let line = addr & !(self.cfg.line_bytes as u64 - 1);
+            if self.probe(line).is_some() {
+                self.hits += 1;
+                LoadResult::Hit
+            } else if self.miss(line, Some(token), false, SimpleO3Core::token_core(token)) {
+                LoadResult::Miss
+            } else {
+                LoadResult::Rejected
+            }
+        }
+
+        fn store(&mut self, addr: u64, core: u8) -> bool {
+            let line = addr & !(self.cfg.line_bytes as u64 - 1);
+            if let Some(l) = self.probe(line) {
+                l.dirty = true;
+                self.hits += 1;
+                return true;
+            }
+            self.miss(line, None, true, core)
+        }
+
+        fn mark_dirty(&mut self, addr: u64) {
+            let line = addr & !(self.cfg.line_bytes as u64 - 1);
+            if let Some(l) = self.probe(line) {
+                l.dirty = true;
+            }
+        }
+
+        fn load_uncached(&mut self, addr: u64, token: u64) -> LoadResult {
+            if self.uncached_outstanding >= self.cfg.mshrs {
+                return LoadResult::Rejected;
+            }
+            let line = addr & !(self.cfg.line_bytes as u64 - 1);
+            self.uncached.entry(line).or_default().push_back(token);
+            self.uncached_outstanding += 1;
+            let core = SimpleO3Core::token_core(token);
+            let (write, uncached) = (false, true);
+            self.outbox.push_back(UncoreRequest {
+                line_addr: line,
+                write,
+                uncached,
+                core,
+            });
+            LoadResult::Miss
+        }
+
+        fn on_fill(&mut self, line: u64, uncached: bool, waiters: &mut Vec<u64>) -> Option<u64> {
+            waiters.clear();
+            if uncached {
+                if let Some(q) = self.uncached.get_mut(&line) {
+                    if let Some(t) = q.pop_front() {
+                        waiters.push(t);
+                        self.uncached_outstanding -= 1;
+                    }
+                    if q.is_empty() {
+                        self.uncached.remove(&line);
+                    }
+                }
+                return None;
+            }
+            let m = self.mshr.remove(&line)?;
+            waiters.extend_from_slice(&m.waiters);
+            if !m.fill {
+                return None;
+            }
+            self.lru_clock += 1;
+            let lru = self.lru_clock;
+            let victim = (self.set_ways(line).iter_mut())
+                .min_by_key(|l| if l.valid { l.lru } else { 0 })
+                .expect("ways >= 1");
+            let writeback = (victim.valid && victim.dirty).then_some(victim.tag);
+            *victim = Line {
+                tag: line,
+                dirty: m.dirty,
+                lru,
+                valid: true,
+            };
+            writeback
+        }
+    }
+
+    /// Random load, store, uncached-load, fill and `mark_dirty` streams
+    /// through the product cache and [`LineArrayLlc`], at 2 ways × 8 sets
+    /// (every set thrashes) and at Table 2's geometry (addresses drawn
+    /// over 32 sets, 12 lines each, so its sets evict too): every answer,
+    /// forwarded request, woken waiter, writeback and counter is the same.
+    #[test]
+    fn set_blocks_match_the_line_array() {
+        let mut rng = crate::TestRng(0x5e7);
+        let tiny = CacheConfig {
+            capacity: 1024,
+            ways: 2,
+            line_bytes: 64,
+            hit_latency: 10,
+            mshrs: 4,
+        };
+        let (mut writebacks, mut hits) = (0, 0);
+        for cfg in [tiny, CacheConfig::default()] {
+            let sets = cfg.sets() as u64;
+            for case in 0..100 {
+                let (mut c, mut r) = (SharedLlc::new(cfg), LineArrayLlc::new(cfg));
+                let (mut outstanding, mut wc, mut wr) = (Vec::new(), Vec::new(), Vec::new());
+                for step in 0..400u64 {
+                    let line = (rng.below(32) + rng.below(12) * sets) * 64;
+                    let addr = line + rng.below(64);
+                    let token = (rng.below(4) << 48) | step;
+                    let ctx = format!("{} sets, case {case}, step {step}", sets);
+                    match rng.below(8) {
+                        0 | 1 => assert_eq!(c.load(addr, token), r.load(addr, token), "{ctx}"),
+                        2 => {
+                            let core = rng.below(4) as u8;
+                            assert_eq!(c.store(addr, core), r.store(addr, core), "{ctx}");
+                        }
+                        3 => {
+                            let got = c.load_uncached(addr, token);
+                            assert_eq!(got, r.load_uncached(addr, token), "{ctx}");
+                        }
+                        4 => {
+                            c.mark_dirty(addr);
+                            r.mark_dirty(addr);
+                        }
+                        _ if !outstanding.is_empty() => {
+                            let i = rng.below(outstanding.len() as u64) as usize;
+                            let req: UncoreRequest = outstanding.swap_remove(i);
+                            let wb = c.on_fill(req.line_addr, req.uncached, &mut wc);
+                            assert_eq!(wb, r.on_fill(req.line_addr, req.uncached, &mut wr));
+                            assert_eq!(wc, wr, "{ctx}: waiters");
+                            writebacks += u32::from(wb.is_some());
+                        }
+                        _ => {}
+                    }
+                    while let Some(req) = c.pop_request() {
+                        assert_eq!(Some(req), r.outbox.pop_front(), "{ctx}: request");
+                        outstanding.push(req);
+                    }
+                    assert!(
+                        r.outbox.is_empty(),
+                        "{ctx}: a request the cache did not send"
+                    );
+                    assert_eq!(c.hit_miss(), (r.hits, r.misses), "{ctx}");
+                    assert_eq!(c.inflight(), r.mshr.len() + r.uncached_outstanding, "{ctx}");
+                }
+                hits += c.hit_miss().0;
+            }
+        }
+        assert!(
+            writebacks > 200 && hits > 2000,
+            "{writebacks} writebacks, {hits} hits"
+        );
+    }
+
+    #[test]
+    fn sets_allocate_their_block_on_first_install() {
+        let mut c = SharedLlc::new(CacheConfig::default());
+        assert_eq!(c.allocated_sets(), 0, "a fresh cache holds no block");
+        assert_eq!(c.load(0x1000, 1), LoadResult::Miss);
+        assert!(c.store(0x2000, 0));
+        c.mark_dirty(0x3000);
+        assert_eq!(c.load_uncached(0x4000, 2), LoadResult::Miss);
+        let mut waiters = Vec::new();
+        c.on_fill(0x4000, true, &mut waiters);
+        assert_eq!(waiters, [2]);
+        assert_eq!(
+            c.allocated_sets(),
+            0,
+            "probe misses and uncached loads allocate none"
+        );
+        c.on_fill(0x1000, false, &mut waiters);
+        assert_eq!(
+            c.allocated_sets(),
+            1,
+            "a set's first fill allocates one block"
+        );
+        // A second line of the same set reuses its block.
+        let same_set = 0x1000 + (c.config().sets() * 64) as u64;
+        assert_eq!(c.load(same_set, 3), LoadResult::Miss);
+        c.on_fill(same_set, false, &mut waiters);
+        assert_eq!(c.allocated_sets(), 1);
+        assert_eq!(c.load(0x1000, 4), LoadResult::Hit);
+        c.on_fill(0x2000, false, &mut waiters);
+        assert_eq!(c.allocated_sets(), 2);
     }
 
     #[test]

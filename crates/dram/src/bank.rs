@@ -22,15 +22,15 @@ pub enum BankState {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Bank {
     /// Row-buffer state.
-    pub state: BankState,
+    pub(crate) state: BankState,
     /// Earliest next ACT.
-    pub next_act: Cycle,
+    pub(crate) next_act: Cycle,
     /// Earliest next PRE.
-    pub next_pre: Cycle,
+    pub(crate) next_pre: Cycle,
     /// Earliest next RD.
-    pub next_rd: Cycle,
+    pub(crate) next_rd: Cycle,
     /// Earliest next WR.
-    pub next_wr: Cycle,
+    pub(crate) next_wr: Cycle,
     /// Activations served by this bank (for stats / PRFM RAA).
     pub acts: u64,
 }

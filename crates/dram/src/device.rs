@@ -11,12 +11,12 @@
 //! original per-command statement, kept as `legacy_can_issue` in this
 //! file's tests, plus the hand-computed unit tests.
 
-use crate::bank::{Bank, BankState};
+use crate::bank::Bank;
 use crate::command::Command;
 use crate::geometry::{victims_of, BankId, Geometry, RowId};
 use crate::mitigation::{DramMitigation, MitigationStats, NoMitigation};
 use crate::oracle::{DisturbOracle, ThresholdModel};
-use crate::rank::Rank;
+use crate::rank::{set_bits, Rank};
 use crate::stats::DramStats;
 use crate::timing::{TimingMode, Timings, TimingsNs};
 use crate::Cycle;
@@ -143,17 +143,20 @@ impl DramDevice {
         &self.cfg
     }
 
+    /// `id`'s index within its rank.
+    #[inline]
+    fn in_rank(&self, id: BankId) -> usize {
+        (id.group as usize) * self.cfg.geometry.banks_per_group + id.bank as usize
+    }
+
     #[inline]
     fn bank(&self, id: BankId) -> &Bank {
-        let g = &self.cfg.geometry;
-        &self.ranks[id.rank as usize].banks
-            [(id.group as usize) * g.banks_per_group + id.bank as usize]
+        &self.ranks[id.rank as usize].banks[self.in_rank(id)]
     }
 
     fn bank_mut(&mut self, id: BankId) -> &mut Bank {
-        let g = self.cfg.geometry;
-        &mut self.ranks[id.rank as usize].banks
-            [(id.group as usize) * g.banks_per_group + id.bank as usize]
+        let i = self.in_rank(id);
+        &mut self.ranks[id.rank as usize].banks[i]
     }
 
     /// The open row of `bank`, if any.
@@ -182,11 +185,10 @@ impl DramDevice {
 
     /// Earliest cycle at which an all-bank REF/RFM could be accepted by
     /// `rank` assuming every bank is (or stays) precharged: the rank-block
-    /// frontier joined with every bank's ACT frontier.
+    /// frontier joined with the rank's ACT frontier, `max(bank.next_act)`.
     fn refresh_ready_at(&self, rank: usize) -> Cycle {
         let r = &self.ranks[rank];
-        let banks_ready = r.banks.iter().map(|b| b.next_act).max().unwrap_or(0);
-        r.blocked_until.max(banks_ready)
+        r.blocked_until.max(r.act_frontier())
     }
 
     /// Earliest cycle at which `PREab` could be accepted by `rank` (the
@@ -194,14 +196,9 @@ impl DramDevice {
     /// bank); legal immediately if every bank is already idle.
     fn preall_ready_at(&self, rank: usize) -> Cycle {
         let r = &self.ranks[rank];
-        let open_ready = r
-            .banks
-            .iter()
-            .filter(|b| !b.is_idle())
-            .map(|b| b.next_pre)
-            .max()
-            .unwrap_or(0);
-        r.blocked_until.max(open_ready)
+        set_bits(r.open_mask())
+            .map(|i| r.banks[i].next_pre)
+            .fold(r.blocked_until, Cycle::max)
     }
 
     /// Rank- and channel-level CAS frontier for `rank`: the earliest cycle
@@ -429,12 +426,11 @@ impl DramDevice {
                 self.close_row(bank, row, now);
             }
             Command::PreAll { rank } => {
-                let g = self.cfg.geometry;
-                for i in 0..g.banks_per_rank() {
-                    let id = BankId::from_flat(rank * g.banks_per_rank() + i, &g);
-                    if let Some(row) = self.bank(id).open_row() {
-                        self.close_row(id, row, now);
-                    }
+                let per_group = self.cfg.geometry.banks_per_group;
+                for i in set_bits(self.ranks[rank].open_mask()) {
+                    let id = BankId::new(rank as u8, (i / per_group) as u8, (i % per_group) as u8);
+                    let row = self.bank(id).open_row().expect("open-bank mask bit");
+                    self.close_row(id, row, now);
                 }
             }
             Command::Rd { bank, .. } => {
@@ -467,35 +463,29 @@ impl DramDevice {
 
     fn do_activate(&mut self, bank: BankId, row: RowId, now: Cycle, is_vrr: bool) {
         let t = self.cfg.timings;
-        {
-            let r = &mut self.ranks[bank.rank as usize];
-            r.push_faw(now);
-            r.next_act_any = r.next_act_any.max(now + t.rrd_s);
-            let g = bank.group as usize;
-            r.next_act_group[g] = r.next_act_group[g].max(now + t.rrd_l);
-        }
+        let i = self.in_rank(bank);
+        let r = &mut self.ranks[bank.rank as usize];
+        r.push_faw(now);
+        r.next_act_any = r.next_act_any.max(now + t.rrd_s);
+        let g = bank.group as usize;
+        r.next_act_group[g] = r.next_act_group[g].max(now + t.rrd_l);
+        // An ACT or a VRR keeps the bank from its next ACT for a row cycle.
+        r.raise_act(i, now + t.rc);
         if is_vrr {
             // VRR = internal activate + precharge of the victim row; the
-            // bank is busy for a full row cycle and stays precharged.
-            let b = self.bank_mut(bank);
-            b.next_act = b.next_act.max(now + t.rc);
+            // bank stays precharged.
             self.stats.vrrs += 1;
             if let Some(o) = &mut self.oracle {
                 o.on_row_refreshed(bank, row);
             }
             return;
         }
-        {
-            let b = self.bank_mut(bank);
-            debug_assert!(b.is_idle());
-            b.state = BankState::Opened { row };
-            b.next_pre = now + t.ras;
-            b.next_rd = now + t.rcd;
-            b.next_wr = now + t.rcd;
-            b.next_act = now + t.rc;
-            b.acts += 1;
-        }
-        self.ranks[bank.rank as usize].bank_opened(now);
+        r.open_bank(i, row, now);
+        let b = &mut r.banks[i];
+        b.next_pre = now + t.ras;
+        b.next_rd = now + t.rcd;
+        b.next_wr = now + t.rcd;
+        b.acts += 1;
         self.stats.acts += 1;
         if let Some(o) = &mut self.oracle {
             o.on_activate(bank, row);
@@ -506,13 +496,9 @@ impl DramDevice {
     }
 
     fn close_row(&mut self, bank: BankId, row: RowId, now: Cycle) {
-        let t = self.cfg.timings;
-        {
-            let b = self.bank_mut(bank);
-            b.state = BankState::Idle;
-            b.next_act = b.next_act.max(now + t.rp);
-        }
-        self.ranks[bank.rank as usize].bank_closed(now);
+        let i = self.in_rank(bank);
+        let act_at = now + self.cfg.timings.rp;
+        self.ranks[bank.rank as usize].close_bank(i, now, act_at);
         self.stats.pres += 1;
         if self.mitigation.on_precharge(bank, row, now) {
             self.assert_alert(bank.rank as usize, now);
@@ -521,13 +507,9 @@ impl DramDevice {
 
     /// Auto-precharge variant: the precharge point is `pre_at` (> now).
     fn close_row_at(&mut self, bank: BankId, row: RowId, now: Cycle, pre_at: Cycle) {
-        let t = self.cfg.timings;
-        {
-            let b = self.bank_mut(bank);
-            b.state = BankState::Idle;
-            b.next_act = b.next_act.max(pre_at + t.rp);
-        }
-        self.ranks[bank.rank as usize].bank_closed(now);
+        let i = self.in_rank(bank);
+        let act_at = pre_at + self.cfg.timings.rp;
+        self.ranks[bank.rank as usize].close_bank(i, now, act_at);
         self.stats.pres += 1;
         if self.mitigation.on_precharge(bank, row, pre_at) {
             self.assert_alert(bank.rank as usize, pre_at);
@@ -577,9 +559,7 @@ impl DramDevice {
         {
             let r = &mut self.ranks[rank];
             r.blocked_until = now + t.rfc;
-            for b in &mut r.banks {
-                b.next_act = b.next_act.max(now + t.rfc);
-            }
+            r.raise_all_act(now + t.rfc);
             r.refs_done += 1;
         }
         self.stats.refs += 1;
@@ -605,9 +585,7 @@ impl DramDevice {
         {
             let r = &mut self.ranks[rank];
             r.blocked_until = now + t.rfm;
-            for b in &mut r.banks {
-                b.next_act = b.next_act.max(now + t.rfm);
-            }
+            r.raise_all_act(now + t.rfm);
         }
         self.stats.rfms += 1;
         let g = self.cfg.geometry;
@@ -897,27 +875,42 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// A random legal command walk of `steps` issues from `seed` on a
+    /// device built from `cfg`: each step draws commands on random banks
+    /// until one is structurally legal, issues it at its earliest cycle
+    /// plus a slack of 0, 1 or 7, and hands the device, the command and
+    /// the issue cycle to `after`.
+    fn random_walk(
+        cfg: DramConfig,
+        seed: u64,
+        steps: usize,
+        mut after: impl FnMut(&DramDevice, usize, &Command, Cycle),
+    ) {
+        let (mut rng, mut d, mut now) = (seed, DramDevice::new(cfg), 0);
+        let g = *d.geometry();
+        for step in 0..steps {
+            let (cmd, at) = loop {
+                let r = splitmix(&mut rng);
+                let bank = BankId::from_flat(r as usize % g.total_banks(), &g);
+                let cmd = shapes(bank, (r >> 8) as u32 % 16, (r >> 16) as u32 % 16)
+                    [(r >> 24) as usize % 10];
+                let at = d.earliest_issue_at(&cmd, now);
+                if at != Cycle::MAX {
+                    break (cmd, at + [0, 1, 7][(r >> 32) as usize % 3]);
+                }
+            };
+            d.issue(&cmd, at);
+            now = at;
+            after(&d, step, &cmd, now);
+        }
+    }
+
     #[test]
     fn earliest_issue_at_matches_legacy_rules_on_random_walks() {
         for seed in 0..200u64 {
-            let (mut rng, mut d, mut now) = (seed, dev(), 0);
-            let g = *d.geometry();
-            let rfm = d.timings().rfm;
-            for step in 0..40 {
-                // A random command that is legal at some cycle, issued at
-                // that cycle plus a slack of 0, 1 or 7.
-                let (cmd, at) = loop {
-                    let r = splitmix(&mut rng);
-                    let bank = BankId::from_flat(r as usize % 4, &g);
-                    let cmd = shapes(bank, (r >> 8) as u32 % 16, (r >> 16) as u32 % 16)
-                        [(r >> 24) as usize % 10];
-                    let at = d.earliest_issue_at(&cmd, now);
-                    if at != Cycle::MAX {
-                        break (cmd, at + [0, 1, 7][(r >> 32) as usize % 3]);
-                    }
-                };
-                d.issue(&cmd, at);
-                now = at;
+            random_walk(DramConfig::tiny(), seed, 40, |d, step, cmd, now| {
+                let g = *d.geometry();
+                let rfm = d.timings().rfm;
                 for flat in 0..g.total_banks() {
                     for c in shapes(BankId::from_flat(flat, &g), 5, 3) {
                         let e = d.earliest_issue_at(&c, now);
@@ -928,12 +921,79 @@ mod tests {
                             .into_iter()
                             .filter(|&t| t >= now)
                         {
-                            assert_eq!(legacy_can_issue(&d, &c, t), t >= e, "{ctx} at {t}");
+                            assert_eq!(legacy_can_issue(d, &c, t), t >= e, "{ctx} at {t}");
                         }
                     }
                 }
+            });
+        }
+    }
+
+    /// REFab/RFMab readiness as the per-bank walk the rank's ACT frontier
+    /// replaced: the rank block joined with every bank's ACT frontier.
+    fn refresh_ready_reference(d: &DramDevice, rank: usize) -> Cycle {
+        let r = &d.ranks[rank];
+        let banks_ready = r.banks.iter().map(|b| b.next_act).max().unwrap_or(0);
+        r.blocked_until.max(banks_ready)
+    }
+
+    /// PREab readiness as the per-bank walk the open-bank mask replaced.
+    fn preall_ready_reference(d: &DramDevice, rank: usize) -> Cycle {
+        let r = &d.ranks[rank];
+        let open_ready = (r.banks.iter().filter(|b| !b.is_idle()))
+            .map(|b| b.next_pre)
+            .max()
+            .unwrap_or(0);
+        r.blocked_until.max(open_ready)
+    }
+
+    /// After every issue of random legal walks, on the unit-test geometry
+    /// and on Table 2's (two ranks of 32 banks): each rank's open-bank mask equals its banks' states, its
+    /// ACT frontier equals `max(next_act)`, and REFab, RFMab and PREab
+    /// readiness equal the per-bank walks.
+    #[test]
+    fn rank_aggregates_match_the_per_bank_walks() {
+        let (mut refreshes, mut preabs) = (0, 0);
+        for (cfg, seeds, steps) in [
+            (DramConfig::tiny(), 200, 40),
+            (DramConfig::ddr5_baseline(), 40, 300),
+        ] {
+            for seed in 0..seeds {
+                random_walk(cfg.clone(), seed, steps, |d, step, cmd, now| {
+                    match cmd {
+                        Command::RefAll { .. } | Command::RfmAll { .. } => refreshes += 1,
+                        Command::PreAll { .. } => preabs += 1,
+                        _ => {}
+                    }
+                    for (rank, r) in d.ranks.iter().enumerate() {
+                        let ctx = format!("seed {seed} step {step} after {cmd}: rank {rank}");
+                        let mask = (r.banks.iter().enumerate())
+                            .filter(|(_, b)| !b.is_idle())
+                            .fold(0u64, |m, (i, _)| m | 1 << i);
+                        assert_eq!(r.open_mask(), mask, "{ctx}: open-bank mask");
+                        assert_eq!(r.open_bank_count(), mask.count_ones(), "{ctx}");
+                        assert_eq!(r.all_idle(), mask == 0, "{ctx}");
+                        let frontier = r.banks.iter().map(|b| b.next_act).max().unwrap();
+                        assert_eq!(r.act_frontier(), frontier, "{ctx}: ACT frontier");
+                        let refresh = refresh_ready_reference(d, rank);
+                        assert_eq!(d.refresh_ready_at(rank), refresh, "{ctx}: REFab");
+                        let preall = preall_ready_reference(d, rank);
+                        assert_eq!(d.preall_ready_at(rank), preall, "{ctx}: PREab");
+                        let idle = r.banks.iter().all(Bank::is_idle);
+                        for c in [Command::RefAll { rank }, Command::RfmAll { rank }] {
+                            let want = if idle { refresh.max(now) } else { Cycle::MAX };
+                            assert_eq!(d.earliest_issue_at(&c, now), want, "{ctx}: {c}");
+                        }
+                        let pre = Command::PreAll { rank };
+                        assert_eq!(d.earliest_issue_at(&pre, now), preall.max(now), "{ctx}");
+                    }
+                });
             }
         }
+        assert!(
+            refreshes > 100 && preabs > 100,
+            "{refreshes} REF/RFMs, {preabs} PREabs"
+        );
     }
 
     /// Runs one fixed script, each command at its earliest cycle, and

@@ -2,16 +2,22 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bank::Bank;
-use crate::geometry::Geometry;
+use crate::bank::{Bank, BankState};
+use crate::geometry::{Geometry, RowId};
 use crate::Cycle;
 
 /// One DRAM rank: its banks plus rank-scoped timing frontiers and the
 /// per-rank `alert_n` (back-off) latch.
+///
+/// Two aggregates over the banks make the rank-wide readiness questions
+/// O(1) or O(open banks): a bit mask of the open banks and the ACT
+/// frontier `max(bank.next_act)`. Only [`Rank::open_bank`],
+/// [`Rank::close_bank`], [`Rank::raise_act`] and [`Rank::raise_all_act`]
+/// change a bank's state or ACT frontier, and they keep both aggregates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Rank {
     /// Banks, indexed `group * banks_per_group + bank`.
-    pub banks: Vec<Bank>,
+    pub(crate) banks: Vec<Bank>,
     /// Timestamps of the last four ACTs (tFAW sliding window), oldest first.
     faw: [Cycle; 4],
     /// Number of valid entries in `faw`.
@@ -33,9 +39,11 @@ pub struct Rank {
     /// Back-off latch: the cycle at which the assertion becomes visible to
     /// the controller, if asserted.
     pub alert_at: Option<Cycle>,
-    /// Number of banks currently open (for background-energy accounting).
-    open_banks: u32,
-    /// Cycle at which `open_banks` last became non-zero.
+    /// Bit `i` set while bank `i` holds a row open.
+    open: u64,
+    /// `max(bank.next_act)` over every bank.
+    act_frontier: Cycle,
+    /// Cycle at which `open` last became non-zero.
     active_since: Cycle,
     /// Accumulated cycles with at least one bank open.
     pub active_cycles: u64,
@@ -45,9 +53,19 @@ pub struct Rank {
 
 impl Rank {
     /// A fresh rank for the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// If the geometry has more than 64 banks per rank: the open-bank mask
+    /// is one `u64`.
     pub fn new(geo: &Geometry) -> Self {
+        let banks = geo.banks_per_rank();
+        assert!(
+            banks <= 64,
+            "Rank::new: {banks} banks per rank exceed the 64-bit open-bank mask"
+        );
         Self {
-            banks: (0..geo.banks_per_rank()).map(|_| Bank::new()).collect(),
+            banks: (0..banks).map(|_| Bank::new()).collect(),
             faw: [0; 4],
             faw_len: 0,
             next_act_any: 0,
@@ -58,7 +76,8 @@ impl Rank {
             next_wr_group: vec![0; geo.bankgroups],
             blocked_until: 0,
             alert_at: None,
-            open_banks: 0,
+            open: 0,
+            act_frontier: 0,
             active_since: 0,
             active_cycles: 0,
             refs_done: 0,
@@ -85,31 +104,62 @@ impl Rank {
         }
     }
 
-    /// Marks one more bank open (for background-energy accounting).
-    pub fn bank_opened(&mut self, now: Cycle) {
-        if self.open_banks == 0 {
-            self.active_since = now;
-        }
-        self.open_banks += 1;
+    /// Raises bank `i`'s ACT frontier to at least `at`.
+    pub fn raise_act(&mut self, i: usize, at: Cycle) {
+        let b = &mut self.banks[i];
+        b.next_act = b.next_act.max(at);
+        self.act_frontier = self.act_frontier.max(at);
     }
 
-    /// Marks one bank closed.
-    pub fn bank_closed(&mut self, now: Cycle) {
-        debug_assert!(self.open_banks > 0, "closing a bank on an all-idle rank");
-        self.open_banks -= 1;
-        if self.open_banks == 0 {
+    /// Raises every bank's ACT frontier to at least `at` (REFab, RFMab).
+    pub fn raise_all_act(&mut self, at: Cycle) {
+        for b in &mut self.banks {
+            b.next_act = b.next_act.max(at);
+        }
+        self.act_frontier = self.act_frontier.max(at);
+    }
+
+    /// Latches `row` in idle bank `i` at `now` (the ACT's state change;
+    /// its frontiers are the caller's).
+    pub fn open_bank(&mut self, i: usize, row: RowId, now: Cycle) {
+        debug_assert!(self.banks[i].is_idle(), "ACT to an open bank");
+        if self.open == 0 {
+            self.active_since = now;
+        }
+        self.open |= 1 << i;
+        self.banks[i].state = BankState::Opened { row };
+    }
+
+    /// Precharges open bank `i` at `now`, its next ACT no earlier than
+    /// `act_at`.
+    pub fn close_bank(&mut self, i: usize, now: Cycle, act_at: Cycle) {
+        debug_assert!(self.open & (1 << i) != 0, "closing an idle bank");
+        self.banks[i].state = BankState::Idle;
+        self.raise_act(i, act_at);
+        self.open &= !(1 << i);
+        if self.open == 0 {
             self.active_cycles += now.saturating_sub(self.active_since);
         }
     }
 
+    /// Bit `i` set while bank `i` holds a row open.
+    pub fn open_mask(&self) -> u64 {
+        self.open
+    }
+
     /// Number of banks currently open.
     pub fn open_bank_count(&self) -> u32 {
-        self.open_banks
+        self.open.count_ones()
+    }
+
+    /// `max(bank.next_act)` over every bank of the rank.
+    pub fn act_frontier(&self) -> Cycle {
+        self.act_frontier
     }
 
     /// Folds any in-progress active interval into `active_cycles`.
     pub fn finalize_activity(&mut self, now: Cycle) {
-        if self.open_banks > 0 {
+        if self.open != 0 {
             self.active_cycles += now.saturating_sub(self.active_since);
             self.active_since = now;
         }
@@ -117,8 +167,17 @@ impl Rank {
 
     /// True if every bank is precharged.
     pub fn all_idle(&self) -> bool {
-        self.banks.iter().all(Bank::is_idle)
+        self.open == 0
     }
+}
+
+/// The indices of the set bits of `mask`, lowest first.
+pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.checked_sub(1)?;
+        Some(i)
+    })
 }
 
 #[cfg(test)]
@@ -150,13 +209,13 @@ mod tests {
     #[test]
     fn active_cycle_accounting() {
         let mut r = rank();
-        r.bank_opened(100);
-        r.bank_opened(110); // second bank, same active interval
-        r.bank_closed(150);
+        r.open_bank(0, 4, 100);
+        r.open_bank(5, 4, 110); // second bank, same active interval
+        r.close_bank(0, 150, 150);
         assert_eq!(r.active_cycles, 0); // still one bank open
-        r.bank_closed(200);
+        r.close_bank(5, 200, 200);
         assert_eq!(r.active_cycles, 100);
-        r.bank_opened(300);
+        r.open_bank(5, 8, 300);
         r.finalize_activity(320);
         assert_eq!(r.active_cycles, 120);
     }
@@ -165,7 +224,26 @@ mod tests {
     fn all_idle_tracks_bank_states() {
         let mut r = rank();
         assert!(r.all_idle());
-        r.banks[3].state = crate::bank::BankState::Opened { row: 9 };
+        r.open_bank(3, 9, 0);
         assert!(!r.all_idle());
+        assert_eq!(r.banks[3].open_row(), Some(9));
+        r.close_bank(3, 10, 10);
+        assert!(r.all_idle());
+    }
+
+    #[test]
+    fn set_bits_walks_the_mask_lowest_first() {
+        assert_eq!(set_bits(0).count(), 0);
+        assert_eq!(set_bits(0b1010_0001).collect::<Vec<_>>(), [0, 5, 7]);
+        assert_eq!(set_bits(1 << 63).collect::<Vec<_>>(), [63]);
+        assert_eq!(set_bits(u64::MAX).count(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 64-bit open-bank mask")]
+    fn more_than_64_banks_per_rank_are_rejected() {
+        let mut g = Geometry::ddr5();
+        g.bankgroups = 17;
+        Rank::new(&g);
     }
 }
