@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use chronus_core::hydra::HydraConfig;
 use chronus_core::{decrement, Att, Hydra, MechanismKind, MisraGries};
+use chronus_cpu::{CacheConfig, LoadResult, SharedLlc};
 use chronus_ctrl::{AddressMapping, CtrlMitigation};
 use chronus_dram::{BankId, Command, DramAddr, DramConfig, DramDevice, Geometry, RowTable};
 use chronus_security::wave::{prac_wave_max_acts, PracBackOff, WaveTiming};
@@ -173,7 +174,34 @@ fn bench_system_build(c: &mut Criterion) {
         cfg.oracle = oracle;
         group.bench_function(name, |b| b.iter(|| System::build(&cfg)));
     }
+    // Appendix E's eight cores over the 36 MiB LLC: the largest cache a
+    // figure builds.
+    let cfg = SimConfig::eight_core_large_llc();
+    group.bench_function("eight_core_large_llc", |b| b.iter(|| System::build(&cfg)));
     group.finish();
+}
+
+fn bench_llc_load(c: &mut Criterion) {
+    // Loads to random lines of 16 MiB through the Table 2 LLC (8 MiB), each
+    // miss filled at once: the probe, plus a victim choice and an install
+    // on about half the loads once every set is warm.
+    c.bench_function("cpu/llc_load_random", |b| {
+        let mut llc = SharedLlc::new(CacheConfig::default());
+        let (mut x, mut token, mut waiters) = (0x9E37_79B9_7F4A_7C15u64, 0u64, Vec::new());
+        b.iter(|| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            token += 1;
+            let addr = (x >> 20) % (16 << 20);
+            let result = llc.load(addr, token);
+            if result == LoadResult::Miss {
+                let req = llc.pop_request().expect("a miss forwards one read");
+                llc.on_fill(req.line_addr, false, &mut waiters);
+            }
+            result
+        })
+    });
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
@@ -210,6 +238,7 @@ criterion_group!(
     bench_wave_model,
     bench_trace_generation,
     bench_system_build,
+    bench_llc_load,
     bench_end_to_end,
 );
 criterion_main!(benches);
