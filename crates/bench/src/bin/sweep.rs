@@ -13,9 +13,10 @@
 //! ```
 //!
 //! Exit codes: `0` clean, `2` usage error, `3` degraded — `run` with
-//! permanently failed cells, `status`/`merge` over corrupt or failed
-//! entries, `fsck` that quarantined anything. Quarantined cells re-enter
-//! the grid as plain cache misses: the next `run` re-simulates them. A run
+//! failed cells (a panic, a run past its cycle budget, a store write),
+//! `status`/`merge` over corrupt or failed entries, `fsck` that
+//! quarantined anything. Quarantined cells re-enter the grid as plain
+//! cache misses: the next `run` re-simulates them. A run
 //! killed mid-grid needs no recovery step: its finished cells are in the
 //! store, and a plain rerun simulates the rest (reaping stale temp files
 //! before its first write).

@@ -762,6 +762,16 @@ mod tests {
             assert_eq!(&spec.name, name);
             // Hashing must succeed for every cell.
             assert_eq!(spec.hashes().len(), spec.len());
+            // Every cell ends within its cycle budget: the executor needs
+            // no wall-clock watchdog because of it.
+            for cell in &spec.cells {
+                assert!(
+                    cell.config.max_mem_cycles >= 1 << 22,
+                    "{name}/{}: max_mem_cycles {}",
+                    cell.label,
+                    cell.config.max_mem_cycles
+                );
+            }
         }
         assert!(build_spec("not-a-grid", &opts).is_none());
     }

@@ -32,12 +32,6 @@ pub struct HarnessOpts {
     /// (`--obs`): reports gain an `ObsReport` section. Changes cell keys
     /// (obs cells cache separately) but no pre-existing report field.
     pub obs: bool,
-    /// Retry budget override for failed cells (`--retries N`); `None`
-    /// keeps the grid default.
-    pub retries: Option<u32>,
-    /// Hard per-cell watchdog deadline (`--cell-timeout SECS`); `None`
-    /// derives one adaptively from observed cell wall-clocks.
-    pub cell_timeout: Option<std::time::Duration>,
 }
 
 impl Default for HarnessOpts {
@@ -56,8 +50,6 @@ impl Default for HarnessOpts {
             no_cache: false,
             quiet: false,
             obs: false,
-            retries: None,
-            cell_timeout: None,
         }
     }
 }
@@ -105,7 +97,9 @@ impl HarnessOpts {
              grid:  --shard i/N --grid-dir DIR --no-cache --quiet --obs\n\
              \x20      (split a grid across processes: --shard i/N, then \
              `chronus-sweep merge`)\n\
-             fault: --retries N --cell-timeout SECS (env: CHRONUS_FAULTS)"
+             fault: env CHRONUS_FAULTS=panic:P,io:P,seed:N,attempts:N \
+             (a cell that panics or runs past its cycle budget is simulated \
+             once and exits 3)"
         )
     }
 
@@ -146,16 +140,6 @@ impl HarnessOpts {
                         .map_err(|e| ParseOutcome::Invalid(format!("--shard: {e}")))?;
                 }
                 "--grid-dir" => o.grid_dir = Some(PathBuf::from(value("--grid-dir")?)),
-                "--retries" => o.retries = Some(parse_flag("--retries", &value("--retries")?)?),
-                "--cell-timeout" => {
-                    let secs: f64 = parse_flag("--cell-timeout", &value("--cell-timeout")?)?;
-                    if !(secs > 0.0 && secs.is_finite()) {
-                        return Err(ParseOutcome::Invalid(format!(
-                            "--cell-timeout: '{secs}' is not a positive number of seconds"
-                        )));
-                    }
-                    o.cell_timeout = Some(std::time::Duration::from_secs_f64(secs));
-                }
                 "--no-cache" => o.no_cache = true,
                 "--quiet" => o.quiet = true,
                 "--obs" => o.obs = true,
@@ -349,23 +333,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_fault_tolerance_flags() {
-        let o = parse(&["--retries", "0", "--cell-timeout", "2.5"]).unwrap();
-        assert_eq!(o.retries, Some(0));
-        assert_eq!(
-            o.cell_timeout,
-            Some(std::time::Duration::from_millis(2_500))
-        );
-        assert_eq!(HarnessOpts::default().retries, None);
-        assert_eq!(HarnessOpts::default().cell_timeout, None);
-        assert!(matches!(
-            parse(&["--cell-timeout", "-3"]),
-            Err(ParseOutcome::Invalid(msg)) if msg.contains("--cell-timeout")
-        ));
-        assert!(matches!(
-            parse(&["--retries", "many"]),
-            Err(ParseOutcome::Invalid(msg)) if msg.contains("--retries")
-        ));
+    fn retired_fault_flags_are_usage_errors() {
+        // A cell is simulated once and no wall clock watches it: the
+        // retry budget and the watchdog deadline are gone.
+        for flag in ["--retries", "--cell-timeout"] {
+            assert_eq!(
+                parse(&[flag, "1"]).unwrap_err(),
+                ParseOutcome::Invalid(format!("unknown flag '{flag}'"))
+            );
+        }
     }
 
     #[test]

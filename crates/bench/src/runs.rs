@@ -14,7 +14,7 @@ use chronus_core::MechanismKind;
 use chronus_cpu::Trace;
 use chronus_grid::{
     run_grid, AppTrace, CellSpec, ExecOpts, FaultInjector, FaultPlan, GridOutcome, GridSpec,
-    ResultStore, RetryPolicy, WorkloadSpec, DEGRADED_EXIT,
+    ResultStore, WorkloadSpec, DEGRADED_EXIT,
 };
 use chronus_sim::{SimConfig, SimReport, System};
 use chronus_workloads::{four_core_mixes, generator::synthetic_from_profile, AppProfile, Mix};
@@ -159,12 +159,8 @@ pub fn exec_opts(opts: &HarnessOpts) -> ExecOpts {
         threads: opts.threads,
         shard: opts.shard,
         progress: !opts.quiet,
-        retry: match opts.retries {
-            Some(n) => RetryPolicy::with_retries(n),
-            None => RetryPolicy::default(),
-        },
-        cell_timeout: opts.cell_timeout,
         faults: env_faults(),
+        ..ExecOpts::default()
     }
 }
 
@@ -172,8 +168,8 @@ pub fn exec_opts(opts: &HarnessOpts) -> ExecOpts {
 /// accounting line on stderr. `--no-cache` runs without a store — no
 /// directory is created or read.
 ///
-/// Cells that failed permanently never abort the binary: they are reported
-/// on stderr, recorded in the store's failure manifest, and flagged so
+/// Cells that failed (a panic, or a run past its cycle budget) never abort
+/// the binary: they are reported on stderr, recorded in the store's failure manifest, and flagged so
 /// [`exit_code`] returns [`DEGRADED_EXIT`] — the figure still renders from
 /// every healthy cell.
 pub fn execute(spec: &GridSpec, opts: &HarnessOpts) -> GridOutcome {
@@ -194,7 +190,7 @@ pub fn execute(spec: &GridSpec, opts: &HarnessOpts) -> GridOutcome {
     if outcome.is_degraded() {
         DEGRADED.store(true, Ordering::Relaxed);
         eprintln!(
-            "[{}] DEGRADED: {} cell(s) failed permanently:",
+            "[{}] DEGRADED: {} cell(s) failed:",
             spec.name,
             outcome.failures.len()
         );

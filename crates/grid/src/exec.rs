@@ -10,14 +10,17 @@
 //! parameters (VRD seeds) fills as one simulation; any other grid runs one
 //! unit per distinct cell.
 //!
-//! Unit execution is *fault-isolated*: every attempt runs in its own
-//! watchdog-guarded thread behind `catch_unwind`, failures (panics,
-//! deadline overruns, store write errors) are retried under a capped
-//! exponential backoff, and cells that exhaust their retries are recorded
-//! in a [`FailureManifest`] instead of aborting the run. A degraded grid
-//! still completes every healthy cell, persists everything it computed,
-//! and reports the casualties — the contract multi-hour, multi-machine
-//! sweeps depend on.
+//! A cell's outcome is a function of the cell. Each unit simulates once, on
+//! its worker, behind one `catch_unwind`; nothing is retried, because a
+//! simulation that panicked once panics again. A panic, or a report that
+//! ran past the cell's `max_mem_cycles` (`truncated`), is recorded in a
+//! [`FailureManifest`] instead of aborting the run, and such a report is
+//! neither stored nor returned. Every loop iteration advances the memory
+//! clock, so the cycle budget ends every run and no wall-clock watchdog is
+//! needed. Only store writes, which can fail transiently, are retried under
+//! a capped exponential backoff. A degraded grid still completes every
+//! healthy cell, persists everything it computed, and reports the
+//! casualties — the contract multi-hour, multi-machine sweeps depend on.
 //!
 //! Processes split a grid with `--shard i/N` ([`Shard`]) and assemble it
 //! with [`merge`]; they never coordinate. Entries are byte-deterministic
@@ -27,21 +30,20 @@
 //! store lock, so racing writers keep each other's records.
 //!
 //! A pass served entirely from the store reads its entries and writes
-//! nothing: stale temp files are reaped and wall sidecars read only once
-//! the pass owns a miss, before its first write, and the store lock is
-//! taken only for a failure to record or a manifest file to heal.
+//! nothing: stale temp files are reaped only once the pass owns a miss,
+//! before its first write, and the store lock is taken only for a failure
+//! to record or a manifest file to heal.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use chronus_sim::{try_run_parallel, SimConfig, SimReport, System};
 use serde::{Deserialize, Serialize};
 
 use crate::cell::CellSpec;
-use crate::faults::{ExecFault, FaultInjector};
+use crate::faults::FaultInjector;
 use crate::hash::{cell_hash, mix64};
 use crate::progress::Progress;
 use crate::retry::RetryPolicy;
@@ -64,12 +66,8 @@ pub struct ExecOpts {
     pub shard: Shard,
     /// Progress/ETA lines on stderr.
     pub progress: bool,
-    /// Retry policy for failed cell attempts and store writes.
+    /// Retry policy for store writes (a simulation is never retried).
     pub retry: RetryPolicy,
-    /// Hard per-cell watchdog deadline. `None` derives one adaptively from
-    /// the wall-clock of cells recorded so far (20× the observed mean,
-    /// floored at 30 s, armed only once three samples exist).
-    pub cell_timeout: Option<Duration>,
     /// Deterministic fault injection at the executor boundary (see
     /// [`crate::faults`]); `None` (the default) costs nothing.
     pub faults: Option<FaultInjector>,
@@ -84,7 +82,6 @@ impl Default for ExecOpts {
             shard: Shard::full(),
             progress: true,
             retry: RetryPolicy::default(),
-            cell_timeout: None,
             faults: None,
         }
     }
@@ -101,8 +98,8 @@ pub struct ExecStats {
     pub simulated: usize,
     /// Cells owned by other shards and not yet in the store.
     pub skipped: usize,
-    /// Cells that failed permanently (retries exhausted) and have no
-    /// report.
+    /// Cells that failed (a panic or a run past the cycle budget) and have
+    /// no report.
     pub failed: usize,
     /// Always 0: an executor never waits on another process's work (racing
     /// runs each simulate their misses). Kept because the benchmark harness
@@ -124,10 +121,11 @@ impl ExecStats {
 /// How a cell (or its persistence) failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FailureKind {
-    /// The simulation panicked on every attempt.
+    /// The simulation panicked.
     Panic,
-    /// The simulation overran its watchdog deadline on every attempt.
-    Timeout,
+    /// The simulation ran past its `max_mem_cycles` budget: its report is
+    /// `truncated`, so it is neither stored nor returned.
+    Budget,
     /// The simulation succeeded but the result could not be persisted;
     /// the in-memory report was still returned.
     StoreWrite,
@@ -144,9 +142,10 @@ pub struct CellFailure {
     pub hash: String,
     /// Failure class.
     pub kind: FailureKind,
-    /// Attempts consumed (first try + retries).
+    /// Attempts consumed: 1 for a simulation, first try + retries for a
+    /// store write.
     pub attempts: u32,
-    /// The last error observed (panic payload, timeout note, or I/O
+    /// The error observed (panic payload, budget note, or the last I/O
     /// error).
     pub error: String,
 }
@@ -184,8 +183,8 @@ pub struct GridOutcome {
     pub reports: Vec<Option<SimReport>>,
     /// Cache/shard accounting.
     pub stats: ExecStats,
-    /// Cells that failed permanently in this run (simulation failures
-    /// leave their report slots empty; store-write failures do not).
+    /// Cells that failed in this run (simulation failures leave their
+    /// report slots empty; store-write failures do not).
     pub failures: Vec<CellFailure>,
     /// Wall-clock of the whole call in seconds.
     pub wall_seconds: f64,
@@ -209,46 +208,6 @@ pub fn simulate_cell(cell: &CellSpec) -> SimReport {
     System::build(&cell.config).run(traces)
 }
 
-/// Derives watchdog deadlines from observed per-cell wall-clocks: once
-/// three samples exist, a cell gets `max(30 s, 20× mean)`. Seeded from the
-/// store's recorded wall sidecars so a resumed run is armed immediately.
-struct DeadlineEstimator {
-    explicit: Option<Duration>,
-    /// `(samples, total seconds)`.
-    state: Mutex<(u32, f64)>,
-}
-
-const DEADLINE_FLOOR: Duration = Duration::from_secs(30);
-const DEADLINE_FACTOR: f64 = 20.0;
-const DEADLINE_MIN_SAMPLES: u32 = 3;
-
-impl DeadlineEstimator {
-    fn new(explicit: Option<Duration>) -> Self {
-        Self {
-            explicit,
-            state: Mutex::new((0, 0.0)),
-        }
-    }
-
-    fn record(&self, seconds: f64) {
-        let mut state = self.state.lock().expect("estimator lock");
-        state.0 += 1;
-        state.1 += seconds;
-    }
-
-    fn deadline(&self) -> Option<Duration> {
-        if let Some(t) = self.explicit {
-            return Some(t);
-        }
-        let state = self.state.lock().expect("estimator lock");
-        if state.0 < DEADLINE_MIN_SAMPLES {
-            return None;
-        }
-        let mean = state.1 / f64::from(state.0);
-        Some(DEADLINE_FLOOR.max(Duration::from_secs_f64(mean * DEADLINE_FACTOR)))
-    }
-}
-
 /// Renders a panic payload for the failure record.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -264,67 +223,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// [`SimConfig::cohort_key`], so their traces are generated once and one
 /// [`System::run_batch`] returns every member's report, each equal to its
 /// [`simulate_cell`].
-fn simulate_cohort(cells: &[CellSpec]) -> Vec<SimReport> {
+fn simulate_cohort(cells: &[&CellSpec]) -> Vec<SimReport> {
     let traces = cells[0].workload.traces(&cells[0].config.geometry);
     let cfgs: Vec<SimConfig> = cells.iter().map(|c| c.config.clone()).collect();
     System::run_batch(&cfgs, &traces)
-}
-
-/// Runs one attempt of one unit in a dedicated watchdog-guarded thread.
-///
-/// Each member's injected fault for `attempt` fires first, then the cohort
-/// simulates, all behind `catch_unwind` in a freshly spawned thread while
-/// this (worker) thread waits on a channel with the deadline. A panic comes
-/// back as [`FailureKind::Panic`]; a deadline overrun as
-/// [`FailureKind::Timeout`] — the stuck thread is abandoned (it holds only
-/// cloned data and its late result is dropped with the channel). A thread
-/// that answered is joined before the next attempt spawns, so the
-/// allocator can hand its arena to that attempt instead of opening a new
-/// one.
-fn run_unit_guarded(
-    cells: Vec<CellSpec>,
-    hashes: Vec<String>,
-    attempt: u32,
-    faults: Option<FaultInjector>,
-    deadline: Option<Duration>,
-) -> Result<Vec<SimReport>, (FailureKind, String)> {
-    let (tx, rx) = mpsc::sync_channel::<Result<Vec<SimReport>, String>>(1);
-    let spawned = std::thread::Builder::new()
-        .name(format!("cell-{}", &hashes[0][..8.min(hashes[0].len())]))
-        .spawn(move || {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(injector) = &faults {
-                    for hash in &hashes {
-                        match injector.exec_fault(hash, attempt) {
-                            Some(ExecFault::Panic) => {
-                                panic!("injected fault: panic (cell {hash}, attempt {attempt})")
-                            }
-                            Some(ExecFault::Stall(pause)) => std::thread::sleep(pause),
-                            None => {}
-                        }
-                    }
-                }
-                simulate_cohort(&cells)
-            }));
-            let _ = tx.send(outcome.map_err(panic_message));
-        });
-    let thread = match spawned {
-        Ok(thread) => thread,
-        Err(e) => return Err((FailureKind::Panic, format!("spawning cell thread: {e}"))),
-    };
-    let received = match deadline {
-        Some(limit) => rx.recv_timeout(limit).map_err(|_| {
-            (
-                FailureKind::Timeout,
-                format!("watchdog deadline {limit:.1?} exceeded"),
-            )
-        })?,
-        None => rx
-            .recv()
-            .map_err(|_| (FailureKind::Panic, "cell thread died silently".to_string()))?,
-    };
-    let _ = thread.join();
-    received.map_err(|msg| (FailureKind::Panic, msg))
 }
 
 /// What one worker produced for one owned cell.
@@ -334,10 +236,10 @@ struct CellDone {
     store_failure: Option<CellFailure>,
 }
 
-/// A simulated member's report and the wall-clock of the attempt that
+/// A simulated member's report and the wall-clock of the simulation that
 /// produced it (a cohort is one simulation: every member records the whole
-/// unit's wall, so deadlines derived from it stay per-simulation).
-type Simulated = Result<(SimReport, f64), CellFailure>;
+/// unit's wall), or the panic message.
+type Simulated = Result<(SimReport, f64), String>;
 
 /// Groups the owned misses (representative spec indices, ascending) into
 /// units of work, one per timing cohort: cells sharing a workload and a
@@ -364,120 +266,106 @@ fn plan_units(cells: &[CellSpec], owned: &[usize]) -> Vec<Vec<usize>> {
     units
 }
 
-/// What every unit's worker shares: the run's spec, store, deadline
-/// estimator and progress line.
+/// What every unit's worker shares: the run's spec, store and progress
+/// line.
 struct UnitRunner<'a> {
     cells: &'a [CellSpec],
     hashes: &'a [String],
     store: Option<&'a ResultStore>,
-    estimator: &'a DeadlineEstimator,
     progress: &'a Progress,
     opts: &'a ExecOpts,
 }
 
 impl UnitRunner<'_> {
-    /// Runs one unit: simulates its members as one cohort and persists each
-    /// member. A cohort attempt that panics or times out (an injected fault
-    /// of any member included) falls back to running each member alone.
+    /// Runs one unit: simulates its members as one cohort and settles each
+    /// member. A cohort that panics (an injected fault of any member
+    /// included) runs each member alone, so only the panicking ones are
+    /// recorded; a cohort over budget does not, because its members are
+    /// cycle-identical.
     fn run(&self, members: Vec<usize>) -> Vec<(usize, Result<CellDone, CellFailure>)> {
         let n = members.len();
-        let simulated: Vec<Simulated> = match (n > 1).then(|| self.attempt(&members, 0)) {
-            Some(Ok((reports, wall))) => reports
-                .into_iter()
-                .zip(&members)
-                .map(|(report, &i)| {
-                    self.progress.cell_done(&self.cells[i].label);
-                    Ok((report, wall))
-                })
-                .collect(),
-            failed => {
-                if let Some(Err((_, error))) = failed {
-                    let label = format!("cohort of {}", self.cells[members[0]].label);
-                    let note = format!("{error}; running its {n} members one by one");
-                    self.progress.cell_failed(&label, 0, &note);
-                }
-                members.iter().map(|&i| self.simulate_alone(i)).collect()
+        let simulated: Vec<Simulated> = match self.simulate(&members) {
+            Ok((reports, wall)) => reports.into_iter().map(|r| Ok((r, wall))).collect(),
+            Err(error) if n > 1 => {
+                let label = format!("cohort of {}", self.cells[members[0]].label);
+                let note = format!("{error}; running its {n} members one by one");
+                self.progress.cell_failed(&label, &note);
+                members
+                    .iter()
+                    .map(|&i| self.simulate(&[i]).map(|(mut r, wall)| (r.remove(0), wall)))
+                    .collect()
             }
+            Err(error) => vec![Err(error)],
         };
         members
             .iter()
             .zip(simulated)
-            .map(|(&i, result)| (i, self.persist(i, result)))
+            .map(|(&i, result)| (i, self.settle(i, result)))
             .collect()
     }
 
-    /// One watchdog-guarded attempt at `members` as one cohort; returns the
-    /// reports in member order and the attempt's wall-clock.
-    fn attempt(
-        &self,
-        members: &[usize],
-        attempt: u32,
-    ) -> Result<(Vec<SimReport>, f64), (FailureKind, String)> {
+    /// Simulates `members` as one cohort on this worker, behind one
+    /// `catch_unwind`, after each member's injected fault; returns the
+    /// reports in member order and the wall-clock, or the panic message.
+    fn simulate(&self, members: &[usize]) -> Result<(Vec<SimReport>, f64), String> {
         let started = Instant::now();
-        let reports = run_unit_guarded(
-            members.iter().map(|&i| self.cells[i].clone()).collect(),
-            members.iter().map(|&i| self.hashes[i].clone()).collect(),
-            attempt,
-            self.opts.faults.clone(),
-            self.estimator.deadline(),
-        )?;
-        let wall = started.elapsed().as_secs_f64();
-        self.estimator.record(wall);
-        Ok((reports, wall))
-    }
-
-    /// Cell `i` as a unit of one, from attempt 0, retried under the policy.
-    fn simulate_alone(&self, i: usize) -> Simulated {
-        let cell = &self.cells[i];
-        let hash = self.hashes[i].as_str();
-        let token = mix64(hash.as_bytes());
-        let mut attempt: u32 = 0;
-        loop {
-            match self.attempt(&[i], attempt) {
-                Ok((mut reports, wall)) => {
-                    self.progress.cell_done(&cell.label);
-                    return Ok((reports.remove(0), wall));
-                }
-                Err((kind, error)) => {
-                    self.progress.cell_failed(&cell.label, attempt, &error);
-                    if attempt >= self.opts.retry.max_retries {
-                        return Err(CellFailure {
-                            index: i,
-                            label: cell.label.clone(),
-                            hash: hash.to_string(),
-                            kind,
-                            attempts: attempt + 1,
-                            error,
-                        });
-                    }
-                    self.opts.retry.sleep_before_retry(attempt, token);
-                    attempt += 1;
+        let reports = catch_unwind(AssertUnwindSafe(|| {
+            for &i in members {
+                let hash = &self.hashes[i];
+                if self
+                    .opts
+                    .faults
+                    .as_ref()
+                    .is_some_and(|f| f.exec_fault(hash))
+                {
+                    panic!("injected fault: panic (cell {hash})");
                 }
             }
-        }
+            let cells: Vec<&CellSpec> = members.iter().map(|&i| &self.cells[i]).collect();
+            simulate_cohort(&cells)
+        }))
+        .map_err(panic_message)?;
+        Ok((reports, started.elapsed().as_secs_f64()))
     }
 
-    /// Persists a simulated member: its entry, then its wall sidecar.
-    fn persist(&self, i: usize, simulated: Simulated) -> Result<CellDone, CellFailure> {
-        let (report, wall) = simulated?;
+    /// Settles member `i`: a panic or a report past the cycle budget is a
+    /// failure; any other report is persisted, its entry, then its wall
+    /// sidecar.
+    fn settle(&self, i: usize, simulated: Simulated) -> Result<CellDone, CellFailure> {
+        let cell = &self.cells[i];
+        let hash = self.hashes[i].as_str();
+        let failure = |kind, attempts, error: String| CellFailure {
+            index: i,
+            label: cell.label.clone(),
+            hash: hash.to_string(),
+            kind,
+            attempts,
+            error,
+        };
+        let (report, wall) = simulated.map_err(|error| {
+            self.progress.cell_failed(&cell.label, &error);
+            failure(FailureKind::Panic, 1, error)
+        })?;
+        if report.truncated {
+            let error = format!(
+                "ran past its cycle budget (max_mem_cycles = {})",
+                cell.config.max_mem_cycles
+            );
+            self.progress.cell_failed(&cell.label, &error);
+            return Err(failure(FailureKind::Budget, 1, error));
+        }
+        self.progress.cell_done(&cell.label);
         let mut store_failure = None;
         if let Some(store) = self.store {
-            let hash = self.hashes[i].as_str();
-            match put_with_retry(store, hash, &self.cells[i], &report, &self.opts.retry) {
+            match put_with_retry(store, hash, cell, &report, &self.opts.retry) {
                 Ok(()) => store.record_wall(hash, wall),
                 Err(e) => {
                     eprintln!(
                         "chronus-grid: failed to persist cell {hash} to {}: {e}",
                         store.dir().display()
                     );
-                    store_failure = Some(CellFailure {
-                        index: i,
-                        label: self.cells[i].label.clone(),
-                        hash: hash.to_string(),
-                        kind: FailureKind::StoreWrite,
-                        attempts: self.opts.retry.attempts(),
-                        error: e.to_string(),
-                    });
+                    let attempts = self.opts.retry.attempts();
+                    store_failure = Some(failure(FailureKind::StoreWrite, attempts, e.to_string()));
                 }
             }
         }
@@ -489,7 +377,7 @@ impl UnitRunner<'_> {
 }
 
 /// Executes a grid: serves cached cells from `store`, simulates the misses
-/// this shard owns (in parallel, each attempt fault-isolated), and
+/// this shard owns (in parallel, each unit fault-isolated), and
 /// persists every fresh result. `store: None` disables caching entirely —
 /// every owned cell re-simulates and nothing touches the filesystem.
 ///
@@ -497,14 +385,13 @@ impl UnitRunner<'_> {
 /// are simulated once and fanned out to all positions; cells of one timing
 /// cohort are simulated together (see the module docs).
 ///
-/// A failing cell never aborts the run: attempts are retried under
-/// `opts.retry`, and cells that exhaust their budget are recorded in
+/// A failing cell never aborts the run: a cell that panics or runs past
+/// its cycle budget is simulated once and recorded in
 /// [`GridOutcome::failures`] (and, when a store is present, persisted as a
-/// [`FailureManifest`]) while every other cell completes normally. A cohort
-/// whose one attempt panics or times out (an injected fault of any member
-/// included) runs as units of one, each retried from attempt 0; faults are
-/// pure in `(cell, attempt)`, so every cell's outcome equals its solo
-/// outcome.
+/// [`FailureManifest`]) while every other cell completes normally; store
+/// writes are retried under `opts.retry`. A cohort that panics (an injected
+/// fault of any member included) runs as units of one; faults are pure in
+/// the cell, so every cell's outcome equals its solo outcome.
 pub fn run_grid(spec: &GridSpec, store: Option<&ResultStore>, opts: &ExecOpts) -> GridOutcome {
     let started = Instant::now();
     let hashes = spec.hashes();
@@ -513,7 +400,6 @@ pub fn run_grid(spec: &GridSpec, store: Option<&ResultStore>, opts: &ExecOpts) -
         total: spec.cells.len(),
         ..ExecStats::default()
     };
-    let estimator = DeadlineEstimator::new(opts.cell_timeout);
 
     // Cache pass. Deduplicate lookups so a hash shared by many cells is
     // read once.
@@ -522,12 +408,10 @@ pub fn run_grid(spec: &GridSpec, store: Option<&ResultStore>, opts: &ExecOpts) -
         by_hash.entry(h.as_str()).or_default().push(i);
     }
     let mut pending: Vec<usize> = Vec::new(); // representative indices
-    let mut served: Vec<&str> = Vec::new();
     for (hash, indices) in &by_hash {
         match store.and_then(|s| s.get(hash)) {
             Some(report) => {
                 stats.cached += indices.len();
-                served.push(hash);
                 for &i in indices {
                     reports[i] = Some(report.clone());
                 }
@@ -545,9 +429,8 @@ pub fn run_grid(spec: &GridSpec, store: Option<&ResultStore>, opts: &ExecOpts) -
         stats.skipped += by_hash[hashes[i].as_str()].len();
     }
 
-    // The temp-file reap and the deadline estimator's seed exist for the
-    // cells this run simulates; a pass that owns no miss lists no directory
-    // and reads no wall sidecar.
+    // The temp-file reap exists for the cells this run simulates; a pass
+    // that owns no miss lists no directory.
     if let Some(s) = store.filter(|_| !owned.is_empty()) {
         match s.reap_tmp_older_than(STALE_TMP_AGE) {
             Ok(0) | Err(_) => {}
@@ -556,29 +439,23 @@ pub fn run_grid(spec: &GridSpec, store: Option<&ResultStore>, opts: &ExecOpts) -
                 s.dir().display()
             ),
         }
-        for hash in &served {
-            if let Some(wall) = s.recorded_wall(hash) {
-                estimator.record(wall);
-            }
-        }
     }
 
     // Simulate the owned misses, one timing cohort per unit of work, each
-    // attempt isolated and retried. Store writes happen inside the worker,
-    // so a unit's entries land as soon as it finishes.
+    // isolated. Store writes happen inside the worker, so a unit's entries
+    // land as soon as it finishes.
     let units = plan_units(&spec.cells, &owned);
     let progress = Progress::new(&spec.name, owned.len(), opts.progress);
     let runner = UnitRunner {
         cells: &spec.cells,
         hashes: &hashes,
         store,
-        estimator: &estimator,
         progress: &progress,
         opts,
     };
     let worker_results = try_run_parallel(units.clone(), opts.threads, |unit| runner.run(unit));
 
-    // Fan-out and accounting. Worker-level panics (outside the per-attempt
+    // Fan-out and accounting. Worker-level panics (outside the per-unit
     // guard) are demoted to failures of the unit's cells: one bad worker
     // must never take the grid down.
     let mut failures: Vec<CellFailure> = Vec::new();
@@ -856,7 +733,7 @@ mod tests {
         }
         // An orphaned temp file past the reap age.
         let tmp = dir.join(format!(".{}.999.tmp", "e".repeat(32)));
-        let old = std::time::SystemTime::now() - STALE_TMP_AGE - Duration::from_secs(60);
+        let old = std::time::SystemTime::now() - STALE_TMP_AGE - std::time::Duration::from_secs(60);
         std::fs::File::create(&tmp)
             .unwrap()
             .set_modified(old)
@@ -935,9 +812,9 @@ mod tests {
                 index: 3,
                 label: "cell-3".into(),
                 hash: "f".repeat(32),
-                kind: FailureKind::Timeout,
-                attempts: 4,
-                error: "watchdog deadline 1.0s exceeded".into(),
+                kind: FailureKind::Budget,
+                attempts: 1,
+                error: "ran past its cycle budget (max_mem_cycles = 4194304)".into(),
             }],
         };
         store.save_manifest(&manifest).unwrap();
@@ -945,23 +822,6 @@ mod tests {
         store.clear_manifest("g");
         assert!(store.load_manifest("g").is_none());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn deadline_estimator_arms_after_three_samples() {
-        let est = DeadlineEstimator::new(None);
-        assert_eq!(est.deadline(), None);
-        est.record(0.5);
-        est.record(0.5);
-        assert_eq!(est.deadline(), None, "two samples must not arm");
-        est.record(0.5);
-        // 20 × 0.5 s = 10 s is below the 30 s floor.
-        assert_eq!(est.deadline(), Some(Duration::from_secs(30)));
-        est.record(17.5); // mean now 4.75 s → 95 s
-        assert_eq!(est.deadline(), Some(Duration::from_secs_f64(95.0)));
-
-        let explicit = DeadlineEstimator::new(Some(Duration::from_millis(250)));
-        assert_eq!(explicit.deadline(), Some(Duration::from_millis(250)));
     }
 
     fn mcf(seed: u64) -> WorkloadSpec {
@@ -1126,24 +986,14 @@ mod tests {
 
     #[test]
     fn cohort_members_record_the_units_whole_wall() {
-        // A cohort is one simulation: the next run seeds its watchdog
-        // deadline from the served members' `.wall` sidecars, so each must
-        // hold the unit's whole wall — not wall ÷ members, which would arm
-        // a deadline shorter than the one simulation a partly cached
-        // cohort's remainder runs.
+        // A cohort is one simulation: `chronus-sweep status` and the
+        // benchmark read each member's `.wall` sidecar as that simulation's
+        // cost, so each must hold the unit's whole wall — not wall ÷
+        // members.
         let dir = scratch("cohort-wall");
         let spec = cohort_grid("wall");
         let store = ResultStore::open(&dir).unwrap();
-        // Every member stalls 40 ms on attempt 0, so the unit's one attempt
-        // takes at least 4 × 40 ms.
-        let faults = crate::faults::FaultPlan::parse("stall:1.0,stall_ms:40,attempts:1,seed:1")
-            .unwrap()
-            .injector();
-        let opts = ExecOpts {
-            faults: Some(faults),
-            ..quiet_opts()
-        };
-        let out = run_grid(&spec, Some(&store), &opts);
+        let out = run_grid(&spec, Some(&store), &quiet_opts());
         assert!(out.is_complete() && !out.is_degraded());
         assert_eq!(out.stats.simulated, 4);
         let walls: Vec<f64> = spec
@@ -1151,8 +1001,32 @@ mod tests {
             .iter()
             .map(|h| store.recorded_wall(h).unwrap())
             .collect();
-        assert!(walls.iter().all(|&w| w >= 0.160), "{walls:?}");
         assert!(walls.iter().all(|&w| w == walls[0]), "{walls:?}");
+
+        // The unit simulates at least one member's timing, so its wall is
+        // no shorter than half the fastest of three solo fills of member 0
+        // (load only lengthens a fill); a quarter of it would be.
+        let mut solo = GridSpec::new("wall-solo");
+        solo.push(spec.cells[0].clone());
+        let solo_wall = (0..3)
+            .map(|k| {
+                let solo_dir = scratch(&format!("cohort-wall-solo{k}"));
+                let solo_store = ResultStore::open(&solo_dir).unwrap();
+                assert_eq!(
+                    run_grid(&solo, Some(&solo_store), &quiet_opts())
+                        .stats
+                        .simulated,
+                    1
+                );
+                let wall = solo_store.recorded_wall(&solo.hashes()[0]).unwrap();
+                let _ = std::fs::remove_dir_all(&solo_dir);
+                wall
+            })
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            walls[0] >= solo_wall / 2.0,
+            "{walls:?} against solo {solo_wall}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

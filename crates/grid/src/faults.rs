@@ -4,19 +4,19 @@
 //! harnesses:
 //!
 //! ```text
-//! CHRONUS_FAULTS=panic:0.1,io:0.05,stall:0.02,stall_ms:2000,seed:7,attempts:1
+//! CHRONUS_FAULTS=panic:0.1,io:0.05,seed:7,attempts:1
 //! ```
 //!
-//! * `panic:P` — a cell simulation panics with probability `P`;
+//! * `panic:P` — a cell simulation panics with probability `P`; a cell is
+//!   simulated once, so the panic is recorded, never retried;
 //! * `io:P` — a store read/write fails with an injected `io::Error`;
-//! * `stall:P` — a cell simulation sleeps `stall_ms` (default 120 000 ms)
-//!   before starting, long enough to trip the watchdog deadline;
 //! * `seed:N` — decorrelates runs; every decision is a pure function of
 //!   `(seed, site, key, attempt)`, so one seed replays identically on every
 //!   machine — which is what lets integration tests and CI assert exact
 //!   recovery behaviour instead of trusting it;
 //! * `attempts:N` — only inject on the first `N` attempts of each site, so
-//!   retries deterministically heal (the retry-success path is testable).
+//!   store-write retries deterministically heal (the retry-success path is
+//!   testable); a simulation's one attempt is attempt 0.
 //!
 //! The library never reads the environment itself: executors and stores
 //! take an explicit [`FaultInjector`] (see `ExecOpts::faults` and
@@ -26,7 +26,6 @@
 use std::collections::HashMap;
 use std::io;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::hash::unit01;
 
@@ -40,10 +39,6 @@ pub struct FaultPlan {
     pub panic_p: f64,
     /// Probability a store operation returns an injected I/O error.
     pub io_p: f64,
-    /// Probability a cell simulation stalls before starting.
-    pub stall_p: f64,
-    /// How long an injected stall sleeps.
-    pub stall_ms: u64,
     /// Decision seed; every draw is pure in `(seed, site, key, attempt)`.
     pub seed: u64,
     /// Inject only on attempts `< N` of each site (`None` = every attempt).
@@ -55,8 +50,6 @@ impl Default for FaultPlan {
         Self {
             panic_p: 0.0,
             io_p: 0.0,
-            stall_p: 0.0,
-            stall_ms: 120_000,
             seed: 0,
             max_attempt: None,
         }
@@ -99,14 +92,11 @@ impl FaultPlan {
             match key.trim() {
                 "panic" => plan.panic_p = prob(value)?,
                 "io" => plan.io_p = prob(value)?,
-                "stall" => plan.stall_p = prob(value)?,
-                "stall_ms" => plan.stall_ms = int(value)?,
                 "seed" => plan.seed = int(value)?,
                 "attempts" => plan.max_attempt = Some(int(value)? as u32),
                 other => {
                     return Err(format!(
-                        "unknown fault key '{other}' (known: panic, io, stall, stall_ms, \
-                         seed, attempts)"
+                        "unknown fault key '{other}' (known: panic, io, seed, attempts)"
                     ))
                 }
             }
@@ -128,7 +118,7 @@ impl FaultPlan {
 
     /// Whether any fault can ever fire under this plan.
     pub fn is_active(&self) -> bool {
-        self.panic_p > 0.0 || self.io_p > 0.0 || self.stall_p > 0.0
+        self.panic_p > 0.0 || self.io_p > 0.0
     }
 
     /// Builds the injector for this plan.
@@ -138,16 +128,6 @@ impl FaultPlan {
             io_attempts: Arc::new(Mutex::new(HashMap::new())),
         }
     }
-}
-
-/// What an injected executor-boundary fault does to a cell attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecFault {
-    /// The simulation panics.
-    Panic,
-    /// The simulation sleeps this long before starting (tripping the
-    /// watchdog when the deadline is shorter).
-    Stall(Duration),
 }
 
 /// Draws deterministic fault decisions for executor and store sites.
@@ -176,19 +156,10 @@ impl FaultInjector {
         unit01(format!("{}|{site}|{key}|{attempt}", self.plan.seed).as_bytes())
     }
 
-    /// The fault (if any) for attempt `attempt` of simulating cell `key`.
-    /// Panic takes precedence over stall when both fire.
-    pub fn exec_fault(&self, key: &str, attempt: u32) -> Option<ExecFault> {
-        if !self.gated(attempt) {
-            return None;
-        }
-        if self.draw("panic", key, attempt) < self.plan.panic_p {
-            return Some(ExecFault::Panic);
-        }
-        if self.draw("stall", key, attempt) < self.plan.stall_p {
-            return Some(ExecFault::Stall(Duration::from_millis(self.plan.stall_ms)));
-        }
-        None
+    /// Whether simulating cell `key` panics. A cell is simulated once, so
+    /// this is the draw for attempt 0.
+    pub fn exec_fault(&self, key: &str) -> bool {
+        self.gated(0) && self.draw("panic", key, 0) < self.plan.panic_p
     }
 
     /// The injected error (if any) for the next `op` (`"put"`, `"get"`) on
@@ -218,15 +189,12 @@ mod tests {
 
     #[test]
     fn parses_the_full_syntax() {
-        let plan =
-            FaultPlan::parse("panic:0.5, io:0.25,stall:0.1,stall_ms:50,seed:9,attempts:2").unwrap();
+        let plan = FaultPlan::parse("panic:0.5, io:0.25,seed:9,attempts:2").unwrap();
         assert_eq!(
             plan,
             FaultPlan {
                 panic_p: 0.5,
                 io_p: 0.25,
-                stall_p: 0.1,
-                stall_ms: 50,
                 seed: 9,
                 max_attempt: Some(2),
             }
@@ -245,7 +213,7 @@ mod tests {
             "panic:zap",
             "warp:0.5",
             "seed:x",
-            "stall_ms:ten",
+            "attempts:ten",
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(!err.is_empty(), "{bad} should fail");
@@ -273,11 +241,8 @@ mod tests {
         }
         .injector();
         let keys: Vec<String> = (0..64).map(|i| format!("cell{i}")).collect();
-        let fire = |inj: &FaultInjector| -> Vec<bool> {
-            keys.iter()
-                .map(|k| inj.exec_fault(k, 0).is_some())
-                .collect()
-        };
+        let fire =
+            |inj: &FaultInjector| -> Vec<bool> { keys.iter().map(|k| inj.exec_fault(k)).collect() };
         assert_eq!(fire(&a), fire(&b), "same seed must replay identically");
         assert_ne!(fire(&a), fire(&c), "seeds must decorrelate");
         // p = 0.5 over 64 keys: both outcomes must appear.
@@ -293,37 +258,32 @@ mod tests {
         }
         .injector();
         let never = FaultPlan::default().injector();
-        for attempt in 0..4 {
-            assert_eq!(always.exec_fault("k", attempt), Some(ExecFault::Panic));
-            assert_eq!(never.exec_fault("k", attempt), None);
+        for key in ["a", "b", "c"] {
+            assert!(always.exec_fault(key));
+            assert!(!never.exec_fault(key));
         }
     }
 
     #[test]
     fn attempt_gating_heals_retries() {
-        let inj = FaultPlan {
+        // A simulation's one attempt is attempt 0: `attempts:1` still
+        // panics it, `attempts:0` gates every site off.
+        let plan = |max_attempt| FaultPlan {
             panic_p: 1.0,
-            stall_p: 1.0,
-            max_attempt: Some(1),
+            io_p: 1.0,
+            max_attempt,
             ..FaultPlan::default()
-        }
-        .injector();
-        assert_eq!(inj.exec_fault("k", 0), Some(ExecFault::Panic));
-        assert_eq!(inj.exec_fault("k", 1), None, "attempt 1 must be clean");
-    }
-
-    #[test]
-    fn stall_carries_the_configured_duration() {
-        let inj = FaultPlan {
-            stall_p: 1.0,
-            stall_ms: 321,
-            ..FaultPlan::default()
-        }
-        .injector();
-        assert_eq!(
-            inj.exec_fault("k", 0),
-            Some(ExecFault::Stall(Duration::from_millis(321)))
+        };
+        let once = plan(Some(1)).injector();
+        assert!(once.exec_fault("k"), "attempt 0 injects");
+        assert!(once.io_fault("put", "k").is_some(), "first put injects");
+        assert!(
+            once.io_fault("put", "k").is_none(),
+            "the write retry is clean"
         );
+        let off = plan(Some(0)).injector();
+        assert!(!off.exec_fault("k"));
+        assert!(off.io_fault("put", "k").is_none());
     }
 
     #[test]
@@ -349,6 +309,19 @@ mod tests {
             assert!(
                 err.starts_with(&format!("unknown fault key '{key}'")),
                 "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn stall_keys_are_unknown() {
+        // No wall clock watches a simulation any more: a plan asking for a
+        // stall must fail rather than run without it.
+        for key in ["stall", "stall_ms"] {
+            let err = FaultPlan::parse(&format!("{key}:1,seed:7")).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown fault key '{key}' (known: panic, io, seed, attempts)")
             );
         }
     }

@@ -57,7 +57,7 @@ pub use exec::{
     merge, run_grid, simulate_cell, CellFailure, ExecOpts, ExecStats, FailureKind, FailureManifest,
     GridOutcome, DEGRADED_EXIT,
 };
-pub use faults::{ExecFault, FaultInjector, FaultPlan, FAULTS_ENV};
+pub use faults::{FaultInjector, FaultPlan, FAULTS_ENV};
 pub use hash::cell_hash;
 pub use progress::Progress;
 pub use retry::RetryPolicy;

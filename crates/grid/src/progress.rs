@@ -53,14 +53,10 @@ impl Progress {
         );
     }
 
-    /// Reports a failed cell attempt. Failures always print — even with
-    /// progress disabled, a degraded run must leave a trace on stderr.
-    pub fn cell_failed(&self, label: &str, attempt: u32, error: &str) {
-        eprintln!(
-            "[{}] cell '{label}' attempt {} failed: {error}",
-            self.tag,
-            attempt + 1
-        );
+    /// Reports a failed cell. Failures always print — even with progress
+    /// disabled, a degraded run must leave a trace on stderr.
+    pub fn cell_failed(&self, label: &str, error: &str) {
+        eprintln!("[{}] cell '{label}' failed: {error}", self.tag);
     }
 
     /// Completions so far.

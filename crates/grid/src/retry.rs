@@ -1,9 +1,9 @@
 //! Capped exponential backoff with deterministic jitter.
 //!
-//! The executor retries failed cells (panics, watchdog timeouts, store
-//! write errors) under a [`RetryPolicy`]. The schedule is a pure function
-//! of the policy and a caller-supplied token (the cell's content hash
-//! folded to a `u64`), so tests can assert the exact delays without a
+//! The executor retries failed store writes under a [`RetryPolicy`] (a
+//! simulation is deterministic and never retried). The schedule is a pure
+//! function of the policy and a caller-supplied token (the cell's content
+//! hash folded to a `u64`), so tests can assert the exact delays without a
 //! clock and two machines retrying the same cell spread their attempts
 //! identically — but cells with different hashes decorrelate, which keeps
 //! a shared store from being hammered in lockstep after a common-mode

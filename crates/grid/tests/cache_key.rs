@@ -248,7 +248,7 @@ proptest! {
         text in prop::collection::vec(0usize..10, 0..12),
     ) {
         const FAILURES: [FailureKind; 3] =
-            [FailureKind::Panic, FailureKind::Timeout, FailureKind::StoreWrite];
+            [FailureKind::Panic, FailureKind::Budget, FailureKind::StoreWrite];
         let (a, attempt) = nums;
         assert_witnessed(&FailureManifest {
             grid: nasty(&text),

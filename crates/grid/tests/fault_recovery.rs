@@ -1,11 +1,11 @@
-//! Fault-tolerance acceptance tests: for every fault class (panic, stall/
-//! timeout, injected I/O error) the grid run COMPLETES, records the
-//! permanently failed cells in the failure manifest, and a later clean run
+//! Fault-tolerance acceptance tests: for every failure class (panic, a run
+//! past its cycle budget, injected I/O error) the grid run COMPLETES,
+//! records the failed cells in the failure manifest, and a later clean run
 //! heals — re-simulating exactly the failed cells and clearing the
-//! manifest.
+//! manifest. A simulation is attempted once; only store writes retry.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use chronus_core::MechanismKind;
 use chronus_grid::{
@@ -39,40 +39,82 @@ fn small_grid() -> GridSpec {
     spec
 }
 
-fn fast_retry(max_retries: u32) -> RetryPolicy {
-    RetryPolicy {
-        max_retries,
-        base_ms: 1,
-        cap_ms: 4,
-        jitter: 0.25,
-    }
-}
-
-fn opts(retry: RetryPolicy, faults: Option<FaultPlan>) -> ExecOpts {
+/// Two store-write retries with millisecond pauses.
+fn opts(faults: Option<FaultPlan>) -> ExecOpts {
     ExecOpts {
         threads: 2,
         shard: Shard::full(),
         progress: false,
-        retry,
-        cell_timeout: None,
+        retry: RetryPolicy {
+            max_retries: 2,
+            base_ms: 1,
+            cap_ms: 4,
+            jitter: 0.25,
+        },
         faults: faults.map(FaultPlan::injector),
     }
 }
 
 #[test]
-fn gated_panics_heal_within_the_retry_budget() {
+fn a_deterministic_panic_is_tried_exactly_once() {
+    // `SharedLlc::new` rejects `mshrs == 0` by name: a real, deterministic
+    // panic. Count the panics that name it, here and nowhere else.
+    static MSHR_PANICS: AtomicUsize = AtomicUsize::new(0);
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.to_string().contains("(mshrs 0)") {
+            MSHR_PANICS.fetch_add(1, Ordering::SeqCst);
+        }
+        previous(info);
+    }));
+
+    let dir = scratch("mshrs");
+    let store = ResultStore::open(&dir).unwrap();
+    let mut spec = small_grid();
+    let mut broken = spec.cells[1].clone();
+    broken.label = "no-mshrs".into();
+    broken.config.llc.mshrs = 0;
+    spec.push(broken);
+    let out = run_grid(&spec, Some(&store), &opts(None));
+    assert_eq!(
+        MSHR_PANICS.load(Ordering::SeqCst),
+        1,
+        "one attempt, no retry"
+    );
+    assert_eq!(out.failures.len(), 1);
+    let f = &out.failures[0];
+    assert_eq!((f.index, f.kind, f.attempts), (3, FailureKind::Panic, 1));
+    assert!(f.error.contains("mshrs"), "got: {}", f.error);
+    assert_eq!((out.stats.simulated, out.stats.failed), (3, 1));
+    assert!(out.reports[..3].iter().all(Option::is_some));
+    assert_eq!(
+        store.load_manifest(&spec.name).unwrap().failures,
+        out.failures
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_gated_panic_is_not_retried() {
     let dir = scratch("gated-panic");
     let store = ResultStore::open(&dir).unwrap();
     let spec = small_grid();
-    // Every cell's first attempt panics; attempt 1 is clean.
+    // `attempts:1` heals a write retry, but a cell's one simulation is its
+    // attempt 0: every cell panics, once, and a rerun under the same plan
+    // fails identically.
     let plan = FaultPlan::parse("panic:1.0,attempts:1,seed:3").unwrap();
-    let out = run_grid(&spec, Some(&store), &opts(fast_retry(2), Some(plan)));
-    assert!(
-        out.is_complete(),
-        "retries must absorb first-attempt panics"
-    );
-    assert!(!out.is_degraded());
-    assert_eq!(out.stats.simulated, 3);
+    for _ in 0..2 {
+        let out = run_grid(&spec, Some(&store), &opts(Some(plan.clone())));
+        assert!(out.is_degraded() && !out.is_complete());
+        assert_eq!(out.stats.failed, 3);
+        for (i, f) in out.failures.iter().enumerate() {
+            assert_eq!((f.index, f.kind, f.attempts), (i, FailureKind::Panic, 1));
+        }
+    }
+    // A clean rerun heals.
+    let healed = run_grid(&spec, Some(&store), &opts(None));
+    assert!(healed.is_complete() && !healed.is_degraded());
+    assert_eq!(healed.stats.simulated, 3);
     assert!(store.load_manifest(&spec.name).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -83,9 +125,9 @@ fn permanent_panics_degrade_the_run_and_a_clean_rerun_heals() {
     let store = ResultStore::open(&dir).unwrap();
     let spec = small_grid();
 
-    // Unconditional panics: every attempt of every cell fails.
+    // Unconditional panics: every cell fails.
     let plan = FaultPlan::parse("panic:1.0,seed:3").unwrap();
-    let out = run_grid(&spec, Some(&store), &opts(fast_retry(1), Some(plan)));
+    let out = run_grid(&spec, Some(&store), &opts(Some(plan)));
     assert!(!out.is_complete());
     assert!(out.is_degraded());
     assert_eq!(out.stats.failed, 3);
@@ -93,7 +135,7 @@ fn permanent_panics_degrade_the_run_and_a_clean_rerun_heals() {
     for (i, f) in out.failures.iter().enumerate() {
         assert_eq!(f.index, i);
         assert_eq!(f.kind, FailureKind::Panic);
-        assert_eq!(f.attempts, 2, "1 retry = 2 attempts");
+        assert_eq!(f.attempts, 1, "a simulation is attempted once");
         assert!(f.error.contains("injected fault"), "got: {}", f.error);
     }
 
@@ -105,7 +147,7 @@ fn permanent_panics_degrade_the_run_and_a_clean_rerun_heals() {
 
     // A clean rerun re-simulates exactly the failed cells, completes, and
     // clears the manifest.
-    let healed = run_grid(&spec, Some(&store), &opts(fast_retry(1), None));
+    let healed = run_grid(&spec, Some(&store), &opts(None));
     assert!(healed.is_complete());
     assert!(!healed.is_degraded());
     assert_eq!(healed.stats.simulated, 3, "all three were missing");
@@ -118,43 +160,37 @@ fn permanent_panics_degrade_the_run_and_a_clean_rerun_heals() {
 }
 
 #[test]
-fn stalls_trip_the_watchdog_and_gated_retries_recover() {
-    let dir = scratch("stall");
+fn a_cell_past_its_cycle_budget_is_a_named_failure() {
+    let dir = scratch("budget");
     let store = ResultStore::open(&dir).unwrap();
-    let spec = small_grid();
-    // First attempt of every cell stalls far beyond the watchdog; the
-    // retry is clean. The deadline is generous against a loaded machine
-    // (tests run concurrently) while staying well under the stall.
-    let plan = FaultPlan::parse("stall:1.0,stall_ms:60000,attempts:1,seed:5").unwrap();
-    let exec = ExecOpts {
-        cell_timeout: Some(Duration::from_secs(5)),
-        ..opts(fast_retry(2), Some(plan))
-    };
-    let out = run_grid(&spec, Some(&store), &exec);
-    assert!(out.is_complete(), "watchdog + retry must recover stalls");
-    assert!(!out.is_degraded());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn permanent_stalls_are_reported_as_timeouts() {
-    let dir = scratch("stall-permanent");
-    let store = ResultStore::open(&dir).unwrap();
-    let mut spec = GridSpec::new("fault-recovery-stall");
-    // One cell keeps the test cheap: every attempt stalls and times out.
-    spec.push(small_grid().cells.remove(0));
-    let plan = FaultPlan::parse("stall:1.0,stall_ms:60000,seed:5").unwrap();
-    let exec = ExecOpts {
-        cell_timeout: Some(Duration::from_millis(100)),
-        ..opts(fast_retry(1), Some(plan))
-    };
-    let out = run_grid(&spec, Some(&store), &exec);
-    assert!(out.is_degraded());
+    // Cell 1's budget ends its run long before its 2 000 instructions.
+    let mut spec = small_grid();
+    spec.cells[1].config.max_mem_cycles = 1_000;
+    let out = run_grid(&spec, Some(&store), &opts(None));
+    assert!(out.is_degraded() && !out.is_complete());
+    assert_eq!((out.stats.simulated, out.stats.failed), (2, 1));
     assert_eq!(out.failures.len(), 1);
-    assert_eq!(out.failures[0].kind, FailureKind::Timeout);
-    assert!(out.failures[0].error.contains("watchdog"));
+    let f = &out.failures[0];
+    assert_eq!((f.index, f.kind, f.attempts), (1, FailureKind::Budget, 1));
+    assert!(
+        f.error.contains("max_mem_cycles = 1000"),
+        "got: {}",
+        f.error
+    );
+    // The truncated report is neither returned nor stored.
+    assert!(out.reports[1].is_none());
+    assert!(out.reports[0].is_some() && out.reports[2].is_some());
+    assert!(!store.contains(&spec.hashes()[1]));
     let manifest = store.load_manifest(&spec.name).expect("manifest written");
-    assert_eq!(manifest.failures[0].kind, FailureKind::Timeout);
+    assert_eq!(manifest.failures, out.failures);
+
+    // A rerun with a larger budget completes and leaves no manifest.
+    spec.cells[1].config.max_mem_cycles = 1 << 22;
+    let healed = run_grid(&spec, Some(&store), &opts(None));
+    assert!(healed.is_complete() && !healed.is_degraded());
+    assert_eq!((healed.stats.cached, healed.stats.simulated), (2, 1));
+    assert!(!healed.reports[1].as_ref().unwrap().truncated);
+    assert!(store.load_manifest(&spec.name).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -167,7 +203,7 @@ fn gated_io_faults_on_put_heal_via_write_retries() {
     let store = ResultStore::open(&dir)
         .unwrap()
         .with_faults(Some(plan.injector()));
-    let out = run_grid(&spec, Some(&store), &opts(fast_retry(2), None));
+    let out = run_grid(&spec, Some(&store), &opts(None));
     assert!(out.is_complete());
     assert!(
         !out.is_degraded(),
@@ -187,7 +223,7 @@ fn permanent_io_faults_surface_as_store_write_failures_with_reports() {
     let store = ResultStore::open(&dir)
         .unwrap()
         .with_faults(Some(plan.injector()));
-    let out = run_grid(&spec, Some(&store), &opts(fast_retry(1), None));
+    let out = run_grid(&spec, Some(&store), &opts(None));
     // The simulations themselves succeeded: every report is present even
     // though nothing could be persisted.
     assert!(out.is_complete(), "reports survive store-write failures");
@@ -196,13 +232,14 @@ fn permanent_io_faults_surface_as_store_write_failures_with_reports() {
     assert_eq!(out.failures.len(), 3);
     for f in &out.failures {
         assert_eq!(f.kind, FailureKind::StoreWrite);
+        assert_eq!(f.attempts, 3, "first write + 2 retries");
         assert!(f.error.contains("injected I/O fault"), "got: {}", f.error);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Eight VRD variants of one unmitigated workload: one timing cohort.
-fn cohort_grid() -> GridSpec {
+fn cohort_grid(max_mem_cycles: u64) -> GridSpec {
     let mut spec = GridSpec::new("fault-recovery-cohort");
     for seed in 0..8u64 {
         let mut cfg = SimConfig::single_core();
@@ -210,7 +247,7 @@ fn cohort_grid() -> GridSpec {
         cfg.nrh = 1024;
         cfg.oracle = true;
         cfg.vrd = Some(chronus_sim::VrdSpec { min_pct: 50, seed });
-        cfg.max_mem_cycles = 1 << 22;
+        cfg.max_mem_cycles = max_mem_cycles;
         let workload = WorkloadSpec::Apps {
             apps: vec![AppTrace::new("429.mcf", 0, 42)],
             trace_instructions: 2_400,
@@ -222,11 +259,10 @@ fn cohort_grid() -> GridSpec {
 
 #[test]
 fn a_faulted_cohort_gives_every_member_its_solo_outcome() {
-    let spec = cohort_grid();
+    let spec = cohort_grid(1 << 22);
     let hashes = spec.hashes();
-    let max_retries = 1;
-    // Permanent panics on some members, then the same draws healed by the
-    // retry (`attempts:1`).
+    // The same draws ungated and gated to one attempt: a cell's one
+    // simulation is attempt 0, so both plans fail the same members.
     for (tag, text) in [
         ("cohort-faults", "panic:0.5,seed:4"),
         ("cohort-faults-gated", "panic:0.5,attempts:1,seed:4"),
@@ -235,27 +271,19 @@ fn a_faulted_cohort_gives_every_member_its_solo_outcome() {
         let store = ResultStore::open(&dir).unwrap();
         let plan = FaultPlan::parse(text).unwrap();
 
-        // Each member's own decisions over attempts 0..=max_retries: the
-        // first clean attempt succeeds; a member with none fails after all.
+        // Each member's own decision: it panics alone or it completes.
         let injector = plan.clone().injector();
-        let solo: Vec<Option<u32>> = hashes
-            .iter()
-            .map(|h| (0..=max_retries).find(|&a| injector.exec_fault(h, a).is_none()))
-            .collect();
-        // The plan splits the cohort: some member faults on attempt 0.
+        let panics: Vec<bool> = hashes.iter().map(|h| injector.exec_fault(h)).collect();
+        // The plan splits the cohort: some members panic, some do not.
         assert!(
-            solo.contains(&Some(0)) && solo.iter().any(|s| *s != Some(0)),
-            "{solo:?}"
+            panics.contains(&true) && panics.contains(&false),
+            "{panics:?}"
         );
 
-        let out = run_grid(
-            &spec,
-            Some(&store),
-            &opts(fast_retry(max_retries), Some(plan)),
-        );
-        let expected_failed: Vec<(usize, u32)> = (0..solo.len())
-            .filter(|&i| solo[i].is_none())
-            .map(|i| (i, max_retries + 1))
+        let out = run_grid(&spec, Some(&store), &opts(Some(plan)));
+        let expected_failed: Vec<(usize, u32)> = (0..panics.len())
+            .filter(|&i| panics[i])
+            .map(|i| (i, 1))
             .collect();
         let manifest = store
             .load_manifest(&spec.name)
@@ -272,24 +300,24 @@ fn a_faulted_cohort_gives_every_member_its_solo_outcome() {
 }
 
 #[test]
-fn a_timed_out_cohort_retries_each_member_alone() {
-    let dir = scratch("cohort-timeout");
+fn an_over_budget_cohort_records_every_member() {
+    let dir = scratch("cohort-budget");
     let store = ResultStore::open(&dir).unwrap();
-    let spec = cohort_grid();
-    // No simulation beats a 1 ns deadline: the cohort attempt times out,
-    // and so does every member's own attempt after the split.
-    let exec = ExecOpts {
-        cell_timeout: Some(Duration::from_nanos(1)),
-        ..opts(fast_retry(0), None)
-    };
-    let out = run_grid(&spec, Some(&store), &exec);
+    // The members are cycle-identical, so all eight run past the budget
+    // together; the cohort is recorded whole, not split.
+    let spec = cohort_grid(1_000);
+    let out = run_grid(&spec, Some(&store), &opts(None));
     assert_eq!(out.stats.failed, 8);
     assert_eq!(out.failures.len(), 8);
     for (i, f) in out.failures.iter().enumerate() {
-        assert_eq!((f.index, f.kind, f.attempts), (i, FailureKind::Timeout, 1));
+        assert_eq!((f.index, f.kind, f.attempts), (i, FailureKind::Budget, 1));
     }
-    // A clean rerun heals the whole cohort in one unit.
-    let healed = run_grid(&spec, Some(&store), &opts(fast_retry(0), None));
+    assert!(
+        store.list().unwrap().is_empty(),
+        "nothing over budget is stored"
+    );
+    // A clean rerun with a larger budget heals the whole cohort in one unit.
+    let healed = run_grid(&cohort_grid(1 << 22), Some(&store), &opts(None));
     assert!(healed.is_complete() && !healed.is_degraded());
     assert_eq!(healed.stats.simulated, 8);
     assert!(store.load_manifest(&spec.name).is_none());

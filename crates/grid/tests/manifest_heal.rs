@@ -5,14 +5,15 @@
 //! * `merge` heals a manifest whose recorded failures all verify in the
 //!   store (and leaves one that does not);
 //! * a corrupt manifest is reported (not silently swallowed as "no
-//!   failures") and `fsck` quarantines it.
+//!   failures") and `fsck` quarantines it — as is a manifest naming the
+//!   retired `Timeout` kind.
 
 use std::path::PathBuf;
 
 use chronus_core::MechanismKind;
 use chronus_grid::{
     merge, run_grid, AppTrace, CellFailure, CellSpec, ExecOpts, FailureKind, FailureManifest,
-    FaultPlan, GridSpec, ManifestState, ResultStore, RetryPolicy, Shard, WorkloadSpec,
+    FaultPlan, GridSpec, ManifestState, ResultStore, Shard, WorkloadSpec,
 };
 use chronus_sim::SimConfig;
 
@@ -61,11 +62,6 @@ fn clean_sharded_rerun_clears_the_failures_it_healed() {
     // land in the failure manifest.
     let plan = FaultPlan::parse("panic:1.0,seed:5,attempts:99").unwrap();
     let broken = ExecOpts {
-        retry: RetryPolicy {
-            base_ms: 1,
-            cap_ms: 4,
-            ..RetryPolicy::with_retries(1)
-        },
         faults: Some(plan.injector()),
         ..opts("1/2".parse().unwrap())
     };
@@ -166,6 +162,55 @@ fn corrupt_manifest_is_reported_and_quarantined() {
     assert!(!report.is_clean());
     assert!(!dir.join("failures/man-sample.json").exists());
     assert!(dir.join("quarantine/failures/man-sample.json").exists());
+    assert!(matches!(
+        store.manifest_state("man-sample"),
+        ManifestState::Missing
+    ));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_old_timeout_manifest_is_reported_quarantined_and_healed() {
+    // Before simulations stopped being watched by a wall clock, a manifest
+    // could record `"kind": "Timeout"`; that kind no longer parses.
+    let spec = sample_grid();
+    let dir = scratch("timeout");
+    let store = ResultStore::open(&dir).unwrap();
+    store
+        .save_manifest(&FailureManifest {
+            grid: "man-sample".into(),
+            shard: "1/1".into(),
+            failures: vec![CellFailure {
+                index: 2,
+                label: "429.mcf@1024".into(),
+                hash: spec.hashes()[2].clone(),
+                kind: FailureKind::Panic,
+                attempts: 4,
+                error: "watchdog deadline 30.0s exceeded".into(),
+            }],
+        })
+        .unwrap();
+    let path = dir.join("failures/man-sample.json");
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(text.matches("\"Panic\"").count(), 1, "{text}");
+    std::fs::write(&path, text.replace("\"Panic\"", "\"Timeout\"")).unwrap();
+
+    // Reported as Bad, not read as a failure record…
+    assert!(matches!(
+        store.manifest_state("man-sample"),
+        ManifestState::Bad(_)
+    ));
+    assert!(store.load_manifest("man-sample").is_none());
+
+    // …quarantined by fsck…
+    let report = store.fsck().unwrap();
+    assert_eq!(report.quarantined_manifests.len(), 1);
+    assert!(dir.join("quarantine/failures/man-sample.json").exists());
+
+    // …and a clean run then completes with no manifest.
+    let out = run_grid(&spec, Some(&store), &opts(Shard::full()));
+    assert!(out.is_complete() && !out.is_degraded());
     assert!(matches!(
         store.manifest_state("man-sample"),
         ManifestState::Missing

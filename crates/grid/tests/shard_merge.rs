@@ -202,36 +202,50 @@ fn faulted_sharded_run_merges_byte_identical_to_clean_unsharded() {
     assert!(clean.is_complete() && !clean.is_degraded());
     let reference = merged_bytes(&spec, &store_a);
 
-    // Sharded run under injected panics and I/O faults that retries heal:
-    // every site fails its first attempt and succeeds on the retry.
+    // Sharded runs under injected panics and gated I/O faults: a panicking
+    // cell is recorded once, and every first write fails and is retried.
     let dir_b = scratch("fault-sharded");
     let store_b = ResultStore::open(&dir_b).unwrap();
-    let plan = FaultPlan::parse("panic:1.0,io:1.0,seed:11,attempts:1").unwrap();
-    let faulty = |shard: Shard| ExecOpts {
-        retry: RetryPolicy {
-            base_ms: 1,
-            cap_ms: 4,
-            ..RetryPolicy::default()
-        },
-        faults: Some(plan.clone().injector()),
-        ..opts(shard)
+    let run = |text: &str, shard: &str, panics: bool| {
+        let plan = FaultPlan::parse(text).unwrap();
+        let store = store_b.clone().with_faults(Some(plan.clone().injector()));
+        let exec = ExecOpts {
+            retry: RetryPolicy {
+                base_ms: 1,
+                cap_ms: 4,
+                ..RetryPolicy::default()
+            },
+            faults: panics.then(|| plan.injector()),
+            ..opts(shard.parse().unwrap())
+        };
+        run_grid(&spec, Some(&store), &exec)
     };
-    let one = run_grid(
-        &spec,
-        Some(&store_b.clone().with_faults(Some(plan.clone().injector()))),
-        &faulty("1/2".parse().unwrap()),
+    let io_and_panics = "panic:0.5,io:1.0,seed:11,attempts:1";
+    let one = run(io_and_panics, "1/2", true);
+    let two = run(io_and_panics, "2/2", true);
+    let failed = one.stats.failed + two.stats.failed;
+    let simulated = one.stats.simulated + two.stats.simulated;
+    assert!(failed > 0 && simulated > 0, "the plan must split the grid");
+    assert_eq!(failed + simulated, 4);
+    assert!(one
+        .failures
+        .iter()
+        .chain(&two.failures)
+        .all(|f| f.attempts == 1));
+    // A panic degrades the run until a clean rerun: the reruns, still under
+    // gated I/O faults, heal through write retries and simulate at least
+    // the cells that panicked (a failed read is a miss and re-simulates).
+    let one = run("io:1.0,seed:11,attempts:1", "1/2", false);
+    let two = run("io:1.0,seed:11,attempts:1", "2/2", false);
+    assert!(
+        !one.is_degraded() && !two.is_degraded(),
+        "write retries heal"
     );
-    assert!(!one.is_degraded(), "gated faults must heal via retries");
-    let two = run_grid(
-        &spec,
-        Some(&store_b.clone().with_faults(Some(plan.clone().injector()))),
-        &faulty("2/2".parse().unwrap()),
-    );
-    assert!(!two.is_degraded());
-    assert_eq!(one.stats.simulated + two.stats.simulated, 4);
+    assert!(one.stats.simulated + two.stats.simulated >= failed);
+    assert!(store_b.load_manifest(&spec.name).is_none());
 
-    // Despite every first attempt failing, the merged output and the raw
-    // store entries are byte-identical to the clean run.
+    // Despite the panics and every first write failing, the merged output
+    // and the raw store entries are byte-identical to the clean run.
     assert_eq!(merged_bytes(&spec, &store_b), reference);
     let hashes = store_a.list().unwrap();
     assert_eq!(hashes, store_b.list().unwrap());

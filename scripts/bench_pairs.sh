@@ -16,7 +16,11 @@
 # git SHA; the records are held aside and appended to this tree's
 # BENCH_history.jsonl once, when the script exits, so the tree stays as
 # committed for the whole campaign and a committed tree's runs read
-# `<sha>`, not `<sha>-dirty`. The runs' own output is discarded.
+# `<sha>`, not `<sha>-dirty`. When the only change in the tree is lines
+# appended to BENCH_history.jsonl (an earlier call's records), those lines
+# are held aside too, the committed file is measured, and they are appended
+# back first, so a second call in the same clone also reads `<sha>`. The
+# runs' own output is discarded.
 #
 # Then, per workload, for each of the seven end-to-end metrics, it prints
 # the parent's and the change's median [q1, q3] over the per-run medians
@@ -56,14 +60,22 @@ fi
 trajectory="$root/BENCH_history.jsonl"
 records=$(mktemp)
 pristine=$(mktemp)
+held=$(mktemp)
+committed=$(mktemp)
+finish() {
+    cat "$held" "$records" >> "$trajectory"
+    rm -f "$records" "$pristine" "$held" "$committed"
+}
+trap finish EXIT
+if [ "$(git -C "$root" status --porcelain)" = " M BENCH_history.jsonl" ] &&
+    git -C "$root" show HEAD:BENCH_history.jsonl > "$committed" &&
+    cmp -s -n "$(wc -c < "$committed")" "$committed" "$trajectory"; then
+    tail -c +$(($(wc -c < "$committed") + 1)) "$trajectory" > "$held"
+    cp "$committed" "$trajectory"
+fi
 if [ -f "$trajectory" ]; then
     cp "$trajectory" "$pristine"
 fi
-finish() {
-    cat "$records" >> "$trajectory"
-    rm -f "$records" "$pristine"
-}
-trap finish EXIT
 
 # One table per workload, from its runs' records in the order recorded in
 # $2 (p or c per run).
