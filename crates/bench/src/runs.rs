@@ -169,9 +169,9 @@ pub fn exec_opts(opts: &HarnessOpts) -> ExecOpts {
 /// directory is created or read.
 ///
 /// Cells that failed (a panic, or a run past its cycle budget) never abort
-/// the binary: they are reported on stderr, recorded in the store's failure manifest, and flagged so
-/// [`exit_code`] returns [`DEGRADED_EXIT`] — the figure still renders from
-/// every healthy cell.
+/// the binary: they are reported on stderr, recorded in the store's
+/// failure manifest, and flagged so [`exit_code`] returns
+/// [`DEGRADED_EXIT`] — the figure still renders from every healthy cell.
 pub fn execute(spec: &GridSpec, opts: &HarnessOpts) -> GridOutcome {
     let store = (!opts.no_cache).then(|| open_store(opts));
     let outcome = run_grid(spec, store.as_ref(), &exec_opts(opts));

@@ -309,15 +309,11 @@ impl UnitRunner<'_> {
     /// reports in member order and the wall-clock, or the panic message.
     fn simulate(&self, members: &[usize]) -> Result<(Vec<SimReport>, f64), String> {
         let started = Instant::now();
+        let faults = self.opts.faults.as_ref();
         let reports = catch_unwind(AssertUnwindSafe(|| {
             for &i in members {
                 let hash = &self.hashes[i];
-                if self
-                    .opts
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.exec_fault(hash))
-                {
+                if faults.is_some_and(|f| f.exec_fault(hash)) {
                     panic!("injected fault: panic (cell {hash})");
                 }
             }

@@ -27,8 +27,8 @@
 //! misses on the quarantined hash and re-simulates it.
 //!
 //! Two kinds of non-authoritative sidecar live next to the entries:
-//! `<hash>.wall` records the wall-clock seconds the cell cost (feeding the
-//! executor's adaptive watchdog deadline) and `failures/<grid>.json` holds
+//! `<hash>.wall` records the wall-clock seconds the cell cost (read by
+//! `chronus-sweep status` and the benchmark) and `failures/<grid>.json` holds
 //! the [`FailureManifest`](crate::exec::FailureManifest) of the last
 //! degraded run. Neither participates in byte-identity or cache hits.
 

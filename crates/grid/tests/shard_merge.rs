@@ -206,7 +206,7 @@ fn faulted_sharded_run_merges_byte_identical_to_clean_unsharded() {
     // cell is recorded once, and every first write fails and is retried.
     let dir_b = scratch("fault-sharded");
     let store_b = ResultStore::open(&dir_b).unwrap();
-    let run = |text: &str, shard: &str, panics: bool| {
+    let run = |text: &str, shard: &str| {
         let plan = FaultPlan::parse(text).unwrap();
         let store = store_b.clone().with_faults(Some(plan.clone().injector()));
         let exec = ExecOpts {
@@ -215,14 +215,14 @@ fn faulted_sharded_run_merges_byte_identical_to_clean_unsharded() {
                 cap_ms: 4,
                 ..RetryPolicy::default()
             },
-            faults: panics.then(|| plan.injector()),
+            faults: Some(plan.injector()),
             ..opts(shard.parse().unwrap())
         };
         run_grid(&spec, Some(&store), &exec)
     };
     let io_and_panics = "panic:0.5,io:1.0,seed:11,attempts:1";
-    let one = run(io_and_panics, "1/2", true);
-    let two = run(io_and_panics, "2/2", true);
+    let one = run(io_and_panics, "1/2");
+    let two = run(io_and_panics, "2/2");
     let failed = one.stats.failed + two.stats.failed;
     let simulated = one.stats.simulated + two.stats.simulated;
     assert!(failed > 0 && simulated > 0, "the plan must split the grid");
@@ -235,8 +235,8 @@ fn faulted_sharded_run_merges_byte_identical_to_clean_unsharded() {
     // A panic degrades the run until a clean rerun: the reruns, still under
     // gated I/O faults, heal through write retries and simulate at least
     // the cells that panicked (a failed read is a miss and re-simulates).
-    let one = run("io:1.0,seed:11,attempts:1", "1/2", false);
-    let two = run("io:1.0,seed:11,attempts:1", "2/2", false);
+    let one = run("io:1.0,seed:11,attempts:1", "1/2");
+    let two = run("io:1.0,seed:11,attempts:1", "2/2");
     assert!(
         !one.is_degraded() && !two.is_degraded(),
         "write retries heal"
