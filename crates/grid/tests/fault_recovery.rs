@@ -159,8 +159,12 @@ fn permanent_panics_degrade_the_run_and_a_clean_rerun_heals() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// A stalled cell is one whose simulation runs past its cycle budget
+// (`max_mem_cycles`): the budget is the watchdog, on the simulated clock,
+// and its timeout is the `Budget` record.
+
 #[test]
-fn a_cell_past_its_cycle_budget_is_a_named_failure() {
+fn permanent_stalls_are_reported_as_timeouts() {
     let dir = scratch("budget");
     let store = ResultStore::open(&dir).unwrap();
     // Cell 1's budget ends its run long before its 2 000 instructions.
@@ -184,7 +188,55 @@ fn a_cell_past_its_cycle_budget_is_a_named_failure() {
     let manifest = store.load_manifest(&spec.name).expect("manifest written");
     assert_eq!(manifest.failures, out.failures);
 
-    // A rerun with a larger budget completes and leaves no manifest.
+    // Under the same budget the stall is permanent: a rerun serves the two
+    // good cells from the store and records the same failure again.
+    let again = run_grid(&spec, Some(&store), &opts(None));
+    assert!(again.is_degraded() && !again.is_complete());
+    assert_eq!(
+        (
+            again.stats.cached,
+            again.stats.simulated,
+            again.stats.failed
+        ),
+        (2, 0, 1)
+    );
+    assert_eq!(again.failures, out.failures);
+    assert!(again.reports[1].is_none());
+    assert_eq!(
+        store.load_manifest(&spec.name).unwrap().failures,
+        out.failures
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stalls_trip_the_watchdog_and_gated_retries_recover() {
+    let dir = scratch("budget-gated-io");
+    // Cell 1 stalls past its budget while every store operation's first
+    // call fails: the budget trips once, with no simulation retry, and the
+    // write retries land the two good cells.
+    let mut spec = small_grid();
+    spec.cells[1].config.max_mem_cycles = 1_000;
+    let plan = FaultPlan::parse("io:1.0,attempts:1,seed:7").unwrap();
+    let faulted = ResultStore::open(&dir)
+        .unwrap()
+        .with_faults(Some(plan.injector()));
+    let out = run_grid(&spec, Some(&faulted), &opts(None));
+    assert!(out.is_degraded() && !out.is_complete());
+    assert_eq!((out.stats.simulated, out.stats.failed), (2, 1));
+    assert_eq!(out.failures.len(), 1, "the write retries healed every put");
+    let f = &out.failures[0];
+    assert_eq!((f.index, f.kind, f.attempts), (1, FailureKind::Budget, 1));
+    let store = ResultStore::open(&dir).unwrap();
+    assert_eq!(store.list().unwrap().len(), 2);
+    assert!(!store.contains(&spec.hashes()[1]));
+    assert_eq!(
+        store.load_manifest(&spec.name).unwrap().failures,
+        out.failures
+    );
+
+    // A rerun with a larger budget simulates only the stalled cell,
+    // completes and leaves no manifest.
     spec.cells[1].config.max_mem_cycles = 1 << 22;
     let healed = run_grid(&spec, Some(&store), &opts(None));
     assert!(healed.is_complete() && !healed.is_degraded());
