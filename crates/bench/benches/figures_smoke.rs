@@ -1,14 +1,14 @@
 //! Scaled-down versions of the figure pipelines, exercised under
-//! criterion so `cargo bench` touches every experiment code path.
+//! criterion so `cargo bench` touches every experiment code path: each
+//! simulated bench builds a registered figure, simulates its cells and
+//! renders it, as the figure binary does.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use chronus_bench::runs::{sweep_mixes, sweep_single_core};
-use chronus_bench::HarnessOpts;
-use chronus_core::MechanismKind;
+use chronus_bench::grids::figure;
+use chronus_bench::{execute, HarnessOpts};
 use chronus_security::sweep::{fig3a, fig3b};
 use chronus_security::wave::WaveTiming;
-use chronus_workloads::eight_core_spec17_profiles;
 
 fn tiny_opts() -> HarnessOpts {
     HarnessOpts {
@@ -23,6 +23,13 @@ fn tiny_opts() -> HarnessOpts {
         quiet: true,
         ..HarnessOpts::default()
     }
+}
+
+/// The registered figure `name` at `opts`: its text and `--out` rows.
+fn render(name: &str, opts: &HarnessOpts) -> (String, String) {
+    let figure = figure(name, opts).expect("registered grid");
+    let render = figure.render.expect("a figure binary renders it");
+    render(&execute(&figure.spec, opts))
 }
 
 fn smoke_fig3(c: &mut Criterion) {
@@ -43,13 +50,7 @@ fn smoke_fig4(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("6mixes_2nrh", |b| {
         let opts = tiny_opts();
-        b.iter(|| {
-            sweep_mixes(
-                &[MechanismKind::Prac4, MechanismKind::Prfm],
-                &opts.nrh_list,
-                &opts,
-            )
-        })
+        b.iter(|| render("fig4", &opts))
     });
     g.finish();
 }
@@ -57,15 +58,12 @@ fn smoke_fig4(c: &mut Criterion) {
 fn smoke_fig8(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures/fig8_headline");
     g.sample_size(10);
-    g.bench_function("chronus_vs_prac", |b| {
-        let opts = tiny_opts();
-        b.iter(|| {
-            sweep_mixes(
-                &[MechanismKind::Chronus, MechanismKind::Prac4],
-                &[32],
-                &opts,
-            )
-        })
+    g.bench_function("6mixes_nrh32", |b| {
+        let opts = HarnessOpts {
+            nrh_list: vec![32],
+            ..tiny_opts()
+        };
+        b.iter(|| render("fig8", &opts))
     });
     g.finish();
 }
@@ -73,10 +71,12 @@ fn smoke_fig8(c: &mut Criterion) {
 fn smoke_fig14(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures/fig14_eight_core");
     g.sample_size(10);
-    g.bench_function("one_app", |b| {
-        let opts = tiny_opts();
-        let apps = &eight_core_spec17_profiles()[..1];
-        b.iter(|| sweep_single_core(apps, &[MechanismKind::Prac4], &[1024], &opts, 8, true))
+    g.bench_function("23apps_nrh1024", |b| {
+        let opts = HarnessOpts {
+            nrh_list: vec![1024],
+            ..tiny_opts()
+        };
+        b.iter(|| render("fig14_15", &opts))
     });
     g.finish();
 }

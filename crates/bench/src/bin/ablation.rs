@@ -6,45 +6,6 @@
 //! is exactly what lets an attacker trigger preventive refreshes cheaply.
 //! Chronus, immune to the wave attack, keeps `N_BO` near `N_RH`.
 
-use chronus_bench::grids::{AblationGrid, ABLATION_NRH};
-use chronus_bench::{execute, format_table, write_json, HarnessOpts};
-
 fn main() {
-    let opts = HarnessOpts::from_args("ablation");
-    let grid = AblationGrid::build(&opts);
-    let rows = grid.rows(&execute(&grid.spec, &opts));
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.mechanism.clone(),
-                r.nbo.to_string(),
-                if r.secure { "yes" } else { "NO" }.into(),
-                format!("{:.1}%", r.benign_ws_loss * 100.0),
-                r.back_offs.to_string(),
-                r.rfms.to_string(),
-            ]
-        })
-        .collect();
-    println!("Ablation: N_BO vs performance-attack damage at N_RH = {ABLATION_NRH}");
-    println!(
-        "{}",
-        format_table(
-            &[
-                "mechanism",
-                "N_BO",
-                "wave-secure",
-                "benign WS loss",
-                "back-offs",
-                "RFMs"
-            ],
-            &table
-        )
-    );
-    println!("Reading: PRAC must run at tiny N_BO to stay wave-secure — and tiny N_BO");
-    println!("multiplies attacker-triggered refreshes. Chronus stays secure at N_BO = 16.");
-    if let Some(path) = opts.out {
-        write_json(&path, &rows);
-    }
-    chronus_bench::finish();
+    chronus_bench::figure_main("ablation", "ablation")
 }

@@ -1,35 +1,5 @@
 //! Fig. 10: normalised DRAM energy of the headline mechanisms across N_RH.
 
-use chronus_bench::runs::pivot_geomean;
-use chronus_bench::{execute, format_table, write_json, HarnessOpts, MixSweep};
-use chronus_core::MechanismKind;
-
 fn main() {
-    let opts = HarnessOpts::from_args("fig10");
-    let sweep = MixSweep::build(
-        "fig10",
-        MechanismKind::headline(),
-        &opts.nrh_list,
-        &opts,
-        &|_| {},
-    );
-    let rows = sweep.rows(&execute(&sweep.spec, &opts));
-    let mut headers = vec!["mechanism".to_string()];
-    headers.extend(opts.nrh_list.iter().map(|n| format!("N_RH={n}")));
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    println!(
-        "Fig. 10: DRAM energy normalized to no-mitigation baseline ({} mixes, higher = worse)",
-        opts.mixes_per_class * 6
-    );
-    println!(
-        "{}",
-        format_table(
-            &headers_ref,
-            &pivot_geomean(&rows, &opts.nrh_list, |r| r.energy_norm)
-        )
-    );
-    if let Some(path) = opts.out {
-        write_json(&path, &rows);
-    }
-    chronus_bench::finish();
+    chronus_bench::figure_main("fig10", "fig10")
 }

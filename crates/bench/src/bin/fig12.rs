@@ -1,27 +1,6 @@
 //! Fig. 12 (Appendix C): Chronus vs ABACuS on the four-core mixes, both
 //! evaluated under ABACuS's address mapping.
 
-use chronus_bench::grids::fig12_sweep;
-use chronus_bench::runs::pivot_geomean;
-use chronus_bench::{execute, format_table, write_json, HarnessOpts};
-
 fn main() {
-    let opts = HarnessOpts::from_args("fig12");
-    let sweep = fig12_sweep(&opts);
-    let rows = sweep.rows(&execute(&sweep.spec, &opts));
-    let mut headers = vec!["mechanism".to_string()];
-    headers.extend(opts.nrh_list.iter().map(|n| format!("N_RH={n}")));
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    println!("Fig. 12: Chronus vs ABACuS (ABACuS address mapping), normalized WS");
-    println!(
-        "{}",
-        format_table(
-            &headers_ref,
-            &pivot_geomean(&rows, &opts.nrh_list, |r| r.ws_norm)
-        )
-    );
-    if let Some(path) = opts.out {
-        write_json(&path, &rows);
-    }
-    chronus_bench::finish();
+    chronus_bench::figure_main("fig12", "fig12")
 }

@@ -1,47 +1,6 @@
 //! Fig. 14 + Fig. 15 (Appendix E): PRAC-4 on 23 eight-core homogeneous
 //! SPEC CPU2017 workloads with the 4.5× larger LLC of [Kim+, CAL'25].
 
-use chronus_bench::runs::pivot_geomean;
-use chronus_bench::{execute, format_table, write_json, AppSweep, HarnessOpts};
-use chronus_core::MechanismKind;
-use chronus_workloads::eight_core_spec17_profiles;
-
 fn main() {
-    let opts = HarnessOpts::from_args("fig14_15");
-    let apps = eight_core_spec17_profiles();
-    let sweep = AppSweep::build(
-        "fig14_15",
-        &apps,
-        &[MechanismKind::Prac4],
-        &opts.nrh_list,
-        &opts,
-        8,
-        true,
-    );
-    let rows = sweep.rows(&execute(&sweep.spec, &opts));
-    let mut headers = vec!["mechanism".to_string()];
-    headers.extend(opts.nrh_list.iter().map(|n| format!("N_RH={n}")));
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    println!(
-        "Fig. 14: PRAC-4 normalized WS, 23 eight-core homogeneous SPEC17 workloads, 36 MiB LLC"
-    );
-    println!(
-        "{}",
-        format_table(
-            &headers_ref,
-            &pivot_geomean(&rows, &opts.nrh_list, |r| r.ws_norm)
-        )
-    );
-    println!("Fig. 15: PRAC-4 normalized DRAM energy, same setup");
-    println!(
-        "{}",
-        format_table(
-            &headers_ref,
-            &pivot_geomean(&rows, &opts.nrh_list, |r| r.energy_norm)
-        )
-    );
-    if let Some(path) = opts.out {
-        write_json(&path, &rows);
-    }
-    chronus_bench::finish();
+    chronus_bench::figure_main("fig14_15", "fig14_15")
 }

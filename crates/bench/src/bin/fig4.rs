@@ -1,37 +1,6 @@
 //! Fig. 4: performance impact of the PRAC and RFM configurations on
 //! four-core workloads (normalised weighted speedup vs N_RH).
 
-use chronus_bench::runs::pivot_geomean;
-use chronus_bench::{execute, format_table, write_json, HarnessOpts, MixSweep};
-use chronus_core::MechanismKind;
-
 fn main() {
-    let opts = HarnessOpts::from_args("fig4");
-    let mechs = [
-        MechanismKind::Prac4,
-        MechanismKind::Prac2,
-        MechanismKind::Prac1,
-        MechanismKind::PracPrfm,
-        MechanismKind::Prfm,
-    ];
-    let sweep = MixSweep::build("fig4", &mechs, &opts.nrh_list, &opts, &|_| {});
-    let rows = sweep.rows(&execute(&sweep.spec, &opts));
-    let mut headers = vec!["mechanism".to_string()];
-    headers.extend(opts.nrh_list.iter().map(|n| format!("N_RH={n}")));
-    let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    println!(
-        "Fig. 4: normalized weighted speedup, {} four-core mixes ('!' = not wave-attack secure)",
-        opts.mixes_per_class * 6
-    );
-    println!(
-        "{}",
-        format_table(
-            &headers_ref,
-            &pivot_geomean(&rows, &opts.nrh_list, |r| r.ws_norm)
-        )
-    );
-    if let Some(path) = opts.out {
-        write_json(&path, &rows);
-    }
-    chronus_bench::finish();
+    chronus_bench::figure_main("fig4", "fig4")
 }

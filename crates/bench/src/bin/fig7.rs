@@ -1,70 +1,6 @@
 //! Fig. 7: single-core performance of the seven headline mechanisms at
 //! N_RH = 1024 and 32, across the 57-application roster.
 
-use chronus_bench::grids::fig7_nrh_list;
-use chronus_bench::{execute, format_table, geomean, write_json, AppSweep, HarnessOpts};
-use chronus_core::MechanismKind;
-use chronus_workloads::all_profiles;
-
 fn main() {
-    let mut opts = HarnessOpts::from_args("fig7");
-    opts.nrh_list = fig7_nrh_list(&opts);
-    let apps = all_profiles();
-    let sweep = AppSweep::build(
-        "fig7",
-        &apps,
-        MechanismKind::headline(),
-        &opts.nrh_list,
-        &opts,
-        1,
-        false,
-    );
-    let rows = sweep.rows(&execute(&sweep.spec, &opts));
-    for &nrh in &opts.nrh_list {
-        println!("\nFig. 7 (N_RH = {nrh}): normalized speedup per application");
-        let mut mech_order: Vec<String> = Vec::new();
-        for r in &rows {
-            if !mech_order.contains(&r.mechanism) {
-                mech_order.push(r.mechanism.clone());
-            }
-        }
-        let mut table = Vec::new();
-        // The Fig. 7 x-axis applications (most memory-intensive first).
-        let mut shown: Vec<&str> = apps
-            .iter()
-            .filter(|p| p.mpki >= 3.0)
-            .map(|p| p.name)
-            .collect();
-        shown.truncate(20);
-        for app in &shown {
-            let mut line = vec![app.to_string()];
-            for mech in &mech_order {
-                let v = rows
-                    .iter()
-                    .find(|r| r.workload == *app && &r.mechanism == mech && r.nrh == nrh)
-                    .map(|r| format!("{:.3}", r.ws_norm))
-                    .unwrap_or_else(|| "-".into());
-                line.push(v);
-            }
-            table.push(line);
-        }
-        let mut geo_line = vec![format!("geomean({})", apps.len())];
-        for mech in &mech_order {
-            let vals: Vec<f64> = rows
-                .iter()
-                .filter(|r| &r.mechanism == mech && r.nrh == nrh)
-                .map(|r| r.ws_norm)
-                .collect();
-            geo_line.push(format!("{:.4}", geomean(&vals)));
-        }
-        table.push(geo_line);
-        let mut headers = vec!["application".to_string()];
-        headers.extend(mech_order.iter().cloned());
-        let headers_ref: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        println!("{}", format_table(&headers_ref, &table));
-    }
-    if let Some(path) = opts.out {
-        write_json(&path, &rows);
-    }
-    chronus_bench::finish();
+    chronus_bench::figure_main("fig7", "fig7")
 }

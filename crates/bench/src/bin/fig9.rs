@@ -1,50 +1,5 @@
 //! Fig. 9: per-intensity-class breakdown at N_RH = 32.
 
-use chronus_bench::{execute, format_table, geomean, write_json, HarnessOpts, MixSweep};
-use chronus_core::MechanismKind;
-
 fn main() {
-    let mut opts = HarnessOpts::from_args("fig9");
-    opts.nrh_list = vec![32];
-    let sweep = MixSweep::build("fig9", MechanismKind::headline(), &[32], &opts, &|_| {});
-    let rows = sweep.rows(&execute(&sweep.spec, &opts));
-    let classes = ["HHHH", "HHMM", "LLHH", "MMMM", "MMLL", "LLLL"];
-    let mut mech_order: Vec<String> = Vec::new();
-    for r in &rows {
-        if !mech_order.contains(&r.mechanism) {
-            mech_order.push(r.mechanism.clone());
-        }
-    }
-    let mut table = Vec::new();
-    for mech in &mech_order {
-        let mut line = vec![mech.clone()];
-        for class in classes {
-            let vals: Vec<f64> = rows
-                .iter()
-                .filter(|r| &r.mechanism == mech && r.class == class)
-                .map(|r| r.ws_norm)
-                .collect();
-            line.push(if vals.is_empty() {
-                "-".into()
-            } else {
-                format!("{:.3}", geomean(&vals))
-            });
-        }
-        let all: Vec<f64> = rows
-            .iter()
-            .filter(|r| &r.mechanism == mech)
-            .map(|r| r.ws_norm)
-            .collect();
-        line.push(format!("{:.3}", geomean(&all)));
-        table.push(line);
-    }
-    let mut headers: Vec<&str> = vec!["mechanism"];
-    headers.extend(classes);
-    headers.push("geomean");
-    println!("Fig. 9: normalized weighted speedup by mix intensity at N_RH = 32");
-    println!("{}", format_table(&headers, &table));
-    if let Some(path) = opts.out {
-        write_json(&path, &rows);
-    }
-    chronus_bench::finish();
+    chronus_bench::figure_main("fig9", "fig9")
 }

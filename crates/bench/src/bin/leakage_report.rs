@@ -10,48 +10,6 @@
 //! plus the mitigation-pause duration entropy. Higher = more timing signal
 //! an attacker can measure.
 
-use chronus_bench::grids::{LeakageGrid, LEAKAGE_NRH};
-use chronus_bench::{execute, format_table, write_json, HarnessOpts};
-
 fn main() {
-    let opts = HarnessOpts::from_args("leakage_report");
-    let grid = LeakageGrid::build(&opts);
-    let rows = grid.rows(&execute(&grid.spec, &opts));
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.mechanism.clone(),
-                format!("{:.3}", r.leakage_score),
-                format!("{:.3}", r.attacker_latency_entropy_bits),
-                format!("{:.3}", r.gap_entropy_bits),
-                format!("{:.3}", r.pause_entropy_bits),
-                format!("{:.3}", r.outcome_entropy_bits),
-                format!("{:.2}%", r.pause_fraction * 100.0),
-            ]
-        })
-        .collect();
-    println!("Timing-channel leakage ranking at N_RH = {LEAKAGE_NRH} (probe: 429.mcf + attacker)");
-    println!(
-        "{}",
-        format_table(
-            &[
-                "mechanism",
-                "leakage score",
-                "attacker H(lat)",
-                "H(gap)",
-                "H(pause)",
-                "H(outcome)",
-                "paused"
-            ],
-            &table
-        )
-    );
-    println!("Reading: the score sums the entropies (bits) of the timing distributions an");
-    println!("attacker can sample. Mechanisms that stall demand traffic in data-dependent");
-    println!("patterns rank high; the baseline bounds the channel floor of plain DRAM.");
-    if let Some(path) = opts.out {
-        write_json(&path, &rows);
-    }
-    chronus_bench::finish();
+    chronus_bench::figure_main("leakage_report", "leakage")
 }

@@ -5,58 +5,6 @@
 //! system-performance loss when one core hammers 8 rows in each of 4
 //! banks next to three benign applications.
 
-use chronus_bench::grids::{perf_attack_nrh_list, PerfAttackGrid};
-use chronus_bench::{execute, format_table, write_json, HarnessOpts};
-use chronus_security::{chronus_secure_nbo, dbc_chronus, dbc_prac};
-
 fn main() {
-    let mut opts = HarnessOpts::from_args("perf_attack");
-    opts.nrh_list = perf_attack_nrh_list(&opts);
-
-    // ---- Theoretical DBC (§11) ----
-    println!("§11 theoretical DRAM bandwidth consumption by preventive refreshes (N_RH = 20):");
-    let prac = dbc_prac(1, 4, 350.0, 52.0);
-    let chronus = dbc_chronus(chronus_secure_nbo(20, 3).unwrap(), 350.0, 47.0);
-    println!("  PRAC-4 (N_BO=1):      {:.0}%  (paper: 94%)", prac * 100.0);
-    println!(
-        "  Chronus (N_BO=16):    {:.0}%  (paper: 32%)",
-        chronus * 100.0
-    );
-
-    // ---- Simulation ----
-    // PRAC-4 runs at the paper's published N_BO = 1 (its wave-secure
-    // configuration per the paper's more pessimistic attack model);
-    // Chronus at its derived threshold.
-    let grid = PerfAttackGrid::build(&opts);
-    let rows = grid.rows(&execute(&grid.spec, &opts));
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.mechanism.clone(),
-                r.nrh.to_string(),
-                format!("{:.1}%", r.ws_loss_avg * 100.0),
-                format!("{:.1}%", r.ws_loss_max * 100.0),
-                format!("{:.1}%", r.max_slowdown * 100.0),
-            ]
-        })
-        .collect();
-    println!("\n§11 simulated attack: benign-core performance loss (attacker: 8 rows x 4 banks)");
-    println!(
-        "{}",
-        format_table(
-            &[
-                "mechanism",
-                "N_RH",
-                "avg WS loss",
-                "max WS loss",
-                "max slowdown"
-            ],
-            &table
-        )
-    );
-    if let Some(path) = opts.out {
-        write_json(&path, &rows);
-    }
-    chronus_bench::finish();
+    chronus_bench::figure_main("perf_attack", "perf_attack")
 }

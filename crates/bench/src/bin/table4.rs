@@ -1,35 +1,6 @@
 //! Table 4 (Appendix E): PRAC overheads before and after the timing-bug
 //! fix — the pre-erratum runs leave tRAS/tRTP/tWR unreduced.
 
-use chronus_bench::grids::Table4Grid;
-use chronus_bench::{execute, format_table, write_json, HarnessOpts};
-
 fn main() {
-    let opts = HarnessOpts::from_args("table4");
-    let grid = Table4Grid::build(&opts);
-    let rows = grid.rows(&execute(&grid.spec, &opts));
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|row| {
-            vec![
-                row.nrh.to_string(),
-                format!("{:.1}%", row.four_core_overhead_old * 100.0),
-                format!("{:.1}%", row.four_core_overhead_new * 100.0),
-                format!("{:.1}%", row.energy_overhead_old * 100.0),
-                format!("{:.1}%", row.energy_overhead_new * 100.0),
-            ]
-        })
-        .collect();
-    println!("Table 4: PRAC-4 overheads, pre-erratum (old) vs fixed (new) timings");
-    println!(
-        "{}",
-        format_table(
-            &["N_RH", "perf old", "perf new", "energy old", "energy new"],
-            &table
-        )
-    );
-    if let Some(path) = opts.out {
-        write_json(&path, &rows);
-    }
-    chronus_bench::finish();
+    chronus_bench::figure_main("table4", "table4")
 }

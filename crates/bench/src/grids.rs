@@ -1,239 +1,457 @@
 //! The named experiment-grid registry.
 //!
-//! Every simulation-driven figure and table is registered here as a
-//! declarative [`GridSpec`] builder, so the `chronus-sweep` CLI can list,
-//! pre-compute, shard, merge and garbage-collect the exact cells the
-//! figure binaries consume. The binaries themselves call the same
-//! builders, which is what makes `chronus-sweep run fig8 --shard 1/2` on
-//! one machine + `--shard 2/2` on another, followed by `fig8` against the
-//! merged store, equivalent to running `fig8` directly.
+//! Every simulation-driven figure and table is one entry here: a function
+//! of the harness options returning a [`Figure`], the grid's cells together
+//! with the renderer that turns their reports into the figure's text and
+//! `--out` rows. [`build_spec`] hands an entry's cells to `chronus-sweep`
+//! and the benchmark, and every figure binary is [`crate::figure_main`]
+//! over the same entry. So `chronus-sweep run fig8 --shard 1/2` on one
+//! machine + `--shard 2/2` on another, followed by `fig8` against the
+//! merged store, reads exactly the cells the two shards filled.
 
 use chronus_core::MechanismKind;
 use chronus_ctrl::AddressMapping;
+use chronus_dram::TimingMode;
 use chronus_grid::{AppTrace, AttackSpec, CellSpec, GridOutcome, GridSpec, WorkloadSpec};
+use chronus_security::{chronus_secure_nbo, dbc_chronus, dbc_prac};
 use chronus_sim::{SimConfig, SimReport, VrdSpec};
-use chronus_workloads::{all_profiles, eight_core_spec17_profiles, four_core_mixes, Mix};
+use chronus_workloads::{all_profiles, eight_core_spec17_profiles, four_core_mixes};
 use serde::Serialize;
 
 use crate::opts::HarnessOpts;
-use crate::runs::{mix_config, AppSweep, MixSweep};
-use crate::tables::geomean;
+use crate::runs::{
+    harness_config, mix_config, mix_workload, trace_instructions, AppSweep, MixSweep, SweepRow,
+};
+use crate::tables::{format_table, geomean, to_json};
 
-/// Every registered grid, in `all_figures` order.
-pub const GRID_NAMES: &[&str] = &[
-    "fig4",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig12",
-    "fig14_15",
-    "table4",
-    "ablation",
-    "perf_attack",
-    "leakage",
-    "vrd-sweep",
-    "smoke",
+/// A figure's renderer: outcome → (stdout text, `--out` JSON).
+type Render = Box<dyn Fn(&GridOutcome) -> (String, String)>;
+
+/// A registered grid: its cells and how a figure binary renders them.
+pub struct Figure {
+    /// The declarative grid.
+    pub spec: GridSpec,
+    /// Renders an outcome as the binary's stdout text and its `--out`
+    /// JSON rows; `None` for the grids no binary renders (`vrd-sweep`,
+    /// `smoke`).
+    pub render: Option<Render>,
+}
+
+impl Figure {
+    /// A figure whose renderer assembles `rows` from an outcome, prints
+    /// them through `text` and serialises them for `--out`.
+    fn new<R: Serialize>(
+        spec: GridSpec,
+        rows: impl Fn(&GridOutcome) -> Vec<R> + 'static,
+        text: impl Fn(&[R]) -> String + 'static,
+    ) -> Self {
+        let render = move |outcome: &GridOutcome| {
+            let rows = rows(outcome);
+            (text(&rows), to_json(&rows))
+        };
+        Self {
+            spec,
+            render: Some(Box::new(render)),
+        }
+    }
+
+    /// A grid `chronus-sweep` runs and no binary renders.
+    fn cells_only(spec: GridSpec) -> Self {
+        Self { spec, render: None }
+    }
+}
+
+/// A registry entry: builds its grid's figure for the given options.
+type Entry = fn(&HarnessOpts) -> Figure;
+
+/// Every registered grid's name and its entry.
+const REGISTRY: [(&str, Entry); 13] = [
+    ("fig4", fig4),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig12", fig12),
+    ("fig14_15", fig14_15),
+    ("table4", table4),
+    ("ablation", ablation),
+    ("perf_attack", perf_attack),
+    ("leakage", leakage),
+    ("vrd-sweep", vrd_sweep),
+    ("smoke", smoke),
 ];
 
-/// Builds the spec of a registered grid with the given options, applying
-/// the same per-figure option forcing the binaries apply (e.g. Fig. 7
-/// truncates long N_RH sweeps to {1024, 32}).
+/// Every registered grid's name, in registry order: the order of
+/// `chronus-sweep list` and `run all` (`all_figures` runs its own subset
+/// in its own order).
+pub const GRID_NAMES: &[&str] = &{
+    let mut names = [""; REGISTRY.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = REGISTRY[i].0;
+        i += 1;
+    }
+    names
+};
+
+/// The figure registered under `name`, built for `opts`; `None` for
+/// unknown names.
+pub fn figure(name: &str, opts: &HarnessOpts) -> Option<Figure> {
+    let (_, entry) = REGISTRY.iter().find(|(n, _)| *n == name)?;
+    Some(entry(opts))
+}
+
+/// The cells of the grid registered under `name`, with the entry's own
+/// option forcing (e.g. Fig. 7 truncates long N_RH sweeps to {1024, 32}).
 ///
 /// Returns `None` for unknown names.
 pub fn build_spec(name: &str, opts: &HarnessOpts) -> Option<GridSpec> {
-    let spec = match name {
-        "fig4" => {
-            let mechs = [
-                MechanismKind::Prac4,
-                MechanismKind::Prac2,
-                MechanismKind::Prac1,
-                MechanismKind::PracPrfm,
-                MechanismKind::Prfm,
-            ];
-            MixSweep::build("fig4", &mechs, &opts.nrh_list, opts, &|_| {}).spec
-        }
-        "fig7" => {
-            let nrh = fig7_nrh_list(opts);
-            AppSweep::build(
-                "fig7",
-                &all_profiles(),
-                MechanismKind::headline(),
-                &nrh,
-                opts,
-                1,
-                false,
-            )
-            .spec
-        }
-        "fig8" => {
-            MixSweep::build(
-                "fig8",
-                MechanismKind::headline(),
-                &opts.nrh_list,
-                opts,
-                &|_| {},
-            )
-            .spec
-        }
-        "fig9" => MixSweep::build("fig9", MechanismKind::headline(), &[32], opts, &|_| {}).spec,
-        "fig10" => {
-            MixSweep::build(
-                "fig10",
-                MechanismKind::headline(),
-                &opts.nrh_list,
-                opts,
-                &|_| {},
-            )
-            .spec
-        }
-        "fig12" => fig12_sweep(opts).spec,
-        "fig14_15" => {
-            AppSweep::build(
-                "fig14_15",
-                &eight_core_spec17_profiles(),
-                &[MechanismKind::Prac4],
-                &opts.nrh_list,
-                opts,
-                8,
-                true,
-            )
-            .spec
-        }
-        "table4" => Table4Grid::build(opts).spec,
-        "ablation" => AblationGrid::build(opts).spec,
-        "perf_attack" => PerfAttackGrid::build(opts).spec,
-        "leakage" => LeakageGrid::build(opts).spec,
-        "vrd-sweep" => VrdSweepGrid::build(opts).spec,
-        "smoke" => smoke_grid(),
-        _ => return None,
-    };
-    Some(spec)
+    figure(name, opts).map(|f| f.spec)
 }
 
-/// Fig. 7 forces long sweeps down to its two published points.
+/// `--nrh`, forced down to a figure's two `published` points when it is
+/// longer than two.
+fn published_points(opts: &HarnessOpts, published: [u32; 2]) -> Vec<u32> {
+    if opts.nrh_list.len() > 2 {
+        published.to_vec()
+    } else {
+        opts.nrh_list.clone()
+    }
+}
+
+/// Fig. 7's N_RH points: at most two, {1024, 32} for a longer sweep.
 pub fn fig7_nrh_list(opts: &HarnessOpts) -> Vec<u32> {
-    if opts.nrh_list.len() > 2 {
-        vec![1024, 32]
-    } else {
-        opts.nrh_list.clone()
-    }
+    published_points(opts, [1024, 32])
 }
 
-/// perf_attack forces long sweeps down to its two published points.
-pub fn perf_attack_nrh_list(opts: &HarnessOpts) -> Vec<u32> {
-    if opts.nrh_list.len() > 2 {
-        vec![128, 20]
-    } else {
-        opts.nrh_list.clone()
-    }
+/// Moves a typed sweep's spec out for its [`Figure`], leaving an empty one
+/// behind: the sweep keeps only the cell indices its rows read.
+fn take(spec: &mut GridSpec) -> GridSpec {
+    std::mem::replace(spec, GridSpec::new(""))
 }
 
-/// The Fig. 12 sweep: Chronus vs ABACuS with everything (alone runs,
+/// The mechanisms of `rows`, in order of first appearance.
+fn mechanism_order(rows: &[SweepRow]) -> Vec<String> {
+    let mut order: Vec<String> = Vec::new();
+    for r in rows {
+        if !order.contains(&r.mechanism) {
+            order.push(r.mechanism.clone());
+        }
+    }
+    order
+}
+
+/// Pivots sweep rows into a mechanism × N_RH table of geometric means.
+fn pivot_geomean(
+    rows: &[SweepRow],
+    nrh_list: &[u32],
+    value: fn(&SweepRow) -> f64,
+) -> Vec<Vec<String>> {
+    let mut out = Vec::new();
+    for mech in &mechanism_order(rows) {
+        let mut line = vec![mech.clone()];
+        for &nrh in nrh_list {
+            let vals: Vec<f64> = rows
+                .iter()
+                .filter(|r| &r.mechanism == mech && r.nrh == nrh)
+                .map(value)
+                .collect();
+            let unsafe_marker = rows
+                .iter()
+                .any(|r| &r.mechanism == mech && r.nrh == nrh && !r.secure);
+            let g = geomean(&vals);
+            line.push(if vals.is_empty() {
+                "-".into()
+            } else if unsafe_marker {
+                format!("{g:.3}!")
+            } else {
+                format!("{g:.3}")
+            });
+        }
+        out.push(line);
+    }
+    out
+}
+
+/// `title`, then the mechanism × N_RH table of `value`'s geomeans.
+fn pivot_text(
+    title: &str,
+    rows: &[SweepRow],
+    nrh_list: &[u32],
+    value: fn(&SweepRow) -> f64,
+) -> String {
+    let mut headers = vec!["mechanism".to_string()];
+    headers.extend(nrh_list.iter().map(|n| format!("N_RH={n}")));
+    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let table = format_table(&headers, &pivot_geomean(rows, nrh_list, value));
+    format!("{title}\n{table}\n")
+}
+
+/// A mix sweep printed as `title` over the mechanism × N_RH geomeans of
+/// `value` (Fig. 4, 8, 10 and 12).
+fn mix_pivot(
+    mut sweep: MixSweep,
+    title: String,
+    nrh_list: &[u32],
+    value: fn(&SweepRow) -> f64,
+) -> Figure {
+    let nrh_list = nrh_list.to_vec();
+    Figure::new(
+        take(&mut sweep.spec),
+        move |outcome| sweep.rows(outcome),
+        move |rows| pivot_text(&title, rows, &nrh_list, value),
+    )
+}
+
+/// Fig. 4: the PRAC and RFM configurations on the four-core mixes.
+fn fig4(opts: &HarnessOpts) -> Figure {
+    let mechs = [
+        MechanismKind::Prac4,
+        MechanismKind::Prac2,
+        MechanismKind::Prac1,
+        MechanismKind::PracPrfm,
+        MechanismKind::Prfm,
+    ];
+    let sweep = MixSweep::build("fig4", &mechs, &opts.nrh_list, opts, &|_| {});
+    let title = format!(
+        "Fig. 4: normalized weighted speedup, {} four-core mixes ('!' = not wave-attack secure)",
+        opts.mixes_per_class * 6
+    );
+    mix_pivot(sweep, title, &opts.nrh_list, |r| r.ws_norm)
+}
+
+/// Fig. 7: the seven headline mechanisms on one core across the
+/// 57-application roster, at N_RH = 1024 and 32.
+fn fig7(opts: &HarnessOpts) -> Figure {
+    let nrh_list = fig7_nrh_list(opts);
+    let apps = all_profiles();
+    let mut sweep = AppSweep::build(
+        "fig7",
+        &apps,
+        MechanismKind::headline(),
+        &nrh_list,
+        opts,
+        1,
+        false,
+    );
+    let text = move |rows: &[SweepRow]| {
+        let mech_order = mechanism_order(rows);
+        let mut headers = vec!["application"];
+        headers.extend(mech_order.iter().map(String::as_str));
+        // The Fig. 7 x-axis applications (most memory-intensive first).
+        let mut shown: Vec<&str> = apps
+            .iter()
+            .filter(|p| p.mpki >= 3.0)
+            .map(|p| p.name)
+            .collect();
+        shown.truncate(20);
+        let mut text = String::new();
+        for &nrh in &nrh_list {
+            let mut table: Vec<Vec<String>> = shown
+                .iter()
+                .map(|app| {
+                    let mut line = vec![app.to_string()];
+                    line.extend(mech_order.iter().map(|mech| {
+                        rows.iter()
+                            .find(|r| r.workload == *app && &r.mechanism == mech && r.nrh == nrh)
+                            .map_or_else(|| "-".into(), |r| format!("{:.3}", r.ws_norm))
+                    }));
+                    line
+                })
+                .collect();
+            let mut geo_line = vec![format!("geomean({})", apps.len())];
+            geo_line.extend(mech_order.iter().map(|mech| {
+                let vals: Vec<f64> = rows
+                    .iter()
+                    .filter(|r| &r.mechanism == mech && r.nrh == nrh)
+                    .map(|r| r.ws_norm)
+                    .collect();
+                format!("{:.4}", geomean(&vals))
+            }));
+            table.push(geo_line);
+            text += &format!(
+                "\nFig. 7 (N_RH = {nrh}): normalized speedup per application\n{}\n",
+                format_table(&headers, &table)
+            );
+        }
+        text
+    };
+    Figure::new(take(&mut sweep.spec), move |o| sweep.rows(o), text)
+}
+
+/// Fig. 8: the seven headline mechanisms across N_RH on the four-core
+/// mixes.
+fn fig8(opts: &HarnessOpts) -> Figure {
+    let sweep = MixSweep::build(
+        "fig8",
+        MechanismKind::headline(),
+        &opts.nrh_list,
+        opts,
+        &|_| {},
+    );
+    let title = format!(
+        "Fig. 8: normalized weighted speedup, {} four-core mixes ('!' = not secure)",
+        opts.mixes_per_class * 6
+    );
+    mix_pivot(sweep, title, &opts.nrh_list, |r| r.ws_norm)
+}
+
+/// Fig. 9: the headline mechanisms per mix-intensity class at N_RH = 32.
+fn fig9(opts: &HarnessOpts) -> Figure {
+    let mut sweep = MixSweep::build("fig9", MechanismKind::headline(), &[32], opts, &|_| {});
+    let text = |rows: &[SweepRow]| {
+        let classes = ["HHHH", "HHMM", "LLHH", "MMMM", "MMLL", "LLLL"];
+        let ws = |mech: &str, class: Option<&str>| -> Vec<f64> {
+            rows.iter()
+                .filter(|r| r.mechanism == mech && class.is_none_or(|c| r.class == c))
+                .map(|r| r.ws_norm)
+                .collect()
+        };
+        let table: Vec<Vec<String>> = mechanism_order(rows)
+            .into_iter()
+            .map(|mech| {
+                let mut line = vec![mech.clone()];
+                for class in classes {
+                    let vals = ws(&mech, Some(class));
+                    line.push(if vals.is_empty() {
+                        "-".into()
+                    } else {
+                        format!("{:.3}", geomean(&vals))
+                    });
+                }
+                line.push(format!("{:.3}", geomean(&ws(&mech, None))));
+                line
+            })
+            .collect();
+        let mut headers = vec!["mechanism"];
+        headers.extend(classes);
+        headers.push("geomean");
+        format!(
+            "Fig. 9: normalized weighted speedup by mix intensity at N_RH = 32\n{}\n",
+            format_table(&headers, &table)
+        )
+    };
+    Figure::new(take(&mut sweep.spec), move |o| sweep.rows(o), text)
+}
+
+/// Fig. 10: DRAM energy of the headline mechanisms across N_RH.
+fn fig10(opts: &HarnessOpts) -> Figure {
+    let sweep = MixSweep::build(
+        "fig10",
+        MechanismKind::headline(),
+        &opts.nrh_list,
+        opts,
+        &|_| {},
+    );
+    let title = format!(
+        "Fig. 10: DRAM energy normalized to no-mitigation baseline ({} mixes, higher = worse)",
+        opts.mixes_per_class * 6
+    );
+    mix_pivot(sweep, title, &opts.nrh_list, |r| r.energy_norm)
+}
+
+/// Fig. 12 (Appendix C): Chronus vs ABACuS with everything (alone runs,
 /// baseline and sweep cells) under the ABACuS address mapping.
-pub fn fig12_sweep(opts: &HarnessOpts) -> MixSweep {
-    MixSweep::build(
+fn fig12(opts: &HarnessOpts) -> Figure {
+    let sweep = MixSweep::build(
         "fig12",
         &[MechanismKind::Chronus, MechanismKind::Abacus],
         &opts.nrh_list,
         opts,
         &|cfg| cfg.mapping = Some(AddressMapping::AbacusMop),
-    )
+    );
+    let title = "Fig. 12: Chronus vs ABACuS (ABACuS address mapping), normalized WS".to_string();
+    mix_pivot(sweep, title, &opts.nrh_list, |r| r.ws_norm)
 }
 
-/// The deliberately tiny two-cell grid the CI smoke job runs twice to
-/// prove the second pass is 100% cache hits.
-pub fn smoke_grid() -> GridSpec {
-    let mut spec = GridSpec::new("smoke");
-    for (slot, app) in ["511.povray", "429.mcf"].iter().enumerate() {
-        let mut cfg = SimConfig::single_core();
-        cfg.instructions_per_core = 3_000;
-        cfg.mechanism = MechanismKind::Chronus;
-        cfg.nrh = 64;
-        cfg.max_mem_cycles = 1 << 22;
-        let workload = WorkloadSpec::Apps {
-            apps: vec![AppTrace::new(*app, slot as u64, 42)],
-            trace_instructions: 3_600,
-        };
-        spec.push(CellSpec::new(format!("smoke:{app}"), workload, cfg));
-    }
-    spec
+/// Fig. 14 + 15 (Appendix E): PRAC-4 on the eight-core homogeneous
+/// SPEC CPU2017 workloads with the 4.5× larger LLC.
+fn fig14_15(opts: &HarnessOpts) -> Figure {
+    let mut sweep = AppSweep::build(
+        "fig14_15",
+        &eight_core_spec17_profiles(),
+        &[MechanismKind::Prac4],
+        &opts.nrh_list,
+        opts,
+        8,
+        true,
+    );
+    let nrh_list = opts.nrh_list.clone();
+    let text = move |rows: &[SweepRow]| {
+        pivot_text(
+            "Fig. 14: PRAC-4 normalized WS, 23 eight-core homogeneous SPEC17 workloads, 36 MiB LLC",
+            rows,
+            &nrh_list,
+            |r| r.ws_norm,
+        ) + &pivot_text(
+            "Fig. 15: PRAC-4 normalized DRAM energy, same setup",
+            rows,
+            &nrh_list,
+            |r| r.energy_norm,
+        )
+    };
+    Figure::new(take(&mut sweep.spec), move |o| sweep.rows(o), text)
 }
 
 /// One Table 4 output row.
-#[derive(Debug, Clone, Serialize)]
-pub struct Table4Row {
+#[derive(Serialize)]
+struct Table4Row {
     /// RowHammer threshold.
-    pub nrh: u32,
+    nrh: u32,
     /// Performance overhead with the pre-erratum (buggy) PRAC timings.
-    pub four_core_overhead_old: f64,
+    four_core_overhead_old: f64,
     /// Performance overhead with the fixed timings.
-    pub four_core_overhead_new: f64,
+    four_core_overhead_new: f64,
     /// Energy overhead with the pre-erratum timings.
-    pub energy_overhead_old: f64,
+    energy_overhead_old: f64,
     /// Energy overhead with the fixed timings.
-    pub energy_overhead_new: f64,
+    energy_overhead_new: f64,
 }
 
-/// Table 4 as a grid: per mix one baseline cell, and per (N_RH, mix) a
-/// pre-erratum ("old") and fixed ("new") PRAC-4 cell.
-pub struct Table4Grid {
-    /// The declarative grid.
-    pub spec: GridSpec,
-    baseline: Vec<usize>,
-    /// (nrh, mix, old cell, new cell).
-    jobs: Vec<(u32, usize, usize, usize)>,
-}
-
-impl Table4Grid {
-    /// Builds the grid.
-    pub fn build(opts: &HarnessOpts) -> Self {
-        let mixes = four_core_mixes(opts.mixes_per_class, opts.seed);
-        let mut spec = GridSpec::new("table4");
-        let workload = |mix: &Mix| crate::runs::mix_workload(&mix.apps, opts);
-        let baseline = mixes
-            .iter()
-            .map(|mix| {
-                spec.push(CellSpec::new(
-                    format!("{}:baseline", mix.name),
-                    workload(mix),
-                    mix_config(mix.apps.len(), MechanismKind::None, 1024, opts),
-                ))
-            })
-            .collect();
-        let mut jobs = Vec::new();
-        for &nrh in &opts.nrh_list {
-            for (m, mix) in mixes.iter().enumerate() {
-                let mut old_cfg = mix_config(mix.apps.len(), MechanismKind::Prac4, nrh, opts);
-                old_cfg.timing_override = Some(chronus_dram::TimingMode::PracBuggy);
-                let old = spec.push(CellSpec::new(
-                    format!("{}:prac4-old@{nrh}", mix.name),
-                    workload(mix),
-                    old_cfg,
-                ));
-                let new_cfg = mix_config(mix.apps.len(), MechanismKind::Prac4, nrh, opts);
-                let new = spec.push(CellSpec::new(
-                    format!("{}:prac4-new@{nrh}", mix.name),
-                    workload(mix),
-                    new_cfg,
-                ));
-                jobs.push((nrh, m, old, new));
-            }
-        }
-        Self {
-            spec,
-            baseline,
-            jobs,
+/// Table 4 (Appendix E): PRAC-4 overheads with the pre-erratum ("old") and
+/// fixed ("new") timings. Per mix one baseline cell, and per (N_RH, mix)
+/// an old and a new PRAC-4 cell.
+fn table4(opts: &HarnessOpts) -> Figure {
+    let mixes = four_core_mixes(opts.mixes_per_class, opts.seed);
+    let mut spec = GridSpec::new("table4");
+    let baseline: Vec<usize> = mixes
+        .iter()
+        .map(|mix| {
+            spec.push(CellSpec::new(
+                format!("{}:baseline", mix.name),
+                mix_workload(&mix.apps, opts),
+                mix_config(MechanismKind::None, 1024, opts),
+            ))
+        })
+        .collect();
+    // (nrh, mix, old cell, new cell).
+    let mut jobs = Vec::new();
+    for &nrh in &opts.nrh_list {
+        for (m, mix) in mixes.iter().enumerate() {
+            let new_cfg = mix_config(MechanismKind::Prac4, nrh, opts);
+            let old_cfg = SimConfig {
+                timing_override: Some(TimingMode::PracBuggy),
+                ..new_cfg.clone()
+            };
+            let old = spec.push(CellSpec::new(
+                format!("{}:prac4-old@{nrh}", mix.name),
+                mix_workload(&mix.apps, opts),
+                old_cfg,
+            ));
+            let new = spec.push(CellSpec::new(
+                format!("{}:prac4-new@{nrh}", mix.name),
+                mix_workload(&mix.apps, opts),
+                new_cfg,
+            ));
+            jobs.push((nrh, m, old, new));
         }
     }
-
-    /// Assembles the per-N_RH overhead rows (N_RH points taken from the
-    /// grid's own jobs, in build order); points with any cell missing
-    /// (partial shard) are skipped.
-    pub fn rows(&self, outcome: &GridOutcome) -> Vec<Table4Row> {
+    // Per-N_RH rows (N_RH points taken from the jobs, in build order); a
+    // point with any cell missing (partial shard) is skipped.
+    let rows = move |outcome: &GridOutcome| {
         let ipc_sum = |r: &SimReport| r.ipc.iter().sum::<f64>();
         let mut nrh_list = Vec::new();
-        for &(nrh, ..) in &self.jobs {
+        for &(nrh, ..) in &jobs {
             if !nrh_list.contains(&nrh) {
                 nrh_list.push(nrh);
             }
@@ -245,14 +463,14 @@ impl Table4Grid {
             let mut e_old = Vec::new();
             let mut e_new = Vec::new();
             let mut complete = true;
-            for &(job_nrh, m, old_cell, new_cell) in &self.jobs {
+            for &(job_nrh, m, old_cell, new_cell) in &jobs {
                 if job_nrh != nrh {
                     continue;
                 }
                 let (Some(old), Some(new), Some(base)) = (
                     outcome.reports[old_cell].as_ref(),
                     outcome.reports[new_cell].as_ref(),
-                    outcome.reports[self.baseline[m]].as_ref(),
+                    outcome.reports[baseline[m]].as_ref(),
                 ) else {
                     complete = false;
                     break;
@@ -274,105 +492,121 @@ impl Table4Grid {
             });
         }
         rows
-    }
+    };
+    let text = |rows: &[Table4Row]| {
+        let pct = |v: f64| format!("{:.1}%", v * 100.0);
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| {
+                vec![
+                    row.nrh.to_string(),
+                    pct(row.four_core_overhead_old),
+                    pct(row.four_core_overhead_new),
+                    pct(row.energy_overhead_old),
+                    pct(row.energy_overhead_new),
+                ]
+            })
+            .collect();
+        format!(
+            "Table 4: PRAC-4 overheads, pre-erratum (old) vs fixed (new) timings\n{}\n",
+            format_table(
+                &["N_RH", "perf old", "perf new", "energy old", "energy new"],
+                &table
+            )
+        )
+    };
+    Figure::new(spec, rows, text)
 }
+
+/// The §11 attacker: 8 rows in each of 4 banks, crafted against MOP.
+const ATTACK: AttackSpec = AttackSpec {
+    mapping: AddressMapping::Mop,
+    banks: 4,
+    rows: 8,
+};
 
 /// One ablation output row.
-#[derive(Debug, Clone, Serialize)]
-pub struct AblationRow {
+#[derive(Serialize)]
+struct AblationRow {
     /// Mechanism label.
-    pub mechanism: String,
+    mechanism: String,
     /// Forced back-off threshold.
-    pub nbo: u32,
+    nbo: u32,
     /// Whether the attacked run stayed wave-secure.
-    pub secure: bool,
+    secure: bool,
     /// Benign weighted-speedup loss under attack.
-    pub benign_ws_loss: f64,
+    benign_ws_loss: f64,
     /// Back-offs honoured in the attacked run.
-    pub back_offs: u64,
+    back_offs: u64,
     /// RFMs issued in the attacked run.
-    pub rfms: u64,
-}
-
-/// The N_BO ablation as a grid: per (mechanism, N_BO), a calm cell (four
-/// benign apps) and an attacked cell (three benign + attacker).
-pub struct AblationGrid {
-    /// The declarative grid.
-    pub spec: GridSpec,
-    /// (mechanism, nbo, calm cell, attacked cell).
-    jobs: Vec<(MechanismKind, u32, usize, usize)>,
+    rfms: u64,
 }
 
 /// The ablation's fixed RowHammer threshold (the paper's N_RH = 20 point).
-pub const ABLATION_NRH: u32 = 20;
+const ABLATION_NRH: u32 = 20;
 
 /// The ablation's N_BO sweep.
-pub const ABLATION_NBOS: [u32; 5] = [1, 2, 4, 8, 16];
+const ABLATION_NBOS: [u32; 5] = [1, 2, 4, 8, 16];
 
-impl AblationGrid {
-    /// Builds the grid.
-    pub fn build(opts: &HarnessOpts) -> Self {
-        let benign = ["470.lbm", "tpch2", "473.astar"];
-        let trace_instructions = opts.instructions + 5_000;
-        let benign_specs: Vec<AppTrace> = benign
+/// The N_BO ablation: per (mechanism, N_BO), a calm cell (four benign
+/// apps) and an attacked cell (three benign + the attacker).
+fn ablation(opts: &HarnessOpts) -> Figure {
+    let benign = ["470.lbm", "tpch2", "473.astar"];
+    let trace_instructions = opts.instructions + 5_000;
+    let benign_specs: Vec<AppTrace> = benign
+        .iter()
+        .enumerate()
+        .map(|(i, n)| AppTrace::new(*n, i as u64, opts.seed))
+        .collect();
+    let calm_workload = WorkloadSpec::Apps {
+        apps: benign_specs
             .iter()
-            .enumerate()
-            .map(|(i, n)| AppTrace::new(*n, i as u64, opts.seed))
-            .collect();
-        let calm_workload = WorkloadSpec::Apps {
-            apps: benign_specs
-                .iter()
-                .cloned()
-                .chain(std::iter::once(AppTrace::new(
-                    "548.exchange2",
-                    3,
-                    opts.seed,
-                )))
-                .collect(),
-            trace_instructions,
-        };
-        let attacked_workload = WorkloadSpec::AppsWithAttacker {
-            apps: benign_specs,
-            trace_instructions,
-            attack: AttackSpec {
-                mapping: AddressMapping::Mop,
-                banks: 4,
-                rows: 8,
-            },
-        };
-        let mut spec = GridSpec::new("ablation");
-        let mut jobs = Vec::new();
-        for &mech in &[MechanismKind::Prac4, MechanismKind::Chronus] {
-            for &nbo in &ABLATION_NBOS {
-                // The seed is intentionally left at the config default to
-                // match the original harness exactly.
-                let mut cfg = SimConfig::four_core();
-                cfg.instructions_per_core = opts.instructions;
-                cfg.mechanism = mech;
-                cfg.nrh = ABLATION_NRH;
-                cfg.threshold_override = Some(nbo);
-                cfg.max_mem_cycles = opts.instructions.saturating_mul(8000).max(1 << 22);
-                let calm = spec.push(CellSpec::new(
-                    format!("{}:nbo{nbo}:calm", mech.label()),
-                    calm_workload.clone(),
-                    cfg.clone(),
-                ));
-                let attacked = spec.push(CellSpec::new(
-                    format!("{}:nbo{nbo}:attacked", mech.label()),
-                    attacked_workload.clone(),
-                    cfg,
-                ));
-                jobs.push((mech, nbo, calm, attacked));
-            }
+            .cloned()
+            .chain(std::iter::once(AppTrace::new(
+                "548.exchange2",
+                3,
+                opts.seed,
+            )))
+            .collect(),
+        trace_instructions,
+    };
+    let attacked_workload = WorkloadSpec::AppsWithAttacker {
+        apps: benign_specs,
+        trace_instructions,
+        attack: ATTACK,
+    };
+    let mut spec = GridSpec::new("ablation");
+    // (mechanism, nbo, calm cell, attacked cell).
+    let mut jobs = Vec::new();
+    for &mech in &[MechanismKind::Prac4, MechanismKind::Chronus] {
+        for &nbo in &ABLATION_NBOS {
+            // The seed is intentionally left at the config default to
+            // match the original harness exactly.
+            let cfg = SimConfig {
+                mechanism: mech,
+                nrh: ABLATION_NRH,
+                threshold_override: Some(nbo),
+                seed: SimConfig::four_core().seed,
+                ..harness_config(SimConfig::four_core(), opts, 8000)
+            };
+            let calm = spec.push(CellSpec::new(
+                format!("{}:nbo{nbo}:calm", mech.label()),
+                calm_workload.clone(),
+                cfg.clone(),
+            ));
+            let attacked = spec.push(CellSpec::new(
+                format!("{}:nbo{nbo}:attacked", mech.label()),
+                attacked_workload.clone(),
+                cfg,
+            ));
+            jobs.push((mech, nbo, calm, attacked));
         }
-        Self { spec, jobs }
     }
-
-    /// Assembles rows; pairs with a missing cell are skipped.
-    pub fn rows(&self, outcome: &GridOutcome) -> Vec<AblationRow> {
+    // Pairs with a missing cell are skipped.
+    let rows = move |outcome: &GridOutcome| {
         let ws = |r: &SimReport| r.ipc[..3].iter().sum::<f64>();
         let mut rows = Vec::new();
-        for &(mech, nbo, calm_cell, attacked_cell) in &self.jobs {
+        for &(mech, nbo, calm_cell, attacked_cell) in &jobs {
             let (Some(calm), Some(attacked)) = (
                 outcome.reports[calm_cell].as_ref(),
                 outcome.reports[attacked_cell].as_ref(),
@@ -389,108 +623,121 @@ impl AblationGrid {
             });
         }
         rows
-    }
+    };
+    let text = |rows: &[AblationRow]| {
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.mechanism.clone(),
+                    r.nbo.to_string(),
+                    if r.secure { "yes" } else { "NO" }.into(),
+                    format!("{:.1}%", r.benign_ws_loss * 100.0),
+                    r.back_offs.to_string(),
+                    r.rfms.to_string(),
+                ]
+            })
+            .collect();
+        let headers = [
+            "mechanism",
+            "N_BO",
+            "wave-secure",
+            "benign WS loss",
+            "back-offs",
+            "RFMs",
+        ];
+        format!(
+            "Ablation: N_BO vs performance-attack damage at N_RH = {ABLATION_NRH}\n{}\n\
+             Reading: PRAC must run at tiny N_BO to stay wave-secure — and tiny N_BO\n\
+             multiplies attacker-triggered refreshes. Chronus stays secure at N_BO = 16.\n",
+            format_table(&headers, &table)
+        )
+    };
+    Figure::new(spec, rows, text)
 }
 
 /// One §11 attack output row.
-#[derive(Debug, Clone, Serialize)]
-pub struct AttackRow {
+#[derive(Serialize)]
+struct AttackRow {
     /// Mechanism label.
-    pub mechanism: String,
+    mechanism: String,
     /// RowHammer threshold.
-    pub nrh: u32,
+    nrh: u32,
     /// Geomean benign weighted-speedup loss across mixes.
-    pub ws_loss_avg: f64,
+    ws_loss_avg: f64,
     /// Worst benign weighted-speedup loss.
-    pub ws_loss_max: f64,
+    ws_loss_max: f64,
     /// Worst single-application slowdown.
-    pub max_slowdown: f64,
+    max_slowdown: f64,
 }
 
-/// Per-mix (attacked cell, reference cell) indices of one
-/// (mechanism, N_RH) attack point.
-type AttackCells = Vec<(usize, usize)>;
-
-/// The §11 performance-attack study as a grid: per (mechanism, N_RH, mix),
-/// an attacked cell (three benign + attacker) and a reference cell (the
-/// attacker replaced by the lightest app).
-pub struct PerfAttackGrid {
-    /// The declarative grid.
-    pub spec: GridSpec,
-    /// (mechanism, nrh, per-mix cells).
-    jobs: Vec<(MechanismKind, u32, AttackCells)>,
-}
-
-impl PerfAttackGrid {
-    /// Builds the grid.
-    pub fn build(opts: &HarnessOpts) -> Self {
-        let nrh_list = perf_attack_nrh_list(opts);
-        let mixes = four_core_mixes(opts.mixes_per_class, opts.seed);
-        let mechs = [
-            (MechanismKind::Prac4, Some(1u32)),
-            (MechanismKind::Chronus, None),
-        ];
-        let trace_instructions = opts.instructions + opts.instructions / 10;
-        let mut spec = GridSpec::new("perf_attack");
-        let mut jobs = Vec::new();
-        for &(mech, nbo_override) in &mechs {
-            for &nrh in &nrh_list {
-                let mut cells = Vec::new();
-                for mix in &mixes {
-                    let benign: Vec<AppTrace> = mix.apps[..3]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| AppTrace::new(p.name, i as u64, opts.seed))
-                        .collect();
-                    let mut cfg = SimConfig::four_core();
-                    cfg.instructions_per_core = opts.instructions;
-                    cfg.mechanism = mech;
-                    cfg.nrh = nrh;
-                    cfg.threshold_override = nbo_override;
-                    cfg.seed = opts.seed;
-                    cfg.max_mem_cycles = opts.instructions.saturating_mul(6000).max(1 << 22);
-                    let attacked = spec.push(CellSpec::new(
-                        format!("{}:{}@{nrh}:attacked", mix.name, mech.label()),
-                        WorkloadSpec::AppsWithAttacker {
-                            apps: benign.clone(),
-                            trace_instructions,
-                            attack: AttackSpec {
-                                mapping: AddressMapping::Mop,
-                                banks: 4,
-                                rows: 8,
-                            },
-                        },
-                        cfg.clone(),
-                    ));
-                    let reference = spec.push(CellSpec::new(
-                        format!("{}:{}@{nrh}:reference", mix.name, mech.label()),
-                        WorkloadSpec::Apps {
-                            apps: benign
-                                .into_iter()
-                                .chain(std::iter::once(AppTrace::new(
-                                    "548.exchange2",
-                                    3,
-                                    opts.seed,
-                                )))
-                                .collect(),
-                            trace_instructions,
-                        },
-                        cfg,
-                    ));
-                    cells.push((attacked, reference));
-                }
-                jobs.push((mech, nrh, cells));
+/// The §11 performance-attack study: per (mechanism, N_RH, mix), an
+/// attacked cell (three benign + the attacker) and a reference cell (the
+/// attacker replaced by the lightest app), after the theoretical DRAM
+/// bandwidth an attacker can burn with preventive refreshes.
+fn perf_attack(opts: &HarnessOpts) -> Figure {
+    let nrh_list = published_points(opts, [128, 20]);
+    let mixes = four_core_mixes(opts.mixes_per_class, opts.seed);
+    // PRAC-4 runs at the paper's published N_BO = 1 (its wave-secure
+    // configuration per the paper's more pessimistic attack model);
+    // Chronus at its derived threshold.
+    let mechs = [
+        (MechanismKind::Prac4, Some(1u32)),
+        (MechanismKind::Chronus, None),
+    ];
+    let trace_instructions = trace_instructions(opts);
+    let mut spec = GridSpec::new("perf_attack");
+    // (mechanism, nrh, per-mix (attacked cell, reference cell)).
+    let mut jobs = Vec::new();
+    for &(mech, nbo_override) in &mechs {
+        for &nrh in &nrh_list {
+            let mut cells = Vec::new();
+            for mix in &mixes {
+                let benign: Vec<AppTrace> = mix.apps[..3]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| AppTrace::new(p.name, i as u64, opts.seed))
+                    .collect();
+                let cfg = SimConfig {
+                    mechanism: mech,
+                    nrh,
+                    threshold_override: nbo_override,
+                    ..harness_config(SimConfig::four_core(), opts, 6000)
+                };
+                let attacked = spec.push(CellSpec::new(
+                    format!("{}:{}@{nrh}:attacked", mix.name, mech.label()),
+                    WorkloadSpec::AppsWithAttacker {
+                        apps: benign.clone(),
+                        trace_instructions,
+                        attack: ATTACK,
+                    },
+                    cfg.clone(),
+                ));
+                let reference = spec.push(CellSpec::new(
+                    format!("{}:{}@{nrh}:reference", mix.name, mech.label()),
+                    WorkloadSpec::Apps {
+                        apps: benign
+                            .into_iter()
+                            .chain(std::iter::once(AppTrace::new(
+                                "548.exchange2",
+                                3,
+                                opts.seed,
+                            )))
+                            .collect(),
+                        trace_instructions,
+                    },
+                    cfg,
+                ));
+                cells.push((attacked, reference));
             }
+            jobs.push((mech, nrh, cells));
         }
-        Self { spec, jobs }
     }
-
-    /// Assembles rows; (mechanism, N_RH) points with any missing mix are
-    /// skipped.
-    pub fn rows(&self, outcome: &GridOutcome) -> Vec<AttackRow> {
+    // (mechanism, N_RH) points with any missing mix are skipped.
+    let rows = move |outcome: &GridOutcome| {
         let benign_ws = |r: &SimReport| r.ipc[..3].iter().sum::<f64>();
         let mut rows = Vec::new();
-        for (mech, nrh, cells) in &self.jobs {
+        for (mech, nrh, cells) in &jobs {
             let mut losses = Vec::new();
             let mut slowdowns = Vec::new();
             let mut complete = true;
@@ -523,87 +770,106 @@ impl PerfAttackGrid {
             });
         }
         rows
-    }
+    };
+    let text = |rows: &[AttackRow]| {
+        let prac = dbc_prac(1, 4, 350.0, 52.0);
+        let chronus = dbc_chronus(chronus_secure_nbo(20, 3).unwrap(), 350.0, 47.0);
+        let pct = |v: f64| format!("{:.1}%", v * 100.0);
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.mechanism.clone(),
+                    r.nrh.to_string(),
+                    pct(r.ws_loss_avg),
+                    pct(r.ws_loss_max),
+                    pct(r.max_slowdown),
+                ]
+            })
+            .collect();
+        let headers = [
+            "mechanism",
+            "N_RH",
+            "avg WS loss",
+            "max WS loss",
+            "max slowdown",
+        ];
+        format!(
+            "§11 theoretical DRAM bandwidth consumption by preventive refreshes (N_RH = 20):\n  \
+             PRAC-4 (N_BO=1):      {:.0}%  (paper: 94%)\n  \
+             Chronus (N_BO=16):    {:.0}%  (paper: 32%)\n\n\
+             §11 simulated attack: benign-core performance loss (attacker: 8 rows x 4 banks)\n\
+             {}\n",
+            prac * 100.0,
+            chronus * 100.0,
+            format_table(&headers, &table)
+        )
+    };
+    Figure::new(spec, rows, text)
 }
 
 /// One timing-leakage output row.
-#[derive(Debug, Clone, Serialize)]
-pub struct LeakageRow {
+#[derive(Serialize)]
+struct LeakageRow {
     /// Mechanism label.
-    pub mechanism: String,
+    mechanism: String,
     /// RowHammer threshold.
-    pub nrh: u32,
+    nrh: u32,
     /// Shannon entropy of the attacker core's read-latency distribution.
-    pub attacker_latency_entropy_bits: f64,
+    attacker_latency_entropy_bits: f64,
     /// Shannon entropy of the aggregate read-latency distribution.
-    pub latency_entropy_bits: f64,
+    latency_entropy_bits: f64,
     /// Shannon entropy of the merged inter-CAS gap distribution.
-    pub gap_entropy_bits: f64,
+    gap_entropy_bits: f64,
     /// Shannon entropy of the hit/miss/conflict outcome mix.
-    pub outcome_entropy_bits: f64,
+    outcome_entropy_bits: f64,
     /// Shannon entropy of the mitigation-pause duration distribution.
-    pub pause_entropy_bits: f64,
+    pause_entropy_bits: f64,
     /// Memory cycles demand issue was blocked by mitigation work.
-    pub pause_cycles: u64,
+    pause_cycles: u64,
     /// `pause_cycles` as a fraction of simulated memory cycles.
-    pub pause_fraction: f64,
+    pause_fraction: f64,
     /// Composite score the figure ranks by: attacker latency entropy +
     /// gap entropy + pause entropy. Higher = more timing signal exposed.
-    pub leakage_score: f64,
+    leakage_score: f64,
 }
 
 /// The fixed RowHammer threshold of the leakage study: low enough that
 /// every mechanism actually fires its mitigations under the probe attack.
-pub const LEAKAGE_NRH: u32 = 64;
+const LEAKAGE_NRH: u32 = 64;
 
-/// The timing-leakage study as a grid: one obs-enabled cell per mechanism
-/// (the unprotected baseline plus all eleven mitigations) under a fixed
-/// probe workload of one benign app and the §11 attacker.
-pub struct LeakageGrid {
-    /// The declarative grid.
-    pub spec: GridSpec,
-    /// (mechanism, cell).
-    jobs: Vec<(MechanismKind, usize)>,
-}
-
-impl LeakageGrid {
-    /// Builds the grid.
-    pub fn build(opts: &HarnessOpts) -> Self {
-        let trace_instructions = opts.instructions + opts.instructions / 10;
-        let workload = WorkloadSpec::AppsWithAttacker {
-            apps: vec![AppTrace::new("429.mcf", 0, opts.seed)],
-            trace_instructions,
-            attack: AttackSpec {
-                mapping: AddressMapping::Mop,
-                banks: 4,
-                rows: 8,
-            },
+/// The timing-leakage study: one obs-enabled cell per mechanism (the
+/// unprotected baseline plus all eleven mitigations) under a fixed probe
+/// workload of one benign app and the §11 attacker, ranked by leakage
+/// score.
+fn leakage(opts: &HarnessOpts) -> Figure {
+    let workload = WorkloadSpec::AppsWithAttacker {
+        apps: vec![AppTrace::new("429.mcf", 0, opts.seed)],
+        trace_instructions: trace_instructions(opts),
+        attack: ATTACK,
+    };
+    let mut spec = GridSpec::new("leakage");
+    // (mechanism, cell).
+    let mut jobs = Vec::new();
+    for &mech in std::iter::once(&MechanismKind::None).chain(MechanismKind::all()) {
+        let cfg = SimConfig {
+            mechanism: mech,
+            nrh: LEAKAGE_NRH,
+            mapping: Some(AddressMapping::Mop),
+            obs: true,
+            ..harness_config(SimConfig::four_core(), opts, 6000)
         };
-        let mut spec = GridSpec::new("leakage");
-        let mut jobs = Vec::new();
-        for &mech in std::iter::once(&MechanismKind::None).chain(MechanismKind::all()) {
-            let mut cfg = SimConfig::four_core();
-            cfg.instructions_per_core = opts.instructions;
-            cfg.mechanism = mech;
-            cfg.nrh = LEAKAGE_NRH;
-            cfg.seed = opts.seed;
-            cfg.mapping = Some(AddressMapping::Mop);
-            cfg.obs = true;
-            cfg.max_mem_cycles = opts.instructions.saturating_mul(6000).max(1 << 22);
-            let cell = spec.push(CellSpec::new(mech.label(), workload.clone(), cfg));
-            jobs.push((mech, cell));
-        }
-        Self { spec, jobs }
+        let cell = spec.push(CellSpec::new(mech.label(), workload.clone(), cfg));
+        jobs.push((mech, cell));
     }
-
-    /// Assembles rows ranked by descending leakage score; cells that are
-    /// missing (partial shard) or lack an obs section are skipped.
-    pub fn rows(&self, outcome: &GridOutcome) -> Vec<LeakageRow> {
+    // Ranked by descending leakage score; cells that are missing (partial
+    // shard) or lack an obs section are skipped.
+    let rows = move |outcome: &GridOutcome| {
         // The attacker is appended after the benign apps, so it is the
         // last core of the two-core probe workload.
         let attacker_core = 1;
         let mut rows = Vec::new();
-        for &(mech, cell) in &self.jobs {
+        for &(mech, cell) in &jobs {
             let Some(report) = outcome.reports[cell].as_ref() else {
                 continue;
             };
@@ -633,110 +899,101 @@ impl LeakageGrid {
         }
         rows.sort_by(|a, b| b.leakage_score.total_cmp(&a.leakage_score));
         rows
-    }
-}
-
-/// One VRD Monte-Carlo output row: the disturbance census of one
-/// `min_pct` distribution, aggregated across the seed samples.
-#[derive(Debug, Clone, Serialize)]
-pub struct VrdRow {
-    /// Weakest-row threshold as a percentage of the nominal N_RH (100 =
-    /// degenerate: every row at the nominal).
-    pub min_pct: u32,
-    /// Nominal RowHammer threshold.
-    pub nominal_nrh: u32,
-    /// Seed samples aggregated.
-    pub samples: usize,
-    /// Fewest oracle flips observed across samples.
-    pub flips_min: u64,
-    /// Mean oracle flips across samples.
-    pub flips_mean: f64,
-    /// Most oracle flips observed across samples.
-    pub flips_max: u64,
+    };
+    let text = |rows: &[LeakageRow]| {
+        let bits = |v: f64| format!("{v:.3}");
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.mechanism.clone(),
+                    bits(r.leakage_score),
+                    bits(r.attacker_latency_entropy_bits),
+                    bits(r.gap_entropy_bits),
+                    bits(r.pause_entropy_bits),
+                    bits(r.outcome_entropy_bits),
+                    format!("{:.2}%", r.pause_fraction * 100.0),
+                ]
+            })
+            .collect();
+        let headers = [
+            "mechanism",
+            "leakage score",
+            "attacker H(lat)",
+            "H(gap)",
+            "H(pause)",
+            "H(outcome)",
+            "paused",
+        ];
+        format!(
+            "Timing-channel leakage ranking at N_RH = {LEAKAGE_NRH} (probe: 429.mcf + attacker)\n\
+             {}\n\
+             Reading: the score sums the entropies (bits) of the timing distributions an\n\
+             attacker can sample. Mechanisms that stall demand traffic in data-dependent\n\
+             patterns rank high; the baseline bounds the channel floor of plain DRAM.\n",
+            format_table(&headers, &table)
+        )
+    };
+    Figure::new(spec, rows, text)
 }
 
 /// Seed samples per `min_pct` point of the VRD sweep.
-pub const VRD_SEEDS: usize = 16;
+const VRD_SEEDS: usize = 16;
 
 /// The `min_pct` points of the VRD sweep: the degenerate (scalar-
 /// equivalent) distribution and a 2× spread.
-pub const VRD_MIN_PCTS: [u32; 2] = [100, 50];
+const VRD_MIN_PCTS: [u32; 2] = [100, 50];
 
-/// The Variable Read Disturbance Monte-Carlo study as a grid: an
-/// unmitigated single-core 429.mcf run whose ground-truth oracle samples
-/// per-row thresholds from `[nrh·min_pct/100, nrh]`, swept over
-/// [`VRD_SEEDS`] sampling seeds per [`VRD_MIN_PCTS`] point. Every cell
-/// shares one workload and differs only in oracle parameters, so the
-/// entire grid is one timing cohort: the executor fills it with one
-/// multi-lane [`chronus_sim::System::run_batch`] simulation.
-pub struct VrdSweepGrid {
-    /// The declarative grid.
-    pub spec: GridSpec,
-    /// (min_pct, member cells).
-    jobs: Vec<(u32, Vec<usize>)>,
-}
-
-impl VrdSweepGrid {
-    /// Builds the grid.
-    pub fn build(opts: &HarnessOpts) -> Self {
-        let workload = WorkloadSpec::Apps {
-            apps: vec![AppTrace::new("429.mcf", 0, opts.seed)],
-            trace_instructions: opts.instructions + opts.instructions / 10,
-        };
-        let nominal = opts.nrh_list.first().copied().unwrap_or(1024);
-        let mut spec = GridSpec::new("vrd-sweep");
-        let mut jobs = Vec::new();
-        for &min_pct in &VRD_MIN_PCTS {
-            let start = spec.len();
-            for s in 0..VRD_SEEDS {
-                let mut cfg = SimConfig::single_core();
-                cfg.instructions_per_core = opts.instructions;
-                cfg.nrh = nominal;
-                cfg.seed = opts.seed;
-                cfg.oracle = true;
-                cfg.vrd = Some(VrdSpec {
+/// The Variable Read Disturbance Monte-Carlo study: an unmitigated
+/// single-core 429.mcf run whose ground-truth oracle samples per-row
+/// thresholds from `[nrh·min_pct/100, nrh]`, swept over [`VRD_SEEDS`]
+/// sampling seeds per [`VRD_MIN_PCTS`] point. Every cell shares one
+/// workload and differs only in oracle parameters, so the entire grid is
+/// one timing cohort: the executor fills it with one multi-lane
+/// [`chronus_sim::System::run_batch`] simulation.
+fn vrd_sweep(opts: &HarnessOpts) -> Figure {
+    let workload = WorkloadSpec::Apps {
+        apps: vec![AppTrace::new("429.mcf", 0, opts.seed)],
+        trace_instructions: trace_instructions(opts),
+    };
+    let nominal = opts.nrh_list.first().copied().unwrap_or(1024);
+    let mut spec = GridSpec::new("vrd-sweep");
+    for min_pct in VRD_MIN_PCTS {
+        for s in 0..VRD_SEEDS {
+            let cfg = SimConfig {
+                nrh: nominal,
+                oracle: true,
+                vrd: Some(VrdSpec {
                     min_pct,
                     seed: opts.seed + s as u64,
-                });
-                cfg.max_mem_cycles = opts.instructions.saturating_mul(6000).max(1 << 22);
-                let label = format!("vrd{min_pct}#{s}");
-                spec.push(CellSpec::new(label, workload.clone(), cfg));
-            }
-            jobs.push((min_pct, (start..spec.len()).collect()));
+                }),
+                ..harness_config(SimConfig::single_core(), opts, 6000)
+            };
+            let label = format!("vrd{min_pct}#{s}");
+            spec.push(CellSpec::new(label, workload.clone(), cfg));
         }
-        Self { spec, jobs }
     }
+    Figure::cells_only(spec)
+}
 
-    /// Assembles rows; `min_pct` points with any missing sample (partial
-    /// shard) are skipped.
-    pub fn rows(&self, outcome: &GridOutcome) -> Vec<VrdRow> {
-        let mut rows = Vec::new();
-        for (min_pct, cells) in &self.jobs {
-            let mut flips = Vec::new();
-            let mut nominal = 0;
-            let mut complete = true;
-            for &cell in cells {
-                let Some(report) = outcome.reports[cell].as_ref() else {
-                    complete = false;
-                    break;
-                };
-                nominal = report.nrh;
-                flips.push(report.oracle_flips.unwrap_or(0));
-            }
-            if !complete || flips.is_empty() {
-                continue;
-            }
-            rows.push(VrdRow {
-                min_pct: *min_pct,
-                nominal_nrh: nominal,
-                samples: flips.len(),
-                flips_min: *flips.iter().min().expect("non-empty"),
-                flips_mean: flips.iter().sum::<u64>() as f64 / flips.len() as f64,
-                flips_max: *flips.iter().max().expect("non-empty"),
-            });
-        }
-        rows
+/// The deliberately tiny two-cell grid the CI smoke job runs twice to
+/// prove the second pass is 100% cache hits. It is fixed: no flag changes
+/// its cells.
+fn smoke(_: &HarnessOpts) -> Figure {
+    let mut spec = GridSpec::new("smoke");
+    for (slot, app) in ["511.povray", "429.mcf"].iter().enumerate() {
+        let mut cfg = SimConfig::single_core();
+        cfg.instructions_per_core = 3_000;
+        cfg.mechanism = MechanismKind::Chronus;
+        cfg.nrh = 64;
+        cfg.max_mem_cycles = 1 << 22;
+        let workload = WorkloadSpec::Apps {
+            apps: vec![AppTrace::new(*app, slot as u64, 42)],
+            trace_instructions: 3_600,
+        };
+        spec.push(CellSpec::new(format!("smoke:{app}"), workload, cfg));
     }
+    Figure::cells_only(spec)
 }
 
 #[cfg(test)]
@@ -752,6 +1009,21 @@ mod tests {
             ..HarnessOpts::default()
         }
     }
+
+    /// The figure binaries and the grid each renders.
+    const FIGURE_BINS: [(&str, &str); 11] = [
+        ("fig4", "fig4"),
+        ("fig7", "fig7"),
+        ("fig8", "fig8"),
+        ("fig9", "fig9"),
+        ("fig10", "fig10"),
+        ("fig12", "fig12"),
+        ("fig14_15", "fig14_15"),
+        ("table4", "table4"),
+        ("perf_attack", "perf_attack"),
+        ("ablation", "ablation"),
+        ("leakage_report", "leakage"),
+    ];
 
     #[test]
     fn every_registered_grid_builds() {
@@ -774,22 +1046,72 @@ mod tests {
             }
         }
         assert!(build_spec("not-a-grid", &opts).is_none());
+        // Every figure binary renders a registered grid, and is nothing
+        // but the call that does so.
+        for (bin, grid) in FIGURE_BINS {
+            let figure = figure(grid, &opts).unwrap_or_else(|| panic!("{bin}: '{grid}' missing"));
+            assert!(figure.render.is_some(), "{bin}: '{grid}' has no renderer");
+            let path = format!("{}/src/bin/{bin}.rs", env!("CARGO_MANIFEST_DIR"));
+            let main = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert!(
+                main.contains(&format!("figure_main(\"{bin}\", \"{grid}\")")),
+                "{path} does not render '{grid}'"
+            );
+        }
+    }
+
+    #[test]
+    fn every_grid_honours_obs() {
+        for obs in [false, true] {
+            let opts = HarnessOpts { obs, ..tiny() };
+            for name in GRID_NAMES {
+                // `leakage` always carries the probe; `smoke` ignores
+                // every flag.
+                let want = match *name {
+                    "leakage" => true,
+                    "smoke" => false,
+                    _ => obs,
+                };
+                for cell in &build_spec(name, &opts).unwrap().cells {
+                    assert_eq!(cell.config.obs, want, "{name}/{}", cell.label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_partial_outcome_renders_without_panicking() {
+        // A shard that holds none of a grid's cells renders every figure's
+        // headers and an empty JSON row list.
+        let opts = tiny();
+        for (bin, grid) in FIGURE_BINS {
+            let figure = figure(grid, &opts).unwrap();
+            let outcome = GridOutcome {
+                reports: vec![None; figure.spec.len()],
+                stats: Default::default(),
+                failures: Vec::new(),
+                wall_seconds: 0.0,
+            };
+            let (text, json) = (figure.render.unwrap())(&outcome);
+            assert!(!text.is_empty(), "{bin}: no text");
+            assert_eq!(json, "[]", "{bin}");
+        }
     }
 
     #[test]
     fn smoke_grid_is_two_cells() {
-        assert_eq!(smoke_grid().len(), 2);
+        assert_eq!(build_spec("smoke", &tiny()).unwrap().len(), 2);
     }
 
     #[test]
     fn leakage_grid_covers_every_mechanism_with_obs_on() {
-        let grid = LeakageGrid::build(&tiny());
-        assert_eq!(grid.spec.len(), 1 + MechanismKind::all().len());
-        assert_eq!(grid.spec.len(), 12, "baseline + all eleven mechanisms");
-        let labels: Vec<_> = grid.spec.cells.iter().map(|c| c.label.clone()).collect();
+        let spec = build_spec("leakage", &tiny()).unwrap();
+        assert_eq!(spec.len(), 1 + MechanismKind::all().len());
+        assert_eq!(spec.len(), 12, "baseline + all eleven mechanisms");
+        let labels: Vec<_> = spec.cells.iter().map(|c| c.label.clone()).collect();
         assert!(labels.contains(&"Baseline".to_string()));
         assert!(labels.contains(&"Chronus".to_string()));
-        for cell in &grid.spec.cells {
+        for cell in &spec.cells {
             assert!(
                 cell.config.obs,
                 "{}: leakage cells must carry the probe",
@@ -802,22 +1124,19 @@ mod tests {
 
     #[test]
     fn vrd_sweep_is_one_timing_cohort() {
-        let grid = VrdSweepGrid::build(&tiny());
-        assert_eq!(grid.spec.len(), VRD_SEEDS * VRD_MIN_PCTS.len());
-        for cell in &grid.spec.cells {
+        let spec = build_spec("vrd-sweep", &tiny()).unwrap();
+        assert_eq!(spec.len(), VRD_SEEDS * VRD_MIN_PCTS.len());
+        for cell in &spec.cells {
             assert!(cell.config.oracle, "{}: VRD needs the oracle", cell.label);
             assert!(cell.config.vrd.is_some());
             assert_eq!(cell.config.mechanism, MechanismKind::None);
             // One shared workload and one cohort key: the executor fills
             // the whole grid as one unit.
-            assert_eq!(cell.workload, grid.spec.cells[0].workload);
-            assert_eq!(
-                cell.config.cohort_key(),
-                grid.spec.cells[0].config.cohort_key()
-            );
+            assert_eq!(cell.workload, spec.cells[0].workload);
+            assert_eq!(cell.config.cohort_key(), spec.cells[0].config.cohort_key());
         }
         // Distinct cells: every member hashes uniquely.
-        let hashes = grid.spec.hashes();
+        let hashes = spec.hashes();
         let unique: std::collections::HashSet<_> = hashes.iter().collect();
         assert_eq!(unique.len(), hashes.len());
     }

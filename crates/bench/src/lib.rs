@@ -27,8 +27,5 @@ pub mod runs;
 pub mod tables;
 
 pub use opts::HarnessOpts;
-pub use runs::{
-    execute, exit_code, finish, mix_traces, run_mix, sweep_mixes, sweep_single_core, AppSweep,
-    MixSweep, SweepRow,
-};
+pub use runs::{execute, exit_code, figure_main, finish, AppSweep, MixSweep, SweepRow};
 pub use tables::{format_table, geomean, write_json};

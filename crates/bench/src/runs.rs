@@ -1,5 +1,6 @@
 //! Experiment orchestration: alone/baseline/mechanism runs over mixes,
-//! expressed as declarative `chronus-grid` specs.
+//! expressed as declarative `chronus-grid` specs, and the execution every
+//! figure binary shares ([`figure_main`]).
 //!
 //! Every simulation a figure needs — including the per-mix alone-IPC and
 //! no-mitigation baseline context runs — is one grid cell, so repeated
@@ -11,16 +12,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 use chronus_core::MechanismKind;
-use chronus_cpu::Trace;
 use chronus_grid::{
     run_grid, AppTrace, CellSpec, ExecOpts, FaultInjector, FaultPlan, GridOutcome, GridSpec,
     ResultStore, WorkloadSpec, DEGRADED_EXIT,
 };
-use chronus_sim::{SimConfig, SimReport, System};
-use chronus_workloads::{four_core_mixes, generator::synthetic_from_profile, AppProfile, Mix};
+use chronus_sim::{SimConfig, SimReport};
+use chronus_workloads::{four_core_mixes, AppProfile, Mix};
 use serde::Serialize;
 
 use crate::opts::HarnessOpts;
+use crate::tables::write_text;
 
 /// One evaluated (workload, mechanism, N_RH) point.
 #[derive(Debug, Clone, Serialize)]
@@ -46,56 +47,49 @@ pub struct SweepRow {
     pub preventive_rows: u64,
 }
 
-/// Generates the per-core traces of a mix.
-pub fn mix_traces(apps: &[AppProfile], instructions: u64, seed: u64) -> Vec<Trace> {
-    apps.iter()
-        .enumerate()
-        .map(|(i, p)| {
-            synthetic_from_profile(*p, i as u64)
-                .generate(instructions + instructions / 10, seed ^ (i as u64) << 8)
-        })
-        .collect()
-}
-
-/// Runs a mix under one mechanism (direct, uncached; the sweeps go through
-/// the grid instead).
-pub fn run_mix(
-    apps: &[AppProfile],
-    mech: MechanismKind,
-    nrh: u32,
+/// The harness's part of every cell config: `base` retiring
+/// `--instructions` per core at `--seed`, under a budget of
+/// `cycles_per_instr` memory cycles per instruction (never below 2^22),
+/// with the `--obs` probe attached when asked for.
+pub(crate) fn harness_config(
+    base: SimConfig,
     opts: &HarnessOpts,
-) -> SimReport {
-    let cfg = mix_config(apps.len(), mech, nrh, opts);
-    let traces = mix_traces(apps, opts.instructions, opts.seed);
-    System::build(&cfg).run(traces)
-}
-
-/// The multi-programmed configuration every mix cell uses.
-pub fn mix_config(
-    num_cores: usize,
-    mech: MechanismKind,
-    nrh: u32,
-    opts: &HarnessOpts,
+    cycles_per_instr: u64,
 ) -> SimConfig {
-    let mut cfg = SimConfig::four_core();
-    cfg.num_cores = num_cores;
-    cfg.instructions_per_core = opts.instructions;
-    cfg.mechanism = mech;
-    cfg.nrh = nrh;
-    cfg.seed = opts.seed;
-    cfg.max_mem_cycles = opts.instructions.saturating_mul(4000).max(1 << 22);
-    cfg.obs = opts.obs;
-    cfg
+    SimConfig {
+        instructions_per_core: opts.instructions,
+        seed: opts.seed,
+        max_mem_cycles: opts
+            .instructions
+            .saturating_mul(cycles_per_instr)
+            .max(1 << 22),
+        obs: opts.obs,
+        ..base
+    }
 }
 
-/// The single-core alone-run configuration (mirrors
-/// `chronus_sim::system::alone_ipc`: mechanism off, default seed).
+/// Instructions of trace each core replays: 10% beyond its budget.
+pub(crate) fn trace_instructions(opts: &HarnessOpts) -> u64 {
+    opts.instructions + opts.instructions / 10
+}
+
+/// The multi-programmed configuration every mix cell uses (the core count
+/// follows the cell's workload).
+pub(crate) fn mix_config(mech: MechanismKind, nrh: u32, opts: &HarnessOpts) -> SimConfig {
+    SimConfig {
+        mechanism: mech,
+        nrh,
+        ..harness_config(SimConfig::four_core(), opts, 4000)
+    }
+}
+
+/// The single-core alone-run configuration behind `IPC_alone`: mechanism
+/// off, and the config's own seed rather than `--seed`.
 fn alone_config(opts: &HarnessOpts) -> SimConfig {
-    let mut cfg = SimConfig::single_core();
-    cfg.instructions_per_core = opts.instructions;
-    cfg.max_mem_cycles = opts.instructions.saturating_mul(4000).max(1 << 22);
-    cfg.obs = opts.obs;
-    cfg
+    SimConfig {
+        seed: SimConfig::single_core().seed,
+        ..harness_config(SimConfig::single_core(), opts, 4000)
+    }
 }
 
 /// The per-core trace specs of a mix (slot i, seed `opts.seed ^ (i << 8)`).
@@ -108,7 +102,7 @@ pub(crate) fn mix_workload(apps: &[AppProfile], opts: &HarnessOpts) -> WorkloadS
             .enumerate()
             .map(|(i, p)| AppTrace::new(p.name, i as u64, opts.seed ^ (i as u64) << 8))
             .collect(),
-        trace_instructions: opts.instructions + opts.instructions / 10,
+        trace_instructions: trace_instructions(opts),
     }
 }
 
@@ -229,6 +223,24 @@ pub fn finish() -> ! {
     std::process::exit(exit_code());
 }
 
+/// The whole `main` of a figure binary: parses `tool`'s flags, executes the
+/// registered grid `grid`, prints its text, writes its rows to `--out` and
+/// ends with [`finish`].
+pub fn figure_main(tool: &str, grid: &str) -> ! {
+    let opts = HarnessOpts::from_args(tool);
+    let figure = crate::grids::figure(grid, &opts)
+        .unwrap_or_else(|| panic!("'{grid}' is not a registered grid"));
+    let render = figure
+        .render
+        .unwrap_or_else(|| panic!("grid '{grid}' has no renderer"));
+    let (text, json) = render(&execute(&figure.spec, &opts));
+    print!("{text}");
+    if let Some(path) = &opts.out {
+        write_text(path, &json);
+    }
+    finish()
+}
+
 fn preventive_rows(report: &SimReport) -> u64 {
     report.dram.rfm_victim_rows + report.dram.vrrs + report.dram.borrowed_refreshes * 4
 }
@@ -275,7 +287,7 @@ impl MixSweep {
                         i as u64,
                         opts.seed ^ (i as u64) << 8,
                     )],
-                    trace_instructions: opts.instructions + opts.instructions / 10,
+                    trace_instructions: trace_instructions(opts),
                 };
                 per_core.push(spec.push(CellSpec::new(
                     format!("{}:alone:{}", mix.name, app.name),
@@ -285,7 +297,7 @@ impl MixSweep {
             }
             alone.push(per_core);
 
-            let mut cfg = mix_config(mix.apps.len(), MechanismKind::None, 1024, opts);
+            let mut cfg = mix_config(MechanismKind::None, 1024, opts);
             tweak(&mut cfg);
             baseline.push(spec.push(CellSpec::new(
                 format!("{}:baseline", mix.name),
@@ -296,7 +308,7 @@ impl MixSweep {
         for (m, mix) in mixes.iter().enumerate() {
             for &mech in mechanisms {
                 for &nrh in nrh_list {
-                    let mut cfg = mix_config(mix.apps.len(), mech, nrh, opts);
+                    let mut cfg = mix_config(mech, nrh, opts);
                     tweak(&mut cfg);
                     let cell = spec.push(CellSpec::new(
                         format!("{}:{}@{}", mix.name, mech.label(), nrh),
@@ -353,18 +365,6 @@ impl MixSweep {
     }
 }
 
-/// Full multi-core sweep: `mechanisms × nrh_list` over the configured
-/// mixes, producing normalised rows (Fig. 4, 8, 9, 10, 12).
-pub fn sweep_mixes(
-    mechanisms: &[MechanismKind],
-    nrh_list: &[u32],
-    opts: &HarnessOpts,
-) -> Vec<SweepRow> {
-    let sweep = MixSweep::build("mix-sweep", mechanisms, nrh_list, opts, &|_| {});
-    let outcome = execute(&sweep.spec, opts);
-    sweep.rows(&outcome)
-}
-
 /// A homogeneous-copies sweep (Fig. 7 with one core, Fig. 14/15 with
 /// eight) as a grid: per app, one baseline cell and one cell per
 /// (mechanism, N_RH).
@@ -393,21 +393,19 @@ impl AppSweep {
             apps: (0..num_cores)
                 .map(|i| AppTrace::new(app.name, i as u64, opts.seed ^ i as u64))
                 .collect(),
-            trace_instructions: opts.instructions + opts.instructions / 10,
+            trace_instructions: trace_instructions(opts),
         };
         let config = |mech: MechanismKind, nrh: u32| {
-            let mut cfg = if large_llc {
+            let base = if large_llc {
                 SimConfig::eight_core_large_llc()
             } else {
                 SimConfig::four_core()
             };
-            cfg.instructions_per_core = opts.instructions;
-            cfg.mechanism = mech;
-            cfg.nrh = nrh;
-            cfg.seed = opts.seed;
-            cfg.max_mem_cycles = opts.instructions.saturating_mul(4000).max(1 << 22);
-            cfg.obs = opts.obs;
-            cfg
+            SimConfig {
+                mechanism: mech,
+                nrh,
+                ..harness_config(base, opts, 4000)
+            }
         };
         let baseline = apps
             .iter()
@@ -466,97 +464,4 @@ impl AppSweep {
         }
         rows
     }
-}
-
-/// Single-core sweep over applications (Fig. 7, Fig. 14/15 building block).
-pub fn sweep_single_core(
-    apps: &[AppProfile],
-    mechanisms: &[MechanismKind],
-    nrh_list: &[u32],
-    opts: &HarnessOpts,
-    num_cores: usize,
-    large_llc: bool,
-) -> Vec<SweepRow> {
-    let sweep = AppSweep::build(
-        "app-sweep",
-        apps,
-        mechanisms,
-        nrh_list,
-        opts,
-        num_cores,
-        large_llc,
-    );
-    let outcome = execute(&sweep.spec, opts);
-    sweep.rows(&outcome)
-}
-
-/// Runs `num_cores` copies of one application (single-core when 1),
-/// directly and uncached.
-pub fn run_homogeneous(
-    app: &AppProfile,
-    mech: MechanismKind,
-    nrh: u32,
-    opts: &HarnessOpts,
-    num_cores: usize,
-    large_llc: bool,
-) -> SimReport {
-    let mut cfg = if large_llc {
-        SimConfig::eight_core_large_llc()
-    } else {
-        SimConfig::four_core()
-    };
-    cfg.num_cores = num_cores;
-    cfg.instructions_per_core = opts.instructions;
-    cfg.mechanism = mech;
-    cfg.nrh = nrh;
-    cfg.seed = opts.seed;
-    cfg.obs = opts.obs;
-    cfg.max_mem_cycles = opts.instructions.saturating_mul(4000).max(1 << 22);
-    let traces: Vec<Trace> = (0..num_cores)
-        .map(|i| {
-            synthetic_from_profile(*app, i as u64).generate(
-                opts.instructions + opts.instructions / 10,
-                opts.seed ^ i as u64,
-            )
-        })
-        .collect();
-    System::build(&cfg).run(traces)
-}
-
-/// Pivots sweep rows into a mechanism × N_RH table of geometric means.
-pub fn pivot_geomean(
-    rows: &[SweepRow],
-    nrh_list: &[u32],
-    value: impl Fn(&SweepRow) -> f64,
-) -> Vec<Vec<String>> {
-    let mut mech_order: Vec<String> = Vec::new();
-    for r in rows {
-        if !mech_order.contains(&r.mechanism) {
-            mech_order.push(r.mechanism.clone());
-        }
-    }
-    let mut out = Vec::new();
-    for mech in &mech_order {
-        let mut line = vec![mech.clone()];
-        for &nrh in nrh_list {
-            let vals: Vec<f64> = rows
-                .iter()
-                .filter(|r| &r.mechanism == mech && r.nrh == nrh)
-                .map(&value)
-                .collect();
-            let unsafe_marker = rows
-                .iter()
-                .any(|r| &r.mechanism == mech && r.nrh == nrh && !r.secure);
-            let g = crate::tables::geomean(&vals);
-            line.push(if vals.is_empty() {
-                "-".into()
-            } else if unsafe_marker {
-                format!("{g:.3}!")
-            } else {
-                format!("{g:.3}")
-            });
-        }
-        out.push(line);
-    }
-    out
 }

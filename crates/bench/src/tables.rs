@@ -50,8 +50,21 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 ///
 /// Panics on I/O errors — harness binaries want loud failures.
 pub fn write_json<T: Serialize>(path: &Path, data: &T) {
-    let json = serde_json::to_string_pretty(data).expect("serialisable");
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    write_text(path, &to_json(data));
+}
+
+/// `data` as pretty JSON, the form every `--out` file takes.
+pub(crate) fn to_json<T: Serialize>(data: &T) -> String {
+    serde_json::to_string_pretty(data).expect("serialisable")
+}
+
+/// Writes `text` to `path` and names the file on stderr.
+///
+/// # Panics
+///
+/// Panics on I/O errors, as [`write_json`] does.
+pub(crate) fn write_text(path: &Path, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     eprintln!("wrote {}", path.display());
 }
 

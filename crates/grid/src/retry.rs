@@ -37,24 +37,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// No retries at all: one attempt, zero delays.
-    pub const fn none() -> Self {
-        Self {
-            max_retries: 0,
-            base_ms: 0,
-            cap_ms: 0,
-            jitter: 0.0,
-        }
-    }
-
-    /// The default policy with a different retry budget.
-    pub fn with_retries(max_retries: u32) -> Self {
-        Self {
-            max_retries,
-            ..Self::default()
-        }
-    }
-
     /// Total attempts this policy allows.
     pub fn attempts(&self) -> u32 {
         self.max_retries + 1
@@ -150,15 +132,11 @@ mod tests {
 
     #[test]
     fn none_means_single_attempt() {
-        let p = RetryPolicy::none();
+        let p = RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        };
         assert_eq!(p.attempts(), 1);
         assert!(p.schedule_ms(9).is_empty());
-    }
-
-    #[test]
-    fn with_retries_keeps_default_shape() {
-        let p = RetryPolicy::with_retries(1);
-        assert_eq!(p.attempts(), 2);
-        assert_eq!(p.base_ms, RetryPolicy::default().base_ms);
     }
 }

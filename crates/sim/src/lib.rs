@@ -30,7 +30,7 @@ pub mod slab;
 pub mod system;
 
 pub use config::{SimConfig, VrdSpec};
-pub use parallel::{run_parallel, try_run_parallel};
+pub use parallel::try_run_parallel;
 pub use report::SimReport;
 pub use slab::InflightSlab;
 pub use system::{LoopStats, System};

@@ -25,24 +25,9 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Applies `f` to every item on `threads` worker threads, preserving input
-/// order in the output. A panicking `f` aborts the whole call — callers
-/// that must survive per-item panics use [`try_run_parallel`].
-pub fn run_parallel<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    try_run_parallel(items, threads, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|msg| panic!("parallel worker panicked: {msg}")))
-        .collect()
-}
-
-/// Panic-isolated [`run_parallel`]: each item's `f` runs under
-/// `catch_unwind`, so one panicking item becomes `Err(panic message)` in
-/// its output slot while every other item still completes. Input order is
-/// preserved.
+/// order in the output. Each item's `f` runs under `catch_unwind`, so one
+/// panicking item becomes `Err(panic message)` in its output slot while
+/// every other item still completes.
 pub fn try_run_parallel<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<Result<R, String>>
 where
     T: Send,
@@ -95,33 +80,45 @@ where
 mod tests {
     use super::*;
 
+    /// [`try_run_parallel`] for items that do not panic.
+    fn run_ok<T: Send, R: Send>(
+        items: Vec<T>,
+        threads: usize,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        try_run_parallel(items, threads, f)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect()
+    }
+
     #[test]
     fn preserves_order() {
-        let out = run_parallel((0..100).collect(), 8, |x: i32| x * 2);
+        let out = run_ok((0..100).collect(), 8, |x: i32| x * 2);
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn works_single_threaded() {
-        let out = run_parallel(vec!["a", "bb", "ccc"], 1, |s: &str| s.len());
+        let out = run_ok(vec!["a", "bb", "ccc"], 1, |s: &str| s.len());
         assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<i32> = run_parallel(Vec::<i32>::new(), 4, |x| x);
+        let out: Vec<i32> = run_ok(Vec::<i32>::new(), 4, |x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_threads_than_items() {
-        let out = run_parallel(vec![1, 2], 16, |x: i32| x + 1);
+        let out = run_ok(vec![1, 2], 16, |x: i32| x + 1);
         assert_eq!(out, vec![2, 3]);
     }
 
     #[test]
     fn uneven_items_balance_across_workers() {
-        let out = run_parallel((0..37).collect(), 5, |x: u64| x * x);
+        let out = run_ok((0..37).collect(), 5, |x: u64| x * x);
         assert_eq!(out, (0..37).map(|x| x * x).collect::<Vec<_>>());
     }
 
@@ -135,7 +132,7 @@ mod tests {
         use std::time::Duration;
         const ITEMS: usize = 6;
         let done = (Mutex::new(0usize), Condvar::new());
-        let out = run_parallel((0..ITEMS).collect(), 2, |i: usize| {
+        let out = run_ok((0..ITEMS).collect(), 2, |i: usize| {
             let (count, changed) = &done;
             if i == 0 {
                 let wait = changed
@@ -186,16 +183,5 @@ mod tests {
         assert_eq!(out[0], Ok(1));
         assert_eq!(out[1], Err("two".to_string()));
         assert_eq!(out[2], Ok(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel worker panicked: unlucky")]
-    fn plain_variant_propagates_panics() {
-        let _ = run_parallel(vec![0, 7], 2, |x: i32| {
-            if x == 7 {
-                panic!("unlucky");
-            }
-            x
-        });
     }
 }

@@ -556,17 +556,6 @@ fn forward_llc_requests(
     pushed
 }
 
-/// Runs one application alone on the unmitigated baseline and returns its
-/// IPC (the `IPC_alone` of the weighted-speedup metric).
-pub fn alone_ipc(trace: Trace, base_cfg: &SimConfig) -> f64 {
-    let mut cfg = base_cfg.clone();
-    cfg.num_cores = 1;
-    cfg.mechanism = MechanismKind::None;
-    cfg.oracle = false;
-    let report = System::build(&cfg).run(vec![trace]);
-    report.ipc[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -842,11 +831,5 @@ mod tests {
                 stats.ctrl_ticks
             );
         }
-    }
-
-    #[test]
-    fn alone_ipc_positive() {
-        let cfg = quick_cfg(MechanismKind::None, 1024);
-        assert!(alone_ipc(trace_for("tpch2", 0), &cfg) > 0.0);
     }
 }

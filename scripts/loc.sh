@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Prints the line counts ROADMAP.md tracks for the simulation kernel and the
-# experiment-grid crate.
+# Prints the line counts ROADMAP.md tracks for the simulation kernel, the
+# experiment-grid crate and the figure harness.
 #
 #   scripts/loc.sh
 #
@@ -9,12 +9,17 @@
 #                  (the whole file when it has none)
 # grid total:      every line of crates/grid/src/*.rs
 # grid non-test:   the same first-#[cfg(test)] cut over those files
+# harness total:   every line of crates/bench/src/**/*.rs (library and
+#                  figure binaries)
+# harness non-test: the same first-#[cfg(test)] cut over those files
 set -euo pipefail
+shopt -s globstar
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 kernel=(crates/ctrl/src/*.rs crates/dram/src/*.rs crates/sim/src/*.rs)
 grid=(crates/grid/src/*.rs)
+harness=(crates/bench/src/**/*.rs)
 
 # Sum over the given files of the lines above each one's first #[cfg(test)].
 non_test() {
@@ -30,3 +35,5 @@ printf 'kernel total    %6d  crates/{ctrl,dram,sim}/src/*.rs\n' "$(cat "${kernel
 printf 'kernel non-test %6d  lines above the first #[cfg(test)]\n' "$(non_test "${kernel[@]}")"
 printf 'grid total      %6d  crates/grid/src/*.rs\n' "$(cat "${grid[@]}" | wc -l)"
 printf 'grid non-test   %6d  lines above the first #[cfg(test)]\n' "$(non_test "${grid[@]}")"
+printf 'harness total   %6d  crates/bench/src/**/*.rs\n' "$(cat "${harness[@]}" | wc -l)"
+printf 'harness non-test %5d  lines above the first #[cfg(test)]\n' "$(non_test "${harness[@]}")"

@@ -165,7 +165,10 @@ mod executor_retry_backoff {
 
     #[test]
     fn schedule_is_deterministic_per_token_and_decorrelated_across_tokens() {
-        let p = RetryPolicy::with_retries(6);
+        let p = RetryPolicy {
+            max_retries: 6,
+            ..RetryPolicy::default()
+        };
         assert_eq!(p.schedule_ms(42), p.schedule_ms(42), "pure in the token");
         assert_ne!(
             p.schedule_ms(42),
@@ -176,8 +179,12 @@ mod executor_retry_backoff {
 
     #[test]
     fn retry_budget_shapes_the_schedule_length() {
-        assert!(RetryPolicy::none().schedule_ms(1).is_empty());
-        assert_eq!(RetryPolicy::none().attempts(), 1);
-        assert_eq!(RetryPolicy::with_retries(5).schedule_ms(1).len(), 5);
+        let retries = |max_retries| RetryPolicy {
+            max_retries,
+            ..RetryPolicy::default()
+        };
+        assert!(retries(0).schedule_ms(1).is_empty());
+        assert_eq!(retries(0).attempts(), 1);
+        assert_eq!(retries(5).schedule_ms(1).len(), 5);
     }
 }
