@@ -54,11 +54,6 @@ impl Figure {
             render: Some(Box::new(render)),
         }
     }
-
-    /// A grid `chronus-sweep` runs and no binary renders.
-    fn cells_only(spec: GridSpec) -> Self {
-        Self { spec, render: None }
-    }
 }
 
 /// A registry entry: builds its grid's figure for the given options.
@@ -580,14 +575,15 @@ fn ablation(opts: &HarnessOpts) -> Figure {
     let mut jobs = Vec::new();
     for &mech in &[MechanismKind::Prac4, MechanismKind::Chronus] {
         for &nbo in &ABLATION_NBOS {
-            // The seed is intentionally left at the config default to
-            // match the original harness exactly.
+            // The config's own seed rather than `--seed`, which keeps the
+            // ablation's cell keys.
+            let base = SimConfig::four_core();
             let cfg = SimConfig {
                 mechanism: mech,
                 nrh: ABLATION_NRH,
                 threshold_override: Some(nbo),
-                seed: SimConfig::four_core().seed,
-                ..harness_config(SimConfig::four_core(), opts, 8000)
+                seed: base.seed,
+                ..harness_config(base, opts, 8000)
             };
             let calm = spec.push(CellSpec::new(
                 format!("{}:nbo{nbo}:calm", mech.label()),
@@ -973,7 +969,7 @@ fn vrd_sweep(opts: &HarnessOpts) -> Figure {
             spec.push(CellSpec::new(label, workload.clone(), cfg));
         }
     }
-    Figure::cells_only(spec)
+    Figure { spec, render: None }
 }
 
 /// The deliberately tiny two-cell grid the CI smoke job runs twice to
@@ -993,7 +989,7 @@ fn smoke(_: &HarnessOpts) -> Figure {
         };
         spec.push(CellSpec::new(format!("smoke:{app}"), workload, cfg));
     }
-    Figure::cells_only(spec)
+    Figure { spec, render: None }
 }
 
 #[cfg(test)]

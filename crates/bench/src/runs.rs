@@ -86,9 +86,10 @@ pub(crate) fn mix_config(mech: MechanismKind, nrh: u32, opts: &HarnessOpts) -> S
 /// The single-core alone-run configuration behind `IPC_alone`: mechanism
 /// off, and the config's own seed rather than `--seed`.
 fn alone_config(opts: &HarnessOpts) -> SimConfig {
+    let base = SimConfig::single_core();
     SimConfig {
-        seed: SimConfig::single_core().seed,
-        ..harness_config(SimConfig::single_core(), opts, 4000)
+        seed: base.seed,
+        ..harness_config(base, opts, 4000)
     }
 }
 
