@@ -107,6 +107,17 @@ fn store_of(opts: &HarnessOpts) -> ResultStore {
     chronus_bench::runs::open_store(opts)
 }
 
+/// The store for a read-only command, or `None` when its directory does not
+/// exist: `list` and `status` report every cell missing rather than create
+/// an empty store.
+fn existing_store(opts: &HarnessOpts) -> Option<ResultStore> {
+    let dir = opts
+        .grid_dir
+        .clone()
+        .unwrap_or_else(ResultStore::default_dir);
+    dir.is_dir().then(|| store_of(opts))
+}
+
 /// Resolves `all` / a name / `None` into specs.
 fn specs_for(grid_arg: Option<&str>, opts: &HarnessOpts) -> Vec<GridSpec> {
     match grid_arg {
@@ -125,13 +136,14 @@ fn specs_for(grid_arg: Option<&str>, opts: &HarnessOpts) -> Vec<GridSpec> {
 }
 
 fn list(grid_arg: Option<&str>, opts: &HarnessOpts) {
-    let store = store_of(opts);
+    let store = existing_store(opts);
+    let cached = |hash: &str| store.as_ref().is_some_and(|s| s.contains(hash));
     match grid_arg {
         None | Some("all") => {
             let mut rows = Vec::new();
             for spec in specs_for(Some("all"), opts) {
                 let hashes = spec.hashes();
-                let cached = hashes.iter().filter(|h| store.contains(h)).count();
+                let cached = hashes.iter().filter(|h| cached(h)).count();
                 rows.push(vec![
                     spec.name.clone(),
                     spec.len().to_string(),
@@ -156,7 +168,7 @@ fn list(grid_arg: Option<&str>, opts: &HarnessOpts) {
                     vec![
                         i.to_string(),
                         hash.clone(),
-                        if store.contains(hash) { "yes" } else { "no" }.into(),
+                        if cached(hash) { "yes" } else { "no" }.into(),
                         cell.label.clone(),
                     ]
                 })
@@ -186,8 +198,8 @@ fn run(grid_arg: Option<&str>, opts: &HarnessOpts) {
             degraded = true;
             for f in &outcome.failures {
                 println!(
-                    "chronus-sweep: grid={} FAILED cell #{} '{}' ({:?} after {} attempt(s)): {}",
-                    spec.name, f.index, f.label, f.kind, f.attempts, f.error
+                    "chronus-sweep: grid={} FAILED cell #{} '{}' ({:?}): {}",
+                    spec.name, f.index, f.label, f.kind, f.error
                 );
             }
         }
@@ -202,7 +214,7 @@ fn run(grid_arg: Option<&str>, opts: &HarnessOpts) {
 }
 
 fn status(grid_arg: Option<&str>, opts: &HarnessOpts) {
-    let store = store_of(opts);
+    let store = existing_store(opts);
     let mut degraded = false;
     for spec in specs_for(grid_arg, opts) {
         let hashes = spec.hashes();
@@ -211,20 +223,23 @@ fn status(grid_arg: Option<&str>, opts: &HarnessOpts) {
         let mut cached = 0usize;
         let mut corrupt = 0usize;
         let mut walls = Vec::new();
-        for h in &hashes {
-            match store.verify(h) {
-                EntryState::Ok(_) => {
-                    cached += 1;
-                    if let Some(wall) = store.recorded_wall(h) {
-                        walls.push(wall);
+        if let Some(store) = &store {
+            for h in &hashes {
+                match store.verify(h) {
+                    EntryState::Ok(_) => {
+                        cached += 1;
+                        if let Some(wall) = store.recorded_wall(h) {
+                            walls.push(wall);
+                        }
                     }
+                    EntryState::Bad(_) => corrupt += 1,
+                    EntryState::Missing => {}
                 }
-                EntryState::Bad(_) => corrupt += 1,
-                EntryState::Missing => {}
             }
         }
         let failed = store
-            .load_manifest(&spec.name)
+            .as_ref()
+            .and_then(|s| s.load_manifest(&spec.name))
             .map_or(0, |m| m.failures.len());
         println!(
             "chronus-sweep: grid={} cells={} cached={} missing={} corrupt={} failed={}{}",

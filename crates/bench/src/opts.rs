@@ -97,9 +97,10 @@ impl HarnessOpts {
              grid:  --shard i/N --grid-dir DIR --no-cache --quiet --obs\n\
              \x20      (split a grid across processes: --shard i/N, then \
              `chronus-sweep merge`)\n\
-             fault: env CHRONUS_FAULTS=panic:P,io:P,seed:N,attempts:N\n\
-             \x20      (a cell is simulated once: a panic or a run past its \
-             cycle budget is recorded and the run exits 3)"
+             fault: env CHRONUS_FAULTS=panic:P,io:P,seed:N\n\
+             \x20      (a cell is simulated once: a panic, a run past its \
+             cycle budget or a failed store write is recorded and the run \
+             exits 3)"
         )
     }
 

@@ -13,8 +13,8 @@ use std::sync::OnceLock;
 
 use chronus_core::MechanismKind;
 use chronus_grid::{
-    run_grid, AppTrace, CellSpec, ExecOpts, FaultInjector, FaultPlan, GridOutcome, GridSpec,
-    ResultStore, WorkloadSpec, DEGRADED_EXIT,
+    run_grid, AppTrace, CellSpec, ExecOpts, FaultPlan, GridOutcome, GridSpec, ResultStore,
+    WorkloadSpec, DEGRADED_EXIT,
 };
 use chronus_sim::{SimConfig, SimReport};
 use chronus_workloads::{four_core_mixes, AppProfile, Mix};
@@ -112,17 +112,15 @@ pub(crate) fn mix_workload(apps: &[AppProfile], opts: &HarnessOpts) -> WorkloadS
 /// in between.
 static DEGRADED: AtomicBool = AtomicBool::new(false);
 
-/// The process's fault injector: `CHRONUS_FAULTS`, parsed on the first
-/// call. Every call returns a clone of that one injector, so the store and
-/// the executor share its I/O attempt counters. A malformed spec is a
-/// usage error (exit 2) naming the running binary — silently running
-/// *without* the faults the user asked for would invalidate whatever they
-/// were testing.
-pub fn env_faults() -> Option<FaultInjector> {
-    static FAULTS: OnceLock<Option<FaultInjector>> = OnceLock::new();
+/// The process's fault plan: `CHRONUS_FAULTS`, parsed on the first call.
+/// A malformed spec is a usage error (exit 2) naming the running binary —
+/// silently running *without* the faults the user asked for would
+/// invalidate whatever they were testing.
+pub fn env_faults() -> Option<FaultPlan> {
+    static FAULTS: OnceLock<Option<FaultPlan>> = OnceLock::new();
     FAULTS
         .get_or_init(|| match FaultPlan::from_env() {
-            Ok(plan) => plan.filter(FaultPlan::is_active).map(FaultPlan::injector),
+            Ok(plan) => plan.filter(FaultPlan::is_active),
             Err(msg) => {
                 let arg0 = std::env::args_os().next().unwrap_or_default();
                 let tool = Path::new(&arg0)
@@ -155,7 +153,6 @@ pub fn exec_opts(opts: &HarnessOpts) -> ExecOpts {
         shard: opts.shard,
         progress: !opts.quiet,
         faults: env_faults(),
-        ..ExecOpts::default()
     }
 }
 
@@ -191,8 +188,8 @@ pub fn execute(spec: &GridSpec, opts: &HarnessOpts) -> GridOutcome {
         );
         for f in &outcome.failures {
             eprintln!(
-                "[{}]   #{} '{}' ({:?} after {} attempt(s)): {}",
-                spec.name, f.index, f.label, f.kind, f.attempts, f.error
+                "[{}]   #{} '{}' ({:?}): {}",
+                spec.name, f.index, f.label, f.kind, f.error
             );
         }
         eprintln!(

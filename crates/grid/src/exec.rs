@@ -15,12 +15,13 @@
 //! simulation that panicked once panics again. A panic, or a report that
 //! ran past the cell's `max_mem_cycles` (`truncated`), is recorded in a
 //! [`FailureManifest`] instead of aborting the run, and such a report is
-//! neither stored nor returned. Every loop iteration advances the memory
-//! clock, so the cycle budget ends every run and no wall-clock watchdog is
-//! needed. Only store writes, which can fail transiently, are retried under
-//! a capped exponential backoff. A degraded grid still completes every
-//! healthy cell, persists everything it computed, and reports the
-//! casualties — the contract multi-hour, multi-machine sweeps depend on.
+//! neither stored nor returned. A store write is tried once too: a failed
+//! one is recorded as `StoreWrite`, its report is still returned, and the
+//! next run re-simulates the cell. Every loop iteration advances the memory
+//! clock, so the cycle budget ends every run when `max_mem_cycles > 0`
+//! (every registered grid sets it) and no wall-clock watchdog is needed. A
+//! degraded grid still completes every healthy cell, persists everything
+//! it computed, and reports the casualties.
 //!
 //! Processes split a grid with `--shard i/N` ([`Shard`]) and assemble it
 //! with [`merge`]; they never coordinate. Entries are byte-deterministic
@@ -43,10 +44,9 @@ use chronus_sim::{try_run_parallel, SimConfig, SimReport, System};
 use serde::{Deserialize, Serialize};
 
 use crate::cell::CellSpec;
-use crate::faults::FaultInjector;
-use crate::hash::{cell_hash, mix64};
+use crate::faults::FaultPlan;
+use crate::hash::cell_hash;
 use crate::progress::Progress;
-use crate::retry::RetryPolicy;
 use crate::shard::Shard;
 use crate::spec::GridSpec;
 use crate::store::{ManifestState, ResultStore, STALE_TMP_AGE};
@@ -66,11 +66,9 @@ pub struct ExecOpts {
     pub shard: Shard,
     /// Progress/ETA lines on stderr.
     pub progress: bool,
-    /// Retry policy for store writes (a simulation is never retried).
-    pub retry: RetryPolicy,
     /// Deterministic fault injection at the executor boundary (see
     /// [`crate::faults`]); `None` (the default) costs nothing.
-    pub faults: Option<FaultInjector>,
+    pub faults: Option<FaultPlan>,
 }
 
 impl Default for ExecOpts {
@@ -81,7 +79,6 @@ impl Default for ExecOpts {
                 .unwrap_or(8),
             shard: Shard::full(),
             progress: true,
-            retry: RetryPolicy::default(),
             faults: None,
         }
     }
@@ -142,11 +139,7 @@ pub struct CellFailure {
     pub hash: String,
     /// Failure class.
     pub kind: FailureKind,
-    /// Attempts consumed: 1 for a simulation, first try + retries for a
-    /// store write.
-    pub attempts: u32,
-    /// The error observed (panic payload, budget note, or the last I/O
-    /// error).
+    /// The error observed (panic payload, budget note, or the I/O error).
     pub error: String,
 }
 
@@ -330,17 +323,16 @@ impl UnitRunner<'_> {
     fn settle(&self, i: usize, simulated: Simulated) -> Result<CellDone, CellFailure> {
         let cell = &self.cells[i];
         let hash = self.hashes[i].as_str();
-        let failure = |kind, attempts, error: String| CellFailure {
+        let failure = |kind, error: String| CellFailure {
             index: i,
             label: cell.label.clone(),
             hash: hash.to_string(),
             kind,
-            attempts,
             error,
         };
         let (report, wall) = simulated.map_err(|error| {
             self.progress.cell_failed(&cell.label, &error);
-            failure(FailureKind::Panic, 1, error)
+            failure(FailureKind::Panic, error)
         })?;
         if report.truncated {
             let error = format!(
@@ -348,20 +340,19 @@ impl UnitRunner<'_> {
                 cell.config.max_mem_cycles
             );
             self.progress.cell_failed(&cell.label, &error);
-            return Err(failure(FailureKind::Budget, 1, error));
+            return Err(failure(FailureKind::Budget, error));
         }
         self.progress.cell_done(&cell.label);
         let mut store_failure = None;
         if let Some(store) = self.store {
-            match put_with_retry(store, hash, cell, &report, &self.opts.retry) {
+            match store.put(hash, cell, &report) {
                 Ok(()) => store.record_wall(hash, wall),
                 Err(e) => {
                     eprintln!(
                         "chronus-grid: failed to persist cell {hash} to {}: {e}",
                         store.dir().display()
                     );
-                    let attempts = self.opts.retry.attempts();
-                    store_failure = Some(failure(FailureKind::StoreWrite, attempts, e.to_string()));
+                    store_failure = Some(failure(FailureKind::StoreWrite, e.to_string()));
                 }
             }
         }
@@ -384,10 +375,11 @@ impl UnitRunner<'_> {
 /// A failing cell never aborts the run: a cell that panics or runs past
 /// its cycle budget is simulated once and recorded in
 /// [`GridOutcome::failures`] (and, when a store is present, persisted as a
-/// [`FailureManifest`]) while every other cell completes normally; store
-/// writes are retried under `opts.retry`. A cohort that panics (an injected
-/// fault of any member included) runs as units of one; faults are pure in
-/// the cell, so every cell's outcome equals its solo outcome.
+/// [`FailureManifest`]) while every other cell completes normally; a failed
+/// store write is recorded too, and its report still returned. A cohort
+/// that panics (an injected fault of any member included) runs as units of
+/// one; faults are pure in the cell, so every cell's outcome equals its
+/// solo outcome.
 pub fn run_grid(spec: &GridSpec, store: Option<&ResultStore>, opts: &ExecOpts) -> GridOutcome {
     let started = Instant::now();
     let hashes = spec.hashes();
@@ -464,7 +456,6 @@ pub fn run_grid(spec: &GridSpec, store: Option<&ResultStore>, opts: &ExecOpts) -
                         label: spec.cells[i].label.clone(),
                         hash: hashes[i].clone(),
                         kind: FailureKind::Panic,
-                        attempts: 1,
                         error: format!("worker thread panicked: {panic_msg}"),
                     };
                     (i, Err(failure))
@@ -563,28 +554,6 @@ fn update_manifest(
         };
         if let Err(e) = store.save_manifest(&manifest) {
             eprintln!("chronus-grid: failed to write failure manifest: {e}");
-        }
-    }
-}
-
-/// Persists one cell, retrying transient write failures under `retry`.
-fn put_with_retry(
-    store: &ResultStore,
-    hash: &str,
-    cell: &CellSpec,
-    report: &SimReport,
-    retry: &RetryPolicy,
-) -> std::io::Result<()> {
-    let token = mix64(format!("put|{hash}").as_bytes());
-    let mut attempt: u32 = 0;
-    loop {
-        match store.put(hash, cell, report) {
-            Ok(()) => return Ok(()),
-            Err(e) if attempt >= retry.max_retries => return Err(e),
-            Err(_) => {
-                retry.sleep_before_retry(attempt, token);
-                attempt += 1;
-            }
         }
     }
 }
@@ -809,7 +778,6 @@ mod tests {
                 label: "cell-3".into(),
                 hash: "f".repeat(32),
                 kind: FailureKind::Budget,
-                attempts: 1,
                 error: "ran past its cycle budget (max_mem_cycles = 4194304)".into(),
             }],
         };

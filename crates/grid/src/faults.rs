@@ -4,28 +4,24 @@
 //! harnesses:
 //!
 //! ```text
-//! CHRONUS_FAULTS=panic:0.1,io:0.05,seed:7,attempts:1
+//! CHRONUS_FAULTS=panic:0.1,io:0.05,seed:7
 //! ```
 //!
 //! * `panic:P` — a cell simulation panics with probability `P`; a cell is
 //!   simulated once, so the panic is recorded, never retried;
-//! * `io:P` — a store read/write fails with an injected `io::Error`;
+//! * `io:P` — a store read/write fails with an injected `io::Error`; a
+//!   failed write is recorded as `StoreWrite`, never retried;
 //! * `seed:N` — decorrelates runs; every decision is a pure function of
-//!   `(seed, site, key, attempt)`, so one seed replays identically on every
-//!   machine — which is what lets integration tests and CI assert exact
-//!   recovery behaviour instead of trusting it;
-//! * `attempts:N` — only inject on the first `N` attempts of each site, so
-//!   store-write retries deterministically heal (the retry-success path is
-//!   testable); a simulation's one attempt is attempt 0.
+//!   `(seed, site, key)`, so one seed replays identically on every
+//!   machine and every call — which is what lets integration tests and CI
+//!   assert exact recovery behaviour instead of trusting it.
 //!
 //! The library never reads the environment itself: executors and stores
-//! take an explicit [`FaultInjector`] (see `ExecOpts::faults` and
+//! take an explicit [`FaultPlan`] (see `ExecOpts::faults` and
 //! `ResultStore::with_faults`), and the bench layer wires the variable
 //! through. Tests construct plans directly and stay immune to env races.
 
-use std::collections::HashMap;
 use std::io;
-use std::sync::{Arc, Mutex};
 
 use crate::hash::unit01;
 
@@ -33,27 +29,15 @@ use crate::hash::unit01;
 pub const FAULTS_ENV: &str = "CHRONUS_FAULTS";
 
 /// A parsed fault plan: which faults fire, how often, and with what seed.
-#[derive(Debug, Clone, PartialEq)]
+/// Every decision it draws is pure, so a plan carries no state.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Probability a cell simulation panics.
     pub panic_p: f64,
     /// Probability a store operation returns an injected I/O error.
     pub io_p: f64,
-    /// Decision seed; every draw is pure in `(seed, site, key, attempt)`.
+    /// Decision seed; every draw is pure in `(seed, site, key)`.
     pub seed: u64,
-    /// Inject only on attempts `< N` of each site (`None` = every attempt).
-    pub max_attempt: Option<u32>,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self {
-            panic_p: 0.0,
-            io_p: 0.0,
-            seed: 0,
-            max_attempt: None,
-        }
-    }
 }
 
 impl FaultPlan {
@@ -93,10 +77,9 @@ impl FaultPlan {
                 "panic" => plan.panic_p = prob(value)?,
                 "io" => plan.io_p = prob(value)?,
                 "seed" => plan.seed = int(value)?,
-                "attempts" => plan.max_attempt = Some(int(value)? as u32),
                 other => {
                     return Err(format!(
-                        "unknown fault key '{other}' (known: panic, io, seed, attempts)"
+                        "unknown fault key '{other}' (known: panic, io, seed)"
                     ))
                 }
             }
@@ -121,65 +104,20 @@ impl FaultPlan {
         self.panic_p > 0.0 || self.io_p > 0.0
     }
 
-    /// Builds the injector for this plan.
-    pub fn injector(self) -> FaultInjector {
-        FaultInjector {
-            plan: self,
-            io_attempts: Arc::new(Mutex::new(HashMap::new())),
-        }
-    }
-}
-
-/// Draws deterministic fault decisions for executor and store sites.
-///
-/// Cloning shares the per-key I/O attempt counters, so a store and the
-/// executor driving it observe one consistent schedule.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-    /// Store operations carry no explicit attempt number, so retries are
-    /// distinguished by counting calls per `(op, key)`.
-    io_attempts: Arc<Mutex<HashMap<String, u32>>>,
-}
-
-impl FaultInjector {
-    /// The plan behind this injector.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+    fn draw(&self, site: &str, key: &str) -> f64 {
+        unit01(format!("{}|{site}|{key}", self.seed).as_bytes())
     }
 
-    fn gated(&self, attempt: u32) -> bool {
-        self.plan.max_attempt.is_none_or(|n| attempt < n)
-    }
-
-    fn draw(&self, site: &str, key: &str, attempt: u32) -> f64 {
-        unit01(format!("{}|{site}|{key}|{attempt}", self.plan.seed).as_bytes())
-    }
-
-    /// Whether simulating cell `key` panics. A cell is simulated once, so
-    /// this is the draw for attempt 0.
+    /// Whether simulating cell `key` panics.
     pub fn exec_fault(&self, key: &str) -> bool {
-        self.gated(0) && self.draw("panic", key, 0) < self.plan.panic_p
+        self.draw("panic", key) < self.panic_p
     }
 
-    /// The injected error (if any) for the next `op` (`"put"`, `"get"`) on
-    /// entry `key`. Each call advances that site's attempt counter, so a
-    /// retried operation sees a fresh (attempt-gated) draw.
+    /// The injected error (if any) for `op` (`"put"`, `"get"`) on entry
+    /// `key`. The draw is pure, so every call on one `(op, key)` agrees.
     pub fn io_fault(&self, op: &str, key: &str) -> Option<io::Error> {
-        let attempt = {
-            let mut counts = self.io_attempts.lock().expect("io counter lock");
-            let slot = counts.entry(format!("{op}|{key}")).or_insert(0);
-            let attempt = *slot;
-            *slot += 1;
-            attempt
-        };
-        if self.gated(attempt) && self.draw("io", &format!("{op}|{key}"), attempt) < self.plan.io_p
-        {
-            return Some(io::Error::other(format!(
-                "injected I/O fault ({op} {key}, attempt {attempt})"
-            )));
-        }
-        None
+        (self.draw("io", &format!("{op}|{key}")) < self.io_p)
+            .then(|| io::Error::other(format!("injected I/O fault ({op} {key})")))
     }
 }
 
@@ -189,14 +127,13 @@ mod tests {
 
     #[test]
     fn parses_the_full_syntax() {
-        let plan = FaultPlan::parse("panic:0.5, io:0.25,seed:9,attempts:2").unwrap();
+        let plan = FaultPlan::parse("panic:0.5, io:0.25,seed:9").unwrap();
         assert_eq!(
             plan,
             FaultPlan {
                 panic_p: 0.5,
                 io_p: 0.25,
                 seed: 9,
-                max_attempt: Some(2),
             }
         );
         assert!(plan.is_active());
@@ -213,7 +150,6 @@ mod tests {
             "panic:zap",
             "warp:0.5",
             "seed:x",
-            "attempts:ten",
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(!err.is_empty(), "{bad} should fail");
@@ -222,27 +158,15 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_seeded() {
-        let a = FaultPlan {
+        let plan = |seed| FaultPlan {
             panic_p: 0.5,
-            seed: 1,
+            seed,
             ..FaultPlan::default()
-        }
-        .injector();
-        let b = FaultPlan {
-            panic_p: 0.5,
-            seed: 1,
-            ..FaultPlan::default()
-        }
-        .injector();
-        let c = FaultPlan {
-            panic_p: 0.5,
-            seed: 2,
-            ..FaultPlan::default()
-        }
-        .injector();
+        };
+        let (a, b, c) = (plan(1), plan(1), plan(2));
         let keys: Vec<String> = (0..64).map(|i| format!("cell{i}")).collect();
         let fire =
-            |inj: &FaultInjector| -> Vec<bool> { keys.iter().map(|k| inj.exec_fault(k)).collect() };
+            |plan: &FaultPlan| -> Vec<bool> { keys.iter().map(|k| plan.exec_fault(k)).collect() };
         assert_eq!(fire(&a), fire(&b), "same seed must replay identically");
         assert_ne!(fire(&a), fire(&c), "seeds must decorrelate");
         // p = 0.5 over 64 keys: both outcomes must appear.
@@ -255,9 +179,8 @@ mod tests {
         let always = FaultPlan {
             panic_p: 1.0,
             ..FaultPlan::default()
-        }
-        .injector();
-        let never = FaultPlan::default().injector();
+        };
+        let never = FaultPlan::default();
         for key in ["a", "b", "c"] {
             assert!(always.exec_fault(key));
             assert!(!never.exec_fault(key));
@@ -265,39 +188,40 @@ mod tests {
     }
 
     #[test]
-    fn attempt_gating_heals_retries() {
-        // A simulation's one attempt is attempt 0: `attempts:1` still
-        // panics it, `attempts:0` gates every site off.
-        let plan = |max_attempt| FaultPlan {
-            panic_p: 1.0,
-            io_p: 1.0,
-            max_attempt,
+    fn io_draws_are_pure_per_op_and_key() {
+        // Nothing is retried, so nothing counts calls: the same `(op, key)`
+        // draws the same decision on every call, and ops and keys draw
+        // independently.
+        let plan = FaultPlan {
+            io_p: 0.5,
+            seed: 3,
             ..FaultPlan::default()
         };
-        let once = plan(Some(1)).injector();
-        assert!(once.exec_fault("k"), "attempt 0 injects");
-        assert!(once.io_fault("put", "k").is_some(), "first put injects");
+        let keys: Vec<String> = (0..64).map(|i| format!("h{i}")).collect();
+        let fire = |op: &str| -> Vec<bool> {
+            keys.iter()
+                .map(|k| plan.io_fault(op, k).is_some())
+                .collect()
+        };
+        let puts = fire("put");
+        assert_eq!(puts, fire("put"), "a repeated call draws the same");
+        assert_ne!(puts, fire("get"), "ops draw independently");
+        assert!(puts.contains(&true) && puts.contains(&false), "{puts:?}");
+        let err = keys.iter().find_map(|k| plan.io_fault("put", k)).unwrap();
         assert!(
-            once.io_fault("put", "k").is_none(),
-            "the write retry is clean"
+            err.to_string().starts_with("injected I/O fault (put h"),
+            "{err}"
         );
-        let off = plan(Some(0)).injector();
-        assert!(!off.exec_fault("k"));
-        assert!(off.io_fault("put", "k").is_none());
     }
 
     #[test]
-    fn io_faults_count_attempts_per_site() {
-        let inj = FaultPlan {
-            io_p: 1.0,
-            max_attempt: Some(1),
-            ..FaultPlan::default()
-        }
-        .injector();
-        assert!(inj.io_fault("put", "h1").is_some(), "first call injects");
-        assert!(inj.io_fault("put", "h1").is_none(), "retry is gated clean");
-        assert!(inj.io_fault("put", "h2").is_some(), "fresh key starts over");
-        assert!(inj.io_fault("get", "h1").is_some(), "ops count separately");
+    fn attempts_key_is_unknown() {
+        // No store write is retried, so no attempt can be gated clean: a
+        // plan asking for that must fail rather than run without it.
+        assert_eq!(
+            FaultPlan::parse("io:1.0,attempts:1,seed:7").unwrap_err(),
+            "unknown fault key 'attempts' (known: panic, io, seed)"
+        );
     }
 
     #[test]
@@ -321,7 +245,7 @@ mod tests {
             let err = FaultPlan::parse(&format!("{key}:1,seed:7")).unwrap_err();
             assert_eq!(
                 err,
-                format!("unknown fault key '{key}' (known: panic, io, seed, attempts)")
+                format!("unknown fault key '{key}' (known: panic, io, seed)")
             );
         }
     }

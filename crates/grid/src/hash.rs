@@ -39,8 +39,8 @@ pub fn digest128(bytes: &[u8]) -> String {
 
 /// Stable 64-bit FNV-1a of `bytes` (lane A).
 ///
-/// The deterministic building block behind retry jitter and fault-injection
-/// decisions: unlike `std::hash::DefaultHasher`, the value is guaranteed
+/// The deterministic building block behind fault-injection decisions:
+/// unlike `std::hash::DefaultHasher`, the value is guaranteed
 /// identical across Rust versions, platforms and processes.
 pub fn mix64(bytes: &[u8]) -> u64 {
     fnv1a(bytes, OFFSET_A)
@@ -49,11 +49,17 @@ pub fn mix64(bytes: &[u8]) -> u64 {
 /// Maps `bytes` deterministically onto `[0, 1)`.
 ///
 /// Used wherever a reproducible pseudo-random draw is needed (fault
-/// injection rates, backoff jitter): the same input always yields the same
-/// point of the unit interval, on every machine.
+/// injection rates): the same input always yields the same point of the
+/// unit interval, on every machine.
 pub fn unit01(bytes: &[u8]) -> f64 {
-    // 53 mantissa bits keep the quotient exact in f64.
-    (mix64(bytes) >> 11) as f64 / (1u64 << 53) as f64
+    // FNV-1a's high bits barely move with the last bytes of its input
+    // (`cell0`…`cell63` all land near one point), so splitmix64's
+    // finaliser spreads them before the top 53 bits are taken; 53 mantissa
+    // bits keep the quotient exact in f64.
+    let mut z = mix64(bytes);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// The content-addressed store key of one cell.
@@ -109,5 +115,16 @@ mod tests {
         }
         assert_ne!(unit01(b"a"), unit01(b"b"));
         assert_eq!(mix64(b"seed"), mix64(b"seed"));
+    }
+
+    #[test]
+    fn unit01_spreads_inputs_that_differ_in_their_last_byte() {
+        // A fault draw's key is the last thing hashed: 64 keys must fill
+        // every quarter of the unit interval.
+        let mut quarters = [0usize; 4];
+        for i in 0..64 {
+            quarters[(unit01(format!("7|panic|cell{i}").as_bytes()) * 4.0) as usize] += 1;
+        }
+        assert!(quarters.iter().all(|&n| n >= 4), "{quarters:?}");
     }
 }

@@ -47,7 +47,6 @@ pub mod exec;
 pub mod faults;
 pub mod hash;
 pub mod progress;
-pub mod retry;
 pub mod shard;
 pub mod spec;
 pub mod store;
@@ -57,10 +56,9 @@ pub use exec::{
     merge, run_grid, simulate_cell, CellFailure, ExecOpts, ExecStats, FailureKind, FailureManifest,
     GridOutcome, DEGRADED_EXIT,
 };
-pub use faults::{FaultInjector, FaultPlan, FAULTS_ENV};
+pub use faults::{FaultPlan, FAULTS_ENV};
 pub use hash::cell_hash;
 pub use progress::Progress;
-pub use retry::RetryPolicy;
 pub use shard::Shard;
 pub use spec::GridSpec;
 pub use store::{

@@ -42,7 +42,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cell::{CellKey, CellSpec, SIM_VERSION};
 use crate::exec::FailureManifest;
-use crate::faults::FaultInjector;
+use crate::faults::FaultPlan;
 use crate::hash::digest128;
 
 /// Environment variable overriding the default store directory.
@@ -210,7 +210,7 @@ pub struct StoreLock {
 #[derive(Debug, Clone)]
 pub struct ResultStore {
     dir: PathBuf,
-    faults: Option<FaultInjector>,
+    faults: Option<FaultPlan>,
 }
 
 impl ResultStore {
@@ -243,17 +243,12 @@ impl ResultStore {
             .unwrap_or_else(|| PathBuf::from(DEFAULT_GRID_DIR))
     }
 
-    /// Attaches a fault injector to the store's read/write boundary
+    /// Attaches a fault plan to the store's read/write boundary
     /// (deterministic I/O-error injection; see [`crate::faults`]).
     #[must_use]
-    pub fn with_faults(mut self, faults: Option<FaultInjector>) -> Self {
+    pub fn with_faults(mut self, faults: Option<FaultPlan>) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// The attached fault injector, if any.
-    pub fn faults(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
     }
 
     /// The store directory.
@@ -661,7 +656,6 @@ fn verify_entry_text(text: &str) -> Result<SimReport, EntryIssue> {
 mod tests {
     use super::*;
     use crate::cell::{AppTrace, WorkloadSpec};
-    use crate::faults::FaultPlan;
     use crate::hash::cell_hash;
     use chronus_sim::{SimConfig, System};
 
@@ -928,25 +922,29 @@ mod tests {
     #[test]
     fn injected_io_faults_surface_on_put_and_get() {
         let dir = scratch("faults");
+        let clean = ResultStore::open(&dir).unwrap();
         let plan = FaultPlan {
             io_p: 1.0,
-            max_attempt: Some(1),
             ..FaultPlan::default()
         };
-        let store = ResultStore::open(&dir)
-            .unwrap()
-            .with_faults(Some(plan.injector()));
+        let store = clean.clone().with_faults(Some(plan));
         let cell = tiny_cell();
         let hash = cell_hash(&cell);
         let report = System::build(&cell.config).run(cell.workload.traces(&cell.config.geometry));
 
-        // First put fails with the injected error; the retry is gated
-        // clean and succeeds.
-        assert!(store.put(&hash, &cell, &report).is_err());
-        store.put(&hash, &cell, &report).unwrap();
-        // First get is injected into a miss; the retry reads through.
-        assert!(store.get(&hash).is_none());
-        assert_eq!(store.get(&hash).unwrap(), report);
+        // Every put fails with the injected error and writes nothing: a
+        // draw is pure, so a repeated call fails the same way.
+        for _ in 0..2 {
+            let err = store.put(&hash, &cell, &report).unwrap_err();
+            assert!(err.to_string().contains("injected I/O fault"), "{err}");
+        }
+        assert!(!clean.contains(&hash));
+        // Every get of an entry the clean view wrote is a miss.
+        clean.put(&hash, &cell, &report).unwrap();
+        for _ in 0..2 {
+            assert!(store.get(&hash).is_none());
+        }
+        assert_eq!(clean.get(&hash).unwrap(), report);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -243,13 +243,12 @@ proptest! {
 
     #[test]
     fn failure_manifests_roundtrip(
-        nums in (0u64..=u64::MAX, 0u32..=u32::MAX),
+        a in 0u64..=u64::MAX,
         kind in 0usize..6,
         text in prop::collection::vec(0usize..10, 0..12),
     ) {
         const FAILURES: [FailureKind; 3] =
             [FailureKind::Panic, FailureKind::Budget, FailureKind::StoreWrite];
-        let (a, attempt) = nums;
         assert_witnessed(&FailureManifest {
             grid: nasty(&text),
             shard: "2/3".into(),
@@ -259,7 +258,6 @@ proptest! {
                     label: nasty(&text[..text.len().min(i)]),
                     hash: digest128(&[i as u8]),
                     kind: FAILURES[i % 3],
-                    attempts: attempt,
                     error: nasty(&text),
                 })
                 .collect(),

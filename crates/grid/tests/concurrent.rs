@@ -195,9 +195,9 @@ fn a_fully_cached_run_does_no_miss_path_work() {
         "the fill records every cell's cost"
     );
 
-    // Serve with no sidecar to read: a pass with nothing to simulate does
-    // not consult the deadline estimator, so it must not miss them — and
-    // must leave no trace of its own.
+    // Serve with no sidecar to read: a pass with nothing to simulate reads
+    // no sidecar, so it must not miss them — and must leave no trace of
+    // its own.
     for hash in &hashes {
         std::fs::remove_file(dir.join(format!("{hash}.wall"))).unwrap();
     }

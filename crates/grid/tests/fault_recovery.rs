@@ -2,15 +2,15 @@
 //! past its cycle budget, injected I/O error) the grid run COMPLETES,
 //! records the failed cells in the failure manifest, and a later clean run
 //! heals — re-simulating exactly the failed cells and clearing the
-//! manifest. A simulation is attempted once; only store writes retry.
+//! manifest. A simulation and a store write are each attempted once.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use chronus_core::MechanismKind;
 use chronus_grid::{
-    run_grid, AppTrace, CellSpec, ExecOpts, FailureKind, FaultPlan, GridSpec, ResultStore,
-    RetryPolicy, Shard, WorkloadSpec,
+    run_grid, AppTrace, CellSpec, ExecOpts, FailureKind, FaultPlan, GridSpec, ResultStore, Shard,
+    WorkloadSpec,
 };
 use chronus_sim::SimConfig;
 
@@ -39,19 +39,12 @@ fn small_grid() -> GridSpec {
     spec
 }
 
-/// Two store-write retries with millisecond pauses.
 fn opts(faults: Option<FaultPlan>) -> ExecOpts {
     ExecOpts {
         threads: 2,
         shard: Shard::full(),
         progress: false,
-        retry: RetryPolicy {
-            max_retries: 2,
-            base_ms: 1,
-            cap_ms: 4,
-            jitter: 0.25,
-        },
-        faults: faults.map(FaultPlan::injector),
+        faults,
     }
 }
 
@@ -83,7 +76,7 @@ fn a_deterministic_panic_is_tried_exactly_once() {
     );
     assert_eq!(out.failures.len(), 1);
     let f = &out.failures[0];
-    assert_eq!((f.index, f.kind, f.attempts), (3, FailureKind::Panic, 1));
+    assert_eq!((f.index, f.kind), (3, FailureKind::Panic));
     assert!(f.error.contains("mshrs"), "got: {}", f.error);
     assert_eq!((out.stats.simulated, out.stats.failed), (3, 1));
     assert!(out.reports[..3].iter().all(Option::is_some));
@@ -91,31 +84,6 @@ fn a_deterministic_panic_is_tried_exactly_once() {
         store.load_manifest(&spec.name).unwrap().failures,
         out.failures
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn a_gated_panic_is_not_retried() {
-    let dir = scratch("gated-panic");
-    let store = ResultStore::open(&dir).unwrap();
-    let spec = small_grid();
-    // `attempts:1` heals a write retry, but a cell's one simulation is its
-    // attempt 0: every cell panics, once, and a rerun under the same plan
-    // fails identically.
-    let plan = FaultPlan::parse("panic:1.0,attempts:1,seed:3").unwrap();
-    for _ in 0..2 {
-        let out = run_grid(&spec, Some(&store), &opts(Some(plan.clone())));
-        assert!(out.is_degraded() && !out.is_complete());
-        assert_eq!(out.stats.failed, 3);
-        for (i, f) in out.failures.iter().enumerate() {
-            assert_eq!((f.index, f.kind, f.attempts), (i, FailureKind::Panic, 1));
-        }
-    }
-    // A clean rerun heals.
-    let healed = run_grid(&spec, Some(&store), &opts(None));
-    assert!(healed.is_complete() && !healed.is_degraded());
-    assert_eq!(healed.stats.simulated, 3);
-    assert!(store.load_manifest(&spec.name).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -135,7 +103,6 @@ fn permanent_panics_degrade_the_run_and_a_clean_rerun_heals() {
     for (i, f) in out.failures.iter().enumerate() {
         assert_eq!(f.index, i);
         assert_eq!(f.kind, FailureKind::Panic);
-        assert_eq!(f.attempts, 1, "a simulation is attempted once");
         assert!(f.error.contains("injected fault"), "got: {}", f.error);
     }
 
@@ -175,7 +142,7 @@ fn permanent_stalls_are_reported_as_timeouts() {
     assert_eq!((out.stats.simulated, out.stats.failed), (2, 1));
     assert_eq!(out.failures.len(), 1);
     let f = &out.failures[0];
-    assert_eq!((f.index, f.kind, f.attempts), (1, FailureKind::Budget, 1));
+    assert_eq!((f.index, f.kind), (1, FailureKind::Budget));
     assert!(
         f.error.contains("max_mem_cycles = 1000"),
         "got: {}",
@@ -210,84 +177,101 @@ fn permanent_stalls_are_reported_as_timeouts() {
 }
 
 #[test]
-fn stalls_trip_the_watchdog_and_gated_retries_recover() {
-    let dir = scratch("budget-gated-io");
-    // Cell 1 stalls past its budget while every store operation's first
-    // call fails: the budget trips once, with no simulation retry, and the
-    // write retries land the two good cells.
+fn a_budget_failure_and_store_write_failures_are_recorded_together() {
+    let dir = scratch("budget-io");
+    // Cell 1 runs past its budget while every store operation fails: the
+    // budget trips once, and the two good cells keep their reports but are
+    // recorded as failed writes.
     let mut spec = small_grid();
     spec.cells[1].config.max_mem_cycles = 1_000;
-    let plan = FaultPlan::parse("io:1.0,attempts:1,seed:7").unwrap();
-    let faulted = ResultStore::open(&dir)
-        .unwrap()
-        .with_faults(Some(plan.injector()));
+    let plan = FaultPlan::parse("io:1.0,seed:7").unwrap();
+    let store = ResultStore::open(&dir).unwrap();
+    let faulted = store.clone().with_faults(Some(plan));
     let out = run_grid(&spec, Some(&faulted), &opts(None));
     assert!(out.is_degraded() && !out.is_complete());
     assert_eq!((out.stats.simulated, out.stats.failed), (2, 1));
-    assert_eq!(out.failures.len(), 1, "the write retries healed every put");
-    let f = &out.failures[0];
-    assert_eq!((f.index, f.kind, f.attempts), (1, FailureKind::Budget, 1));
-    let store = ResultStore::open(&dir).unwrap();
-    assert_eq!(store.list().unwrap().len(), 2);
-    assert!(!store.contains(&spec.hashes()[1]));
+    let kinds: Vec<(usize, FailureKind)> = out.failures.iter().map(|f| (f.index, f.kind)).collect();
+    assert_eq!(
+        kinds,
+        [
+            (0, FailureKind::StoreWrite),
+            (1, FailureKind::Budget),
+            (2, FailureKind::StoreWrite)
+        ]
+    );
+    assert!(out.reports[0].is_some() && out.reports[2].is_some());
+    assert!(out.reports[1].is_none());
+    assert!(store.list().unwrap().is_empty(), "no write landed");
     assert_eq!(
         store.load_manifest(&spec.name).unwrap().failures,
         out.failures
     );
 
-    // A rerun with a larger budget simulates only the stalled cell,
-    // completes and leaves no manifest.
+    // A clean rerun with a larger budget simulates all three, completes
+    // and leaves no manifest.
     spec.cells[1].config.max_mem_cycles = 1 << 22;
     let healed = run_grid(&spec, Some(&store), &opts(None));
     assert!(healed.is_complete() && !healed.is_degraded());
-    assert_eq!((healed.stats.cached, healed.stats.simulated), (2, 1));
+    assert_eq!((healed.stats.cached, healed.stats.simulated), (0, 3));
     assert!(!healed.reports[1].as_ref().unwrap().truncated);
     assert!(store.load_manifest(&spec.name).is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn gated_io_faults_on_put_heal_via_write_retries() {
-    let dir = scratch("io-gated");
-    let spec = small_grid();
-    // Every store operation's first call fails; the retry succeeds.
-    let plan = FaultPlan::parse("io:1.0,attempts:1,seed:7").unwrap();
-    let store = ResultStore::open(&dir)
-        .unwrap()
-        .with_faults(Some(plan.injector()));
-    let out = run_grid(&spec, Some(&store), &opts(None));
-    assert!(out.is_complete());
-    assert!(
-        !out.is_degraded(),
-        "put retries must absorb gated I/O faults"
-    );
-    // Every entry really landed on disk.
-    let clean = ResultStore::open(&dir).unwrap();
-    assert_eq!(clean.list().unwrap().len(), 3);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn permanent_io_faults_surface_as_store_write_failures_with_reports() {
-    let dir = scratch("io-permanent");
     let spec = small_grid();
-    let plan = FaultPlan::parse("io:1.0,seed:7").unwrap();
-    let store = ResultStore::open(&dir)
-        .unwrap()
-        .with_faults(Some(plan.injector()));
-    let out = run_grid(&spec, Some(&store), &opts(None));
-    // The simulations themselves succeeded: every report is present even
-    // though nothing could be persisted.
-    assert!(out.is_complete(), "reports survive store-write failures");
-    assert!(out.is_degraded());
-    assert_eq!(out.stats.failed, 0, "no simulation failed");
-    assert_eq!(out.failures.len(), 3);
-    for f in &out.failures {
-        assert_eq!(f.kind, FailureKind::StoreWrite);
-        assert_eq!(f.attempts, 3, "first write + 2 retries");
-        assert!(f.error.contains("injected I/O fault"), "got: {}", f.error);
+    let hashes = spec.hashes();
+    // Every write fails, then a plan that fails some and lands the rest.
+    for (tag, text) in [
+        ("io-permanent", "io:1.0,seed:7"),
+        ("io-split", "io:0.5,seed:3"),
+    ] {
+        let dir = scratch(tag);
+        let plan = FaultPlan::parse(text).unwrap();
+        let failing: Vec<usize> = (0..spec.len())
+            .filter(|&i| plan.io_fault("put", &hashes[i]).is_some())
+            .collect();
+        assert!(!failing.is_empty(), "{text}: some write must fail");
+        if plan.io_p < 1.0 {
+            assert!(failing.len() < spec.len(), "{text}: some write must land");
+        }
+        let store = ResultStore::open(&dir).unwrap();
+        let out = run_grid(
+            &spec,
+            Some(&store.clone().with_faults(Some(plan))),
+            &opts(None),
+        );
+        // The simulations themselves succeeded: every report is present
+        // even though the failed writes persisted nothing.
+        assert!(out.is_complete(), "reports survive store-write failures");
+        assert!(out.is_degraded());
+        assert_eq!((out.stats.simulated, out.stats.failed), (3, 0), "{text}");
+        let failed: Vec<usize> = out.failures.iter().map(|f| f.index).collect();
+        assert_eq!(failed, failing, "{text}");
+        for f in &out.failures {
+            assert_eq!(f.kind, FailureKind::StoreWrite);
+            assert!(f.error.contains("injected I/O fault"), "got: {}", f.error);
+        }
+        assert_eq!(store.list().unwrap().len(), 3 - failing.len(), "{text}");
+        assert_eq!(
+            store.load_manifest(&spec.name).unwrap().failures,
+            out.failures
+        );
+
+        // A clean rerun re-simulates exactly the cells whose write failed
+        // and clears the manifest.
+        let healed = run_grid(&spec, Some(&store), &opts(None));
+        assert!(healed.is_complete() && !healed.is_degraded());
+        assert_eq!(
+            (healed.stats.cached, healed.stats.simulated),
+            (3 - failing.len(), failing.len()),
+            "{text}"
+        );
+        assert_eq!(healed.reports, out.reports);
+        assert!(store.load_manifest(&spec.name).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Eight VRD variants of one unmitigated workload: one timing cohort.
@@ -312,43 +296,36 @@ fn cohort_grid(max_mem_cycles: u64) -> GridSpec {
 #[test]
 fn a_faulted_cohort_gives_every_member_its_solo_outcome() {
     let spec = cohort_grid(1 << 22);
-    let hashes = spec.hashes();
-    // The same draws ungated and gated to one attempt: a cell's one
-    // simulation is attempt 0, so both plans fail the same members.
-    for (tag, text) in [
-        ("cohort-faults", "panic:0.5,seed:4"),
-        ("cohort-faults-gated", "panic:0.5,attempts:1,seed:4"),
-    ] {
-        let dir = scratch(tag);
-        let store = ResultStore::open(&dir).unwrap();
-        let plan = FaultPlan::parse(text).unwrap();
+    let dir = scratch("cohort-faults");
+    let store = ResultStore::open(&dir).unwrap();
+    let plan = FaultPlan::parse("panic:0.5,seed:4").unwrap();
 
-        // Each member's own decision: it panics alone or it completes.
-        let injector = plan.clone().injector();
-        let panics: Vec<bool> = hashes.iter().map(|h| injector.exec_fault(h)).collect();
-        // The plan splits the cohort: some members panic, some do not.
-        assert!(
-            panics.contains(&true) && panics.contains(&false),
-            "{panics:?}"
-        );
+    // Each member's own decision: it panics alone or it completes.
+    let expected_failed: Vec<usize> = spec
+        .hashes()
+        .iter()
+        .enumerate()
+        .filter(|(_, h)| plan.exec_fault(h))
+        .map(|(i, _)| i)
+        .collect();
+    // The plan splits the cohort: some members panic, some do not.
+    assert!(
+        !expected_failed.is_empty() && expected_failed.len() < 8,
+        "{expected_failed:?}"
+    );
 
-        let out = run_grid(&spec, Some(&store), &opts(Some(plan)));
-        let expected_failed: Vec<(usize, u32)> = (0..panics.len())
-            .filter(|&i| panics[i])
-            .map(|i| (i, 1))
-            .collect();
-        let manifest = store
-            .load_manifest(&spec.name)
-            .map(|m| m.failures)
-            .unwrap_or_default();
-        let failed: Vec<(usize, u32)> = manifest.iter().map(|f| (f.index, f.attempts)).collect();
-        assert_eq!(failed, expected_failed, "{text}");
-        assert!(manifest.iter().all(|f| f.kind == FailureKind::Panic));
-        assert_eq!(out.failures, manifest);
-        assert_eq!(out.stats.failed, expected_failed.len());
-        assert_eq!(out.stats.simulated, 8 - expected_failed.len());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let out = run_grid(&spec, Some(&store), &opts(Some(plan)));
+    let manifest = store
+        .load_manifest(&spec.name)
+        .map(|m| m.failures)
+        .unwrap_or_default();
+    let failed: Vec<usize> = manifest.iter().map(|f| f.index).collect();
+    assert_eq!(failed, expected_failed);
+    assert!(manifest.iter().all(|f| f.kind == FailureKind::Panic));
+    assert_eq!(out.failures, manifest);
+    assert_eq!(out.stats.failed, expected_failed.len());
+    assert_eq!(out.stats.simulated, 8 - expected_failed.len());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -362,7 +339,7 @@ fn an_over_budget_cohort_records_every_member() {
     assert_eq!(out.stats.failed, 8);
     assert_eq!(out.failures.len(), 8);
     for (i, f) in out.failures.iter().enumerate() {
-        assert_eq!((f.index, f.kind, f.attempts), (i, FailureKind::Budget, 1));
+        assert_eq!((f.index, f.kind), (i, FailureKind::Budget));
     }
     assert!(
         store.list().unwrap().is_empty(),

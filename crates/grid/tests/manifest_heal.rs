@@ -6,7 +6,8 @@
 //!   store (and leaves one that does not);
 //! * a corrupt manifest is reported (not silently swallowed as "no
 //!   failures") and `fsck` quarantines it — as is a manifest naming the
-//!   retired `Timeout` kind.
+//!   retired `Timeout` kind, while one carrying the retired `attempts`
+//!   member still loads.
 
 use std::path::PathBuf;
 
@@ -60,9 +61,9 @@ fn clean_sharded_rerun_clears_the_failures_it_healed() {
 
     // Shard 1/2 under unhealable panics: its cells fail permanently and
     // land in the failure manifest.
-    let plan = FaultPlan::parse("panic:1.0,seed:5,attempts:99").unwrap();
+    let plan = FaultPlan::parse("panic:1.0,seed:5").unwrap();
     let broken = ExecOpts {
-        faults: Some(plan.injector()),
+        faults: Some(plan),
         ..opts("1/2".parse().unwrap())
     };
     let out = run_grid(&spec, Some(&store), &broken);
@@ -104,7 +105,6 @@ fn merge_heals_a_manifest_whose_failures_now_verify() {
         label: "stale-record".into(),
         hash: hash.to_string(),
         kind: FailureKind::Panic,
-        attempts: 3,
         error: "panic from an earlier degraded run".into(),
     };
 
@@ -172,49 +172,57 @@ fn corrupt_manifest_is_reported_and_quarantined() {
 
 #[test]
 fn an_old_timeout_manifest_is_reported_quarantined_and_healed() {
-    // Before simulations stopped being watched by a wall clock, a manifest
-    // could record `"kind": "Timeout"`; that kind no longer parses.
+    // Before store writes stopped being retried, every record carried an
+    // `"attempts"` member, which is now skipped; before simulations stopped
+    // being watched by a wall clock, one could record `"kind": "Timeout"`,
+    // which no longer parses.
     let spec = sample_grid();
-    let dir = scratch("timeout");
-    let store = ResultStore::open(&dir).unwrap();
-    store
-        .save_manifest(&FailureManifest {
-            grid: "man-sample".into(),
-            shard: "1/1".into(),
-            failures: vec![CellFailure {
-                index: 2,
-                label: "429.mcf@1024".into(),
-                hash: spec.hashes()[2].clone(),
-                kind: FailureKind::Panic,
-                attempts: 4,
-                error: "watchdog deadline 30.0s exceeded".into(),
-            }],
-        })
-        .unwrap();
-    let path = dir.join("failures/man-sample.json");
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(text.matches("\"Panic\"").count(), 1, "{text}");
-    std::fs::write(&path, text.replace("\"Panic\"", "\"Timeout\"")).unwrap();
+    let manifest = FailureManifest {
+        grid: "man-sample".into(),
+        shard: "1/1".into(),
+        failures: vec![CellFailure {
+            index: 2,
+            label: "429.mcf@1024".into(),
+            hash: spec.hashes()[2].clone(),
+            kind: FailureKind::Panic,
+            error: "watchdog deadline 30.0s exceeded".into(),
+        }],
+    };
+    for kind in ["Timeout", "Panic"] {
+        let dir = scratch(&format!("old-{kind}"));
+        let store = ResultStore::open(&dir).unwrap();
+        store.save_manifest(&manifest).unwrap();
+        let path = dir.join("failures/man-sample.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.matches("\"Panic\"").count(), 1, "{text}");
+        let old = text.replace("\"Panic\"", &format!("\"{kind}\", \"attempts\": 4"));
+        std::fs::write(&path, old).unwrap();
 
-    // Reported as Bad, not read as a failure record…
-    assert!(matches!(
-        store.manifest_state("man-sample"),
-        ManifestState::Bad(_)
-    ));
-    assert!(store.load_manifest("man-sample").is_none());
+        if kind == "Timeout" {
+            // Reported as Bad, not read as a failure record…
+            assert!(matches!(
+                store.manifest_state("man-sample"),
+                ManifestState::Bad(_)
+            ));
+            assert!(store.load_manifest("man-sample").is_none());
 
-    // …quarantined by fsck…
-    let report = store.fsck().unwrap();
-    assert_eq!(report.quarantined_manifests.len(), 1);
-    assert!(dir.join("quarantine/failures/man-sample.json").exists());
+            // …and quarantined by fsck.
+            let report = store.fsck().unwrap();
+            assert_eq!(report.quarantined_manifests.len(), 1);
+            assert!(dir.join("quarantine/failures/man-sample.json").exists());
+        } else {
+            // The retired member is skipped: the record loads as written.
+            assert_eq!(store.load_manifest("man-sample").unwrap(), manifest);
+        }
 
-    // …and a clean run then completes with no manifest.
-    let out = run_grid(&spec, Some(&store), &opts(Shard::full()));
-    assert!(out.is_complete() && !out.is_degraded());
-    assert!(matches!(
-        store.manifest_state("man-sample"),
-        ManifestState::Missing
-    ));
+        // A clean run then completes with no manifest.
+        let out = run_grid(&spec, Some(&store), &opts(Shard::full()));
+        assert!(out.is_complete() && !out.is_degraded());
+        assert!(matches!(
+            store.manifest_state("man-sample"),
+            ManifestState::Missing
+        ));
 
-    let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -12,8 +12,8 @@ use std::sync::Barrier;
 
 use chronus_core::MechanismKind;
 use chronus_grid::{
-    merge, run_grid, AppTrace, CellSpec, ExecOpts, FaultPlan, GridSpec, ResultStore, RetryPolicy,
-    Shard, WorkloadSpec,
+    merge, run_grid, AppTrace, CellSpec, ExecOpts, FaultPlan, GridSpec, ResultStore, Shard,
+    WorkloadSpec,
 };
 use chronus_sim::SimConfig;
 
@@ -202,50 +202,44 @@ fn faulted_sharded_run_merges_byte_identical_to_clean_unsharded() {
     assert!(clean.is_complete() && !clean.is_degraded());
     let reference = merged_bytes(&spec, &store_a);
 
-    // Sharded runs under injected panics and gated I/O faults: a panicking
-    // cell is recorded once, and every first write fails and is retried.
+    // Sharded runs under injected panics and write faults: each failed
+    // cell is recorded once, and a failed write lands nothing.
     let dir_b = scratch("fault-sharded");
     let store_b = ResultStore::open(&dir_b).unwrap();
-    let run = |text: &str, shard: &str| {
-        let plan = FaultPlan::parse(text).unwrap();
-        let store = store_b.clone().with_faults(Some(plan.clone().injector()));
+    let run = |faults: Option<&str>, shard: &str| {
+        let plan = faults.map(|text| FaultPlan::parse(text).unwrap());
         let exec = ExecOpts {
-            retry: RetryPolicy {
-                base_ms: 1,
-                cap_ms: 4,
-                ..RetryPolicy::default()
-            },
-            faults: Some(plan.injector()),
+            faults: plan.clone(),
             ..opts(shard.parse().unwrap())
         };
-        run_grid(&spec, Some(&store), &exec)
+        run_grid(&spec, Some(&store_b.clone().with_faults(plan)), &exec)
     };
-    let io_and_panics = "panic:0.5,io:1.0,seed:11,attempts:1";
+    let io_and_panics = Some("panic:0.5,io:0.5,seed:7");
     let one = run(io_and_panics, "1/2");
     let two = run(io_and_panics, "2/2");
     let failed = one.stats.failed + two.stats.failed;
     let simulated = one.stats.simulated + two.stats.simulated;
     assert!(failed > 0 && simulated > 0, "the plan must split the grid");
     assert_eq!(failed + simulated, 4);
-    assert!(one
-        .failures
-        .iter()
-        .chain(&two.failures)
-        .all(|f| f.attempts == 1));
-    // A panic degrades the run until a clean rerun: the reruns, still under
-    // gated I/O faults, heal through write retries and simulate at least
-    // the cells that panicked (a failed read is a miss and re-simulates).
-    let one = run("io:1.0,seed:11,attempts:1", "1/2");
-    let two = run("io:1.0,seed:11,attempts:1", "2/2");
-    assert!(
-        !one.is_degraded() && !two.is_degraded(),
-        "write retries heal"
-    );
-    assert!(one.stats.simulated + two.stats.simulated >= failed);
+    let failures = one.failures.len() + two.failures.len();
+    let landed = store_b.list().unwrap().len();
+    assert!(failures > failed, "some write must fail");
+    assert_eq!(landed, 4 - failures, "a failed cell lands nothing");
+    assert!(landed > 0, "some write must land");
+    assert!(store_b.load_manifest(&spec.name).is_some());
+
+    // Clean reruns of both halves simulate exactly the failed cells, serve
+    // the landed ones and heal the manifest.
+    let one = run(None, "1/2");
+    let two = run(None, "2/2");
+    assert!(!one.is_degraded() && !two.is_degraded());
+    assert_eq!(one.stats.cached, landed);
+    assert_eq!(two.stats.cached + two.stats.simulated, 4);
+    assert_eq!(one.stats.simulated + two.stats.simulated, failures);
     assert!(store_b.load_manifest(&spec.name).is_none());
 
-    // Despite the panics and every first write failing, the merged output
-    // and the raw store entries are byte-identical to the clean run.
+    // Despite the panics and the failed writes, the merged output and the
+    // raw store entries are byte-identical to the clean run.
     assert_eq!(merged_bytes(&spec, &store_b), reference);
     let hashes = store_a.list().unwrap();
     assert_eq!(hashes, store_b.list().unwrap());

@@ -1,8 +1,6 @@
-//! Behavioural contracts of the back-off machinery — in both senses:
-//! DRAM-level back-off (§3 vs §7.2: PRAC serves a fixed number of RFMs
-//! per back-off; Chronus serves as many as needed and no more) and the
-//! grid executor's retry back-off, whose deterministic schedule the
-//! `executor_retry_backoff` module below pins down.
+//! Behavioural contracts of DRAM-level back-off (§3 vs §7.2: PRAC serves
+//! a fixed number of RFMs per back-off; Chronus serves as many as needed
+//! and no more).
 
 use chronus::core::MechanismKind;
 use chronus::ctrl::AddressMapping;
@@ -131,60 +129,5 @@ fn mechanisms_stay_secure_at_rowpress_style_thresholds() {
         let r = attack(mech, 500, 16, 12_000);
         assert_eq!(r.oracle_flips, Some(0), "{mech:?} at N_RH=500");
         assert!(r.oracle_max_acts.unwrap() < 500);
-    }
-}
-
-/// Contracts of the *executor's* retry back-off: the schedule the grid
-/// uses when a cell attempt fails. Everything is asserted through the real
-/// [`RetryPolicy`] with no clock — the schedule is a pure function of the
-/// policy and the retry token.
-mod executor_retry_backoff {
-    use chronus::grid::retry::RetryPolicy;
-
-    #[test]
-    fn default_policy_schedule_is_capped_exponential_within_jitter() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.max_retries, 3);
-        for token in [0u64, 17, u64::MAX] {
-            for retry in 0..p.max_retries {
-                let raw = p.raw_delay_ms(retry) as f64;
-                let ms = p.delay_ms(retry, token) as f64;
-                assert!(
-                    ms >= (raw * (1.0 - p.jitter)).floor() && ms <= (raw * (1.0 + p.jitter)).ceil(),
-                    "retry {retry} token {token}: {ms} outside ±{}% of {raw}",
-                    p.jitter * 100.0
-                );
-            }
-        }
-        // Doubling, capped.
-        assert_eq!(p.raw_delay_ms(0), 250);
-        assert_eq!(p.raw_delay_ms(1), 500);
-        assert_eq!(p.raw_delay_ms(2), 1_000);
-        assert_eq!(p.raw_delay_ms(63), p.cap_ms);
-    }
-
-    #[test]
-    fn schedule_is_deterministic_per_token_and_decorrelated_across_tokens() {
-        let p = RetryPolicy {
-            max_retries: 6,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(p.schedule_ms(42), p.schedule_ms(42), "pure in the token");
-        assert_ne!(
-            p.schedule_ms(42),
-            p.schedule_ms(43),
-            "different cells must not retry in lockstep"
-        );
-    }
-
-    #[test]
-    fn retry_budget_shapes_the_schedule_length() {
-        let retries = |max_retries| RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        };
-        assert!(retries(0).schedule_ms(1).is_empty());
-        assert_eq!(retries(0).attempts(), 1);
-        assert_eq!(retries(5).schedule_ms(1).len(), 5);
     }
 }
