@@ -21,10 +21,11 @@
 //! processes are reaped by an executor pass that owns a miss, before its
 //! first write (when stale), and by [`ResultStore::fsck`]
 //! (unconditionally); opening a store lists nothing. An unconditional reap
-//! can remove a live writer's temp file: that write's rename then fails and
-//! the executor writes the entry again. `fsck` moves entries that fail
-//! verification into `quarantine/`, which re-enqueues them: the next run
-//! misses on the quarantined hash and re-simulates it.
+//! can remove a live writer's temp file: that write's rename then fails, the
+//! cell is recorded as a failed write and the next run re-simulates it.
+//! `fsck` moves entries that fail verification into `quarantine/`, which
+//! re-enqueues them: the next run misses on the quarantined hash and
+//! re-simulates it.
 //!
 //! Two kinds of non-authoritative sidecar live next to the entries:
 //! `<hash>.wall` records the wall-clock seconds the cell cost (read by
@@ -35,6 +36,7 @@
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use chronus_sim::SimReport;
@@ -361,7 +363,7 @@ impl ResultStore {
             "{payload}\n{FOOTER_TAG} v{STORE_FORMAT_VERSION} len={} fnv={digest}\n",
             payload.len()
         );
-        let tmp = self.dir.join(format!(".{hash}.{}.tmp", std::process::id()));
+        let tmp = self.dir.join(format!(".{hash}.{}.tmp", tmp_tag()));
         std::fs::write(&tmp, full)?;
         std::fs::rename(&tmp, self.path_of(hash))
     }
@@ -555,7 +557,7 @@ impl ResultStore {
         let path = self.manifest_path(&manifest.grid);
         std::fs::create_dir_all(path.parent().expect("manifest path has a parent"))?;
         let json = serde_json::to_string_pretty(manifest).expect("manifests always serialize");
-        let tmp = path.with_extension(format!("{}.tmp", std::process::id()));
+        let tmp = path.with_extension(format!("{}.tmp", tmp_tag()));
         std::fs::write(&tmp, json)?;
         std::fs::rename(&tmp, path)
     }
@@ -606,6 +608,18 @@ impl ResultStore {
 /// Whether `s` looks like a store hash (32 lowercase hex chars).
 fn is_hash(s: &str) -> bool {
     s.len() == 32 && s.bytes().all(|b| b.is_ascii_hexdigit())
+}
+
+/// `<pid>-<n>`, unique to one write: two handles writing the same file
+/// from one process (threads, or executors sharing a process) each rename
+/// their own temp file instead of racing for one.
+fn tmp_tag() -> String {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    format!(
+        "{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    )
 }
 
 /// Splits and checks the footer, then parses the payload; the one
@@ -702,6 +716,31 @@ mod tests {
         std::fs::write(store.path_of(&hash), "{oops").unwrap();
         assert!(store.get(&hash).is_none());
         assert!(store.verify(&hash).is_bad());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn racing_puts_from_one_process_all_land() {
+        // Two handles in one process write the same entry at once, as two
+        // unsharded executors sharing a process do: each write renames its
+        // own temp file, so none fails and no temp file is left behind.
+        let (dir, store, hash, report) = populated("racing-puts");
+        let cell = tiny_cell();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (store, start) = (store.clone(), &start);
+                let (hash, cell, report) = (&hash, &cell, &report);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..200 {
+                        store.put(hash, cell, report).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(store.get(&hash).unwrap(), report);
+        assert_eq!(store.reap_tmp_older_than(Duration::ZERO).unwrap(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

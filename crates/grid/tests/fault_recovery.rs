@@ -218,60 +218,73 @@ fn a_budget_failure_and_store_write_failures_are_recorded_together() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn permanent_io_faults_surface_as_store_write_failures_with_reports() {
+/// Runs `small_grid` under the io plan `text`: every write the plan draws
+/// fails, is recorded as StoreWrite with its report kept, and a clean
+/// rerun re-simulates exactly those cells. Returns the failed indices.
+fn run_io_plan(tag: &str, text: &str) -> Vec<usize> {
     let spec = small_grid();
     let hashes = spec.hashes();
-    // Every write fails, then a plan that fails some and lands the rest.
-    for (tag, text) in [
-        ("io-permanent", "io:1.0,seed:7"),
-        ("io-split", "io:0.5,seed:3"),
-    ] {
-        let dir = scratch(tag);
-        let plan = FaultPlan::parse(text).unwrap();
-        let failing: Vec<usize> = (0..spec.len())
-            .filter(|&i| plan.io_fault("put", &hashes[i]).is_some())
-            .collect();
-        assert!(!failing.is_empty(), "{text}: some write must fail");
-        if plan.io_p < 1.0 {
-            assert!(failing.len() < spec.len(), "{text}: some write must land");
-        }
-        let store = ResultStore::open(&dir).unwrap();
-        let out = run_grid(
-            &spec,
-            Some(&store.clone().with_faults(Some(plan))),
-            &opts(None),
-        );
-        // The simulations themselves succeeded: every report is present
-        // even though the failed writes persisted nothing.
-        assert!(out.is_complete(), "reports survive store-write failures");
-        assert!(out.is_degraded());
-        assert_eq!((out.stats.simulated, out.stats.failed), (3, 0), "{text}");
-        let failed: Vec<usize> = out.failures.iter().map(|f| f.index).collect();
-        assert_eq!(failed, failing, "{text}");
-        for f in &out.failures {
-            assert_eq!(f.kind, FailureKind::StoreWrite);
-            assert!(f.error.contains("injected I/O fault"), "got: {}", f.error);
-        }
-        assert_eq!(store.list().unwrap().len(), 3 - failing.len(), "{text}");
-        assert_eq!(
-            store.load_manifest(&spec.name).unwrap().failures,
-            out.failures
-        );
-
-        // A clean rerun re-simulates exactly the cells whose write failed
-        // and clears the manifest.
-        let healed = run_grid(&spec, Some(&store), &opts(None));
-        assert!(healed.is_complete() && !healed.is_degraded());
-        assert_eq!(
-            (healed.stats.cached, healed.stats.simulated),
-            (3 - failing.len(), failing.len()),
-            "{text}"
-        );
-        assert_eq!(healed.reports, out.reports);
-        assert!(store.load_manifest(&spec.name).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch(tag);
+    let plan = FaultPlan::parse(text).unwrap();
+    let failing: Vec<usize> = (0..spec.len())
+        .filter(|&i| plan.io_fault("put", &hashes[i]).is_some())
+        .collect();
+    assert!(!failing.is_empty(), "{text}: some write must fail");
+    let store = ResultStore::open(&dir).unwrap();
+    let out = run_grid(
+        &spec,
+        Some(&store.clone().with_faults(Some(plan))),
+        &opts(None),
+    );
+    // The simulations themselves succeeded: every report is present
+    // even though the failed writes persisted nothing.
+    assert!(out.is_complete(), "reports survive store-write failures");
+    assert!(out.is_degraded());
+    assert_eq!(
+        (out.stats.simulated, out.stats.failed),
+        (spec.len(), 0),
+        "{text}"
+    );
+    let failed: Vec<usize> = out.failures.iter().map(|f| f.index).collect();
+    assert_eq!(failed, failing, "{text}");
+    for f in &out.failures {
+        assert_eq!(f.kind, FailureKind::StoreWrite);
+        assert!(f.error.contains("injected I/O fault"), "got: {}", f.error);
     }
+    assert_eq!(
+        store.list().unwrap().len(),
+        spec.len() - failing.len(),
+        "{text}"
+    );
+    assert_eq!(
+        store.load_manifest(&spec.name).unwrap().failures,
+        out.failures
+    );
+
+    // A clean rerun re-simulates exactly the cells whose write failed
+    // and clears the manifest.
+    let healed = run_grid(&spec, Some(&store), &opts(None));
+    assert!(healed.is_complete() && !healed.is_degraded());
+    assert_eq!(
+        (healed.stats.cached, healed.stats.simulated),
+        (spec.len() - failing.len(), failing.len()),
+        "{text}"
+    );
+    assert_eq!(healed.reports, out.reports);
+    assert!(store.load_manifest(&spec.name).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+    failing
+}
+
+#[test]
+fn permanent_io_faults_surface_as_store_write_failures_with_reports() {
+    assert_eq!(run_io_plan("io-permanent", "io:1.0,seed:7"), [0, 1, 2]);
+}
+
+#[test]
+fn partial_io_faults_fail_only_the_drawn_writes_and_land_the_rest() {
+    let failing = run_io_plan("io-split", "io:0.5,seed:3");
+    assert!(failing.len() < small_grid().len(), "some write must land");
 }
 
 /// Eight VRD variants of one unmitigated workload: one timing cohort.
